@@ -140,13 +140,15 @@ def fit_linear_in_logN(rows: list[tuple[int, float]]) -> tuple[float, float]:
 
 @dataclass
 class ShiftedDiscrimination:
-    """Empirical verdict between the two shifted-convolution main terms."""
+    """Empirical verdict between the two shifted-convolution main terms,
+    with the exact shifted_sum(N, delta) it was fitted to, keyed by N."""
 
     delta: int
     slope: float
     intercept: float
     predicted_log_slope: float
     selected: MainTermKind
+    values: dict[int, int]
 
     @property
     def consistent_with_nolog(self) -> bool:
@@ -166,11 +168,11 @@ def discriminate_shifted(
     """
     if delta < 1:
         raise ValueError(f"discriminate_shifted() requires delta >= 1, got {delta}")
-    rows = []
+    values = {}
     for N in sorted(set(N_list)):
         table = tables[N] if tables and N in tables else build_tau_table(N)
-        rows.append((N, float(shifted_sum(table, delta))))
-    a, b = fit_linear_in_logN(rows)
+        values[N] = shifted_sum(table, delta)
+    a, b = fit_linear_in_logN([(N, float(v)) for N, v in values.items()])
     predicted = COEFF_12 * sigma(delta) / delta
     selected = (
         MainTermKind.SHIFTED_NOLOG_CANDIDATE
@@ -183,4 +185,5 @@ def discriminate_shifted(
         intercept=b,
         predicted_log_slope=predicted,
         selected=selected,
+        values=values,
     )

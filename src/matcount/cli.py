@@ -5,6 +5,9 @@ Subcommands: count, sweep, tau, hyperbola, lemmas, casework, fit,
 fixtures.  All randomness flows from --seed through a splitmix-style
 64-bit generator, so identical (config, seed) pairs produce
 byte-identical output (suppress the timing column with --no-timing).
+The sweep builds one tau table per H and shares it across that H's
+deltas, so its wall_time_ms column is each row's own report time,
+without the table build.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 3 internal invariant violation.
 """
@@ -52,7 +55,7 @@ from .lemmas import (
     xy_sum,
 )
 from .rng import SplitMix64
-from .tau_tables import build_tau_table, shifted_sum, tau_moment
+from .tau_tables import TauTable, build_tau_table, tau_moment
 
 
 def _fmt(x) -> str:
@@ -128,10 +131,17 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _cmd_count(args) -> int:
+def _single_point(args) -> tuple[int, int]:
+    """The one (H, delta) point that count and casework take."""
     if args.H is None or args.delta is None:
-        raise UsageError("count requires --H and --delta")
-    (H,), (delta,) = args.H, args.delta
+        raise UsageError(f"{args.command} requires --H and --delta")
+    if len(args.H) != 1 or len(args.delta) != 1:
+        raise UsageError(f"{args.command} takes exactly one --H and one --delta value")
+    return args.H[0], args.delta[0]
+
+
+def _cmd_count(args) -> int:
+    H, delta = _single_point(args)
     rep = report(H, delta, epsilon=args.epsilon)
     for name, value in (
         ("exact", rep.exact),
@@ -144,10 +154,18 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _sweep_row(point, epsilon: float, timing: bool) -> dict:
-    H, delta = point
+def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> list[dict]:
+    """Rows of one H, all read from one tau table, which is dropped on
+    return.  A delta with |delta| > 2H^2 counts 0 and needs no table."""
+    table = build_tau_table(H) if any(abs(d) <= 2 * H * H for d in deltas) else None
+    return [_sweep_row(H, delta, table, epsilon, timing) for delta in deltas]
+
+
+def _sweep_row(
+    H: int, delta: int, table: TauTable | None, epsilon: float, timing: bool
+) -> dict:
     t0 = time.perf_counter()
-    rep = report(H, delta, epsilon=epsilon)
+    rep = report(H, delta, epsilon=epsilon, table=table)
     row = {
         "H": H,
         "delta": delta,
@@ -165,10 +183,16 @@ def _sweep_row(point, epsilon: float, timing: bool) -> dict:
 def _cmd_sweep(args) -> int:
     if not args.H or args.delta is None:
         raise UsageError("sweep requires --H and --delta lists")
-    points = sorted((H, d) for d in args.delta for H in args.H)
-    points.sort(key=lambda p: (p[1], p[0]))
     timing = not args.no_timing
-    rows = _map_jobs(lambda p: _sweep_row(p, args.epsilon, timing), points, args.jobs)
+    deltas = sorted(set(args.delta))
+    # largest H first, so the slowest group never starts last
+    groups = _map_jobs(
+        lambda H: _sweep_group(H, deltas, args.epsilon, timing),
+        sorted(set(args.H), reverse=True),
+        args.jobs,
+    )
+    by_point = {(row["delta"], row["H"]): row for group in groups for row in group}
+    rows = [by_point[point] for point in sorted((d, H) for d in args.delta for H in args.H)]
     columns = ["H", "delta", "exact", "main", "error", "normalized_error", "bound"]
     if timing:
         columns.append("wall_time_ms")
@@ -213,10 +237,8 @@ def _cmd_tau(args) -> int:
         extra["discrimination"] = {}
         for delta in args.delta:
             verdict = discriminate_shifted(list(tables), delta, tables=tables)
-            for N, table in tables.items():
-                rows.append(
-                    {"N": N, "delta": delta, "value": shifted_sum(table, delta)}
-                )
+            for N, value in verdict.values.items():
+                rows.append({"N": N, "delta": delta, "value": value})
             extra["discrimination"][str(delta)] = {
                 "slope": verdict.slope,
                 "predicted_log_slope": verdict.predicted_log_slope,
@@ -347,9 +369,7 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_casework(args) -> int:
-    if args.H is None or args.delta is None:
-        raise UsageError("casework requires --H and --delta")
-    (H,), (delta,) = args.H, args.delta
+    H, delta = _single_point(args)
     if delta < 1:
         raise UsageError("casework requires delta >= 1")
     rows = []
@@ -483,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
         return args.func(args)
-    except (UsageError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetError as exc:

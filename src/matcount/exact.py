@@ -27,6 +27,7 @@ from .tau_tables import (
     DEFAULT_CELL_BUDGET,
     ProductCount,
     TauTable,
+    _dot,
     build_tau_table,
     product_count,
 )
@@ -77,6 +78,7 @@ def _det_histogram_2x2(H: int) -> np.ndarray:
     for a in v:
         dets = (a * v)[:, None] - bc[None, :]
         hist += np.bincount((dets + off).ravel(), minlength=hist.size)
+    hist.flags.writeable = False  # shared by every caller through the cache
     return hist
 
 
@@ -144,19 +146,19 @@ def fast_count(
     elif table.N != H:
         raise ValueError(f"tau table is for N={table.N}, expected H={H}")
     limit = H * H
-    t = table.counts.astype(np.int64)
+    t = table.counts
     if D == 0:
-        return (4 * H + 1) ** 2 + 8 * int(np.dot(t[1:], t[1:]))
+        return (4 * H + 1) ** 2 + 8 * _dot(t[1:], t[1:])
     total = 0
     if D <= limit:
         total += 4 * (4 * H + 1) * int(t[D])
     if D < limit:
-        total += 8 * int(np.dot(t[1 : limit - D + 1], t[1 + D : limit + 1]))
+        total += 8 * _dot(t[1 : limit - D + 1], t[1 + D : limit + 1])
     if D >= 2:
         hi = min(D - 1, limit)
         lo = D - hi  # mirror index >= 1; both factors need support <= limit
         if lo <= hi:
-            total += 4 * int(np.dot(t[lo : hi + 1], t[hi : lo - 1 : -1]))
+            total += 4 * _dot(t[lo : hi + 1], t[hi : lo - 1 : -1])
     return total
 
 

@@ -1,10 +1,11 @@
 """The restricted divisor function tau_N and its tables.
 
 tau_N(n) counts ordered factorizations n = a*b with 1 <= a, b <= N;
-equivalently, divisors d of n with n/N <= d <= N.  The module provides
-the O(N^2) sieve, exact moments and shifted convolutions (both in-memory
-and streaming variants, which agree exactly), the signed product counter
-used by the fast matrix counter, and a binary dump/load format.
+equivalently, divisors d of n with n/N <= d <= N.  ``build_tau_table``
+is the only source of tau_N: an O(N^2) sieve into a read-only uint16
+table.  The exact moments, the shifted convolutions and the signed
+product counter used by the fast matrix counter all read that table in
+place; every reduction accumulates in int64 without a table-sized copy.
 
 The signed counter c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} obeys the
 brute-force-derived law
@@ -18,9 +19,7 @@ law is pinned against exhaustive enumeration for H <= 12 in the tests.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,13 +27,20 @@ from .errors import BudgetError
 
 DEFAULT_CELL_BUDGET = 200_000_000
 
-_MAGIC = b"TAUT"
-_VERSION = 1
+# tau_N(n) <= tau(n) <= 1600 < 2^16 for every n < 2^31 (the maximum, 1600,
+# is reached at n = 2095133040), so uint16 cells cannot overflow while
+# N^2 < 2^31.
+_MAX_LIMIT = 1 << 31
+
+# Cells per np.bincount call in tau_moment; bincount casts its input to
+# intp, so a block costs 8 bytes per cell of scratch.
+_MOMENT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class TauTable:
-    """counts[n] = tau_N(n) for 1 <= n <= N^2 (index 0 unused), uint32 cells."""
+    """counts[n] = tau_N(n) for 1 <= n <= N^2 (index 0 unused), read-only
+    uint16 cells."""
 
     N: int
     counts: np.ndarray
@@ -45,68 +51,52 @@ class TauTable:
 
 
 def build_tau_table(N: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> TauTable:
-    """Sieve tau_N over [1, N^2] by looping a and striding over multiples."""
+    """Sieve tau_N over [1, N^2].
+
+    A product a*b with a < b counts for both orders, so row a adds 2 at
+    the multiples a*b, a < b <= N, and the squares a*a get 1 each: half
+    the strided updates of looping every ordered pair.
+    """
     if N < 1:
         raise ValueError(f"build_tau_table() requires N >= 1, got {N}")
     if N * N + 1 > cell_budget:
         raise BudgetError(
             f"build_tau_table(N={N}) needs {N * N + 1} cells, budget is {cell_budget}"
         )
-    counts = np.zeros(N * N + 1, dtype=np.uint32)
+    if N * N >= _MAX_LIMIT:
+        raise ValueError(f"build_tau_table(N={N}): N^2 >= 2^31 overflows uint16 cells")
+    counts = np.zeros(N * N + 1, dtype=np.uint16)
     for a in range(1, N + 1):
-        counts[a : a * N + 1 : a] += 1
+        counts[a * a + a : a * N + 1 : a] += 2
+    counts[np.arange(1, N + 1) ** 2] += 1
     counts.flags.writeable = False
     return TauTable(N=N, counts=counts)
 
 
-def tau_restricted(table: TauTable, n: int) -> int:
-    """tau_N(n); zero beyond the support n > N^2.  Rejects n <= 0."""
-    if n <= 0:
-        raise ValueError(f"tau_restricted() requires n >= 1, got {n}")
-    if n > table.limit:
-        return 0
-    return int(table.counts[n])
+def _dot(x: np.ndarray, y: np.ndarray) -> int:
+    """Exact sum of x[i] * y[i] over two equal-length table views.
 
-
-def _block_counts(N: int, lo: int, hi: int) -> np.ndarray:
-    """tau_N(n) for n in [lo, hi] without materializing the full table."""
-    out = np.zeros(hi - lo + 1, dtype=np.uint32)
-    for a in range(1, N + 1):
-        first = a * max(1, -(-lo // a))
-        last = min(a * N, hi)
-        if first > last:
-            continue
-        out[first - lo : last - lo + 1 : a] += 1
-    return out
+    einsum casts through small buffers, so the int64 accumulation needs
+    no copy of either view.  While N^2 < 2^31 the sum stays below
+    2^31 * 1600^2 < 2^63.
+    """
+    return int(np.einsum("i,i->", x, y, dtype=np.int64))
 
 
 def tau_moment(table: TauTable, k: int) -> int:
     """Exact sum of tau_N(n)^k over 1 <= n <= N^2.
 
-    Goes through a value histogram so the k-th powers are taken with
-    Python integers; exact for any k, no overflow.
+    Goes through a value histogram, built one block at a time, so the
+    k-th powers are taken with Python integers; exact for any k, no
+    overflow.
     """
     if k < 1:
         raise ValueError(f"tau_moment() requires k >= 1, got {k}")
-    freq = np.bincount(table.counts[1:])
+    counts = table.counts
+    freq = np.zeros(int(counts.max()) + 1, dtype=np.int64)
+    for lo in range(1, counts.size, _MOMENT_BLOCK):
+        freq += np.bincount(counts[lo : lo + _MOMENT_BLOCK], minlength=freq.size)
     return sum(int(f) * v**k for v, f in enumerate(freq) if f)
-
-
-def tau_moment_streaming(N: int, k: int, block_size: int = 1 << 20) -> int:
-    """Streaming variant of tau_moment; agrees exactly with the table path."""
-    if N < 1:
-        raise ValueError(f"tau_moment_streaming() requires N >= 1, got {N}")
-    if k < 1:
-        raise ValueError(f"tau_moment_streaming() requires k >= 1, got {k}")
-    total = 0
-    limit = N * N
-    lo = 1
-    while lo <= limit:
-        hi = min(lo + block_size - 1, limit)
-        freq = np.bincount(_block_counts(N, lo, hi))
-        total += sum(int(f) * v**k for v, f in enumerate(freq) if f)
-        lo = hi + 1
-    return total
 
 
 def shifted_sum(table: TauTable, delta: int) -> int:
@@ -116,27 +106,9 @@ def shifted_sum(table: TauTable, delta: int) -> int:
     limit = table.limit
     if delta >= limit:
         return 0
-    c = table.counts.astype(np.int64)
-    # terms with n + delta > N^2 vanish; products fit int64 comfortably
-    return int(np.dot(c[1 : limit - delta + 1], c[1 + delta : limit + 1]))
-
-
-def shifted_sum_streaming(N: int, delta: int, block_size: int = 1 << 20) -> int:
-    """Streaming variant of shifted_sum; agrees exactly with the table path."""
-    if N < 1:
-        raise ValueError(f"shifted_sum_streaming() requires N >= 1, got {N}")
-    if delta < 1:
-        raise ValueError(f"shifted_sum_streaming() requires delta >= 1, got {delta}")
-    limit = N * N
-    total = 0
-    lo = 1
-    while lo + delta <= limit:
-        hi = min(lo + block_size - 1, limit - delta)
-        a = _block_counts(N, lo, hi).astype(np.int64)
-        b = _block_counts(N, lo + delta, hi + delta).astype(np.int64)
-        total += int(np.dot(a, b))
-        lo = hi + 1
-    return total
+    c = table.counts
+    # terms with n + delta > N^2 vanish
+    return _dot(c[1 : limit - delta + 1], c[1 + delta : limit + 1])
 
 
 @dataclass(frozen=True)
@@ -159,32 +131,3 @@ class ProductCount:
 def product_count(H: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> ProductCount:
     """Build the c2 counter for height H (tau table of size H^2)."""
     return ProductCount(H=H, table=build_tau_table(H, cell_budget))
-
-
-def save_tau_table(table: TauTable, path: str | Path) -> None:
-    """Binary dump: header {magic 'TAUT', u32 version, u64 N}, then the
-    counts for n = 1..N^2 as little-endian u32."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", table.N))
-        fh.write(table.counts[1:].astype("<u4").tobytes())
-
-
-def load_tau_table(path: str | Path) -> TauTable:
-    """Load a table written by save_tau_table, validating the header."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported tau table version {version}")
-        (N,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<u4")
-    if data.size != N * N:
-        raise ValueError(f"truncated tau table: expected {N * N} cells, got {data.size}")
-    counts = np.zeros(N * N + 1, dtype=np.uint32)
-    counts[1:] = data
-    counts.flags.writeable = False
-    return TauTable(N=int(N), counts=counts)

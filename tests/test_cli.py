@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from matcount import cli
 from matcount.cli import main
+from matcount.tau_tables import build_tau_table
 
 
 def run(argv, capsys):
@@ -46,6 +48,23 @@ def test_sweep_deterministic_and_jobs_equal(tmp_path):
     assert main(args + ["--jobs", "8", "--output", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_sweep_builds_each_table_once(monkeypatch, tmp_path):
+    built = []
+
+    def counting_build(N, *args, **kwargs):
+        built.append(N)
+        return build_tau_table(N, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_tau_table", counting_build)
+    args = ["sweep", "--H", "10,30,20", "--delta", "0,1,-7,1", "--no-timing"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--output", str(a)]) == 0
+    assert sorted(built) == [10, 20, 30]
+    assert main(args + ["--jobs", "2", "--output", str(b)]) == 0
+    assert sorted(built) == [10, 10, 20, 20, 30, 30]
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_json(tmp_path):
@@ -151,3 +170,20 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["fit", str(tmp_path / "missing.csv")], capsys)[0] == 1
     # budget violations surface as exit 2
     assert run(["tau", "--N", "100000", "--k", "1"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--H", "0", "--delta", "1"],
+        ["tau", "--N", "0"],
+        ["count", "--H", "1,2", "--delta", "1"],
+        ["count", "--H", "5", "--delta", "1,2"],
+        ["casework", "--H", "4,5", "--delta", "1"],
+    ],
+)
+def test_bad_values_exit_1_with_one_line(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -8,6 +8,7 @@ from matcount.errors import BudgetError
 from matcount.exact import (
     ALL_SIGN_CLASSES,
     SignClass,
+    _det_histogram_2x2,
     decompose,
     fast_count,
     naive_count,
@@ -47,6 +48,13 @@ def test_naive_matches_pure_python_enumeration():
     for H in (1, 2, 3):
         for delta in range(-2 * H * H - 1, 2 * H * H + 2):
             assert naive_count(H, delta) == enumerate_count(H, delta)
+
+
+def test_cached_histogram_is_read_only():
+    hist = _det_histogram_2x2(2)
+    with pytest.raises(ValueError):
+        hist[2 * 2 * 2 + 1] = 0
+    assert naive_count(2, 1) == FROZEN[(2, 1)]
 
 
 def test_naive_rejects():

@@ -1,21 +1,20 @@
 """Restricted divisor function: sieve vs. enumeration, moments, shifted
-sums, the signed product counter, and the dump/load format."""
+sums, the signed product counter, and the table's memory contract."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matcount.arith import divisors, tau
 from matcount.errors import BudgetError
+from matcount.exact import fast_count
 from matcount.tau_tables import (
     build_tau_table,
-    load_tau_table,
     product_count,
-    save_tau_table,
     shifted_sum,
-    shifted_sum_streaming,
     tau_moment,
-    tau_moment_streaming,
-    tau_restricted,
 )
 
 
@@ -31,14 +30,7 @@ def tau_by_window(N, n):
 def test_small_tables():
     assert list(build_tau_table(2).counts[1:]) == [1, 2, 0, 1]
     assert list(build_tau_table(1).counts[1:]) == [1]
-    assert tau_restricted(build_tau_table(5), 4) == 3
-
-
-def test_tau_restricted_bounds():
-    t = build_tau_table(3)
-    assert tau_restricted(t, 10) == 0
-    with pytest.raises(ValueError):
-        tau_restricted(t, 0)
+    assert build_tau_table(5).counts[4] == 3
 
 
 @given(st.integers(1, 30))
@@ -70,13 +62,50 @@ def test_moments():
         tau_moment(build_tau_table(2), 0)
 
 
-def test_streaming_agrees():
+def test_reductions_match_enumeration():
     for N in (7, 50, 130):
         t = build_tau_table(N)
+        limit = N * N
+        ref = [0] + [tau_by_window(N, n) for n in range(1, limit + 1)]
         for k in (1, 2, 3, 5):
-            assert tau_moment_streaming(N, k, block_size=97) == tau_moment(t, k)
-        for delta in (1, 2, 17, N * N - 1):
-            assert shifted_sum_streaming(N, delta, block_size=97) == shifted_sum(t, delta)
+            assert tau_moment(t, k) == sum(v**k for v in ref)
+        for delta in (1, 2, 17, limit - 1):
+            want = sum(ref[n] * ref[n + delta] for n in range(1, limit - delta + 1))
+            assert shifted_sum(t, delta) == want
+
+
+def test_uint16_cells_and_overflow_guard():
+    t = build_tau_table(40)
+    assert t.counts.dtype == np.uint16
+    assert not t.counts.flags.writeable
+    # 46341^2 >= 2^31: refused before the 4 GB table is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\^31"):
+            build_tau_table(46341, cell_budget=1 << 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_reductions_allocate_less_than_the_table():
+    t = build_tau_table(1000)
+    calls = [
+        lambda: fast_count(1000, 0, table=t),
+        lambda: fast_count(1000, 7, table=t),
+        lambda: fast_count(1000, -1_500_000, table=t),
+        lambda: shifted_sum(t, 3),
+        lambda: tau_moment(t, 2),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t.counts.nbytes
 
 
 def test_shifted_small():
@@ -114,19 +143,3 @@ def test_product_count_examples():
 def test_budget():
     with pytest.raises(BudgetError):
         build_tau_table(1000, cell_budget=10)
-
-
-def test_dump_load_roundtrip(tmp_path):
-    t = build_tau_table(37)
-    path = tmp_path / "t.bin"
-    save_tau_table(t, path)
-    back = load_tau_table(path)
-    assert back.N == 37
-    assert (back.counts == t.counts).all()
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\0" * 16)
-    with pytest.raises(ValueError):
-        load_tau_table(path)

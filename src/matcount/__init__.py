@@ -1,6 +1,6 @@
 """Exact counting of 2x2 integer matrices with bounded entries and fixed
-determinant, together with the supporting machinery: multiplicative-function
-sieves, restricted divisor tables, modular-hyperbola point counts,
+determinant, together with the supporting machinery: a totient sieve,
+restricted divisor tables, modular-hyperbola point counts,
 sign-class/region decompositions, summation identities, and asymptotic
 main-term validation sweeps."""
 

@@ -1,31 +1,30 @@
 """Elementary multiplicative number theory.
 
-Provides gcd, divisor enumeration, the classical arithmetic functions
-tau (divisor count), sigma (divisor sum), phi (Euler totient) and mu
-(Moebius), a divisibility indicator, and sieved tables of all four
-functions up to a configurable limit.
+Provides divisor enumeration, prime factorization, the classical
+arithmetic functions tau (divisor count), sigma (divisor sum), phi
+(Euler totient) and mu (Moebius), and a sieved phi table up to a
+configurable limit.
 
 All scalar arithmetic is plain Python integers, so intermediate products
-never wrap; sieve tables are int64 numpy arrays whose entries are far
-below the int64 range for any admissible limit.
+never wrap; the phi table is an int64 numpy array whose entries are at
+most the limit.  Factorization is trial division, so it refuses
+n > FACTORIZE_LIMIT rather than run for minutes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError
 
-# Total sieve cells allowed across the four tables (not bytes).
+# Sieve cells allowed in the phi table (not bytes).
 DEFAULT_CELL_BUDGET = 200_000_000
 
-
-def gcd(x: int, y: int) -> int:
-    """Greatest common divisor, always non-negative; gcd(0, 0) == 0."""
-    return math.gcd(x, y)
+# Largest n that factorize() accepts: trial division up to sqrt(10**14)
+# takes under a second.
+FACTORIZE_LIMIT = 10**14
 
 
 def divisors(n: int) -> list[int]:
@@ -52,6 +51,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
     if n <= 0:
         raise ValueError(f"factorize() requires n >= 1, got {n}")
+    if n > FACTORIZE_LIMIT:
+        raise BudgetError(f"factorize(n={n}) exceeds the trial-division limit {FACTORIZE_LIMIT}")
     out: list[tuple[int, int]] = []
     for p in (2, 3):
         if n % p == 0:
@@ -100,28 +101,6 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def delta_div(q: int, K: int) -> int:
-    """Divisibility indicator: 1 iff q divides K (K == 0 counts as divisible)."""
-    if q < 1:
-        raise ValueError(f"delta_div() requires q >= 1, got {q}")
-    return 1 if K % q == 0 else 0
-
-
-@dataclass(frozen=True)
-class MultiplicativeTables:
-    """Sieved values of tau, sigma, phi, mu for 1 <= n <= limit.
-
-    Arrays are 1-indexed (index 0 unused) and read-only after construction,
-    so a table is safely shareable across concurrent readers.
-    """
-
-    limit: int
-    tau: np.ndarray
-    sigma: np.ndarray
-    phi: np.ndarray
-    mu: np.ndarray
-
-
 def _primes_up_to(limit: int) -> np.ndarray:
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
@@ -131,36 +110,20 @@ def _primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(is_prime)[0]
 
 
-def sieve(limit: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> MultiplicativeTables:
-    """Build MultiplicativeTables up to ``limit``.
+def sieve(limit: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
+    """Read-only int64 table of phi(n) for 0 <= n <= ``limit`` (phi[0] = 0).
 
-    Tables agree with the pointwise functions for every n <= limit.
-    Rejects limits whose four tables would exceed ``cell_budget`` cells.
+    Agrees with the pointwise phi for every n <= limit.  Rejects limits
+    whose table would exceed ``cell_budget`` cells.
     """
     if limit < 1:
         raise ValueError(f"sieve() requires limit >= 1, got {limit}")
-    if 4 * (limit + 1) > cell_budget:
+    if limit + 1 > cell_budget:
         raise BudgetError(
-            f"sieve(limit={limit}) needs {4 * (limit + 1)} cells, budget is {cell_budget}"
+            f"sieve(limit={limit}) needs {limit + 1} cells, budget is {cell_budget}"
         )
-
-    tau_t = np.zeros(limit + 1, dtype=np.int64)
-    sigma_t = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        tau_t[d::d] += 1
-        sigma_t[d::d] += d
-
-    phi_t = np.arange(limit + 1, dtype=np.int64)
-    mu_t = np.ones(limit + 1, dtype=np.int64)
+    table = np.arange(limit + 1, dtype=np.int64)
     for p in _primes_up_to(limit):
-        phi_t[p::p] -= phi_t[p::p] // p
-        mu_t[p::p] *= -1
-        sq = int(p) * int(p)
-        if sq <= limit:
-            mu_t[sq::sq] = 0
-    if limit >= 0:
-        mu_t[0] = 0
-
-    for arr in (tau_t, sigma_t, phi_t, mu_t):
-        arr.flags.writeable = False
-    return MultiplicativeTables(limit=limit, tau=tau_t, sigma=sigma_t, phi=phi_t, mu=mu_t)
+        table[p::p] -= table[p::p] // p
+    table.flags.writeable = False
+    return table

@@ -6,42 +6,31 @@ G(a, c) counts pairs (b, d) with a*d = delta + b*c, 1 <= d <= H and
 1 <= |b| <= H (b of either sign, b != 0).  J(a, c) is the variant with
 1 <= b <= H strictly positive.  Region thresholds are the rational lines
 c = delta/H and a = c + delta/H; all comparisons are done in integer
-arithmetic (a*H vs c*H + delta), never floating point.
+arithmetic (a*H vs c*H + delta), never floating point, and a column's
+a-range is cut at the integer floor (c*H + delta) // H.
 
 The hyperbola-based evaluations intentionally include the b = 0 pairs
 (the congruence formulation admits them) and subtract an explicit
 correction; exact agreement with the direct double loop is the test
 currency of this module.  Strict endpoints (d < f(a)) are realized by
 shifting the integer numerator by one: d < (M)/a over integers is
-d <= (M-1)/a.
+d <= (M-1)/a.  Curves that must stay inside the box rows d <= H are
+hyperbolic bounds capped at H.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 
 from .errors import InvariantError
 from .hyperbola import (
     CurveQuery,
     HyperbolaQuery,
     Hyperbolic,
-    Tabulated,
     count_box,
     count_under_curve,
 )
-
-
-def _capped_hyperbola(M: int, cap: int, U: Fraction, X: Fraction) -> Tabulated:
-    """Bound u -> min(M/u, cap) on the integers of (U, U+X]; used when the
-    excluded lower set must stay inside the box rows d <= cap."""
-    return Tabulated(
-        {
-            u: min(Fraction(M, u), Fraction(cap))
-            for u in range(math.floor(U) + 1, math.floor(U + X) + 1)
-        }
-    )
 
 
 class RegionG(enum.Enum):
@@ -126,14 +115,10 @@ def count_J(a: int, c: int, H: int, delta: int) -> int:
 
 
 def _in_region_G(a: int, c: int, H: int, delta: int, region: RegionG) -> bool:
-    small_a = a * H <= c * H + delta
     small_c = c * H <= delta
-    return {
-        RegionG.SS: small_a and small_c,
-        RegionG.SL: small_a and not small_c,
-        RegionG.LS: not small_a and small_c,
-        RegionG.LL: not small_a and not small_c,
-    }[region]
+    if a * H <= c * H + delta:
+        return region is (RegionG.SS if small_c else RegionG.SL)
+    return region is (RegionG.LS if small_c else RegionG.LL)
 
 
 def region_sum_G(H: int, delta: int, region: RegionG) -> int:
@@ -153,9 +138,11 @@ def _c_range_G(H: int, delta: int, region: RegionG) -> range:
     return range(delta // H + 1, H + 1)
 
 
-def _a_split(c: int, H: int, delta: int) -> Fraction:
-    """The rational a-threshold c + delta/H for a fixed c."""
-    return Fraction(c * H + delta, H)
+def _column(c: int, H: int, delta: int, small_a: bool) -> tuple[int, int]:
+    """The a-range (U, U+X] of a column at c: a <= c + delta/H on the small-a
+    side, the rest of (0, H] on the large-a side."""
+    split = min((c * H + delta) // H, H)
+    return (0, split) if small_a else (split, H - split)
 
 
 def _b0_count_region(H: int, delta: int, region: RegionG) -> int:
@@ -174,12 +161,7 @@ def _hyper_region_c(
 ) -> int:
     """Hyperbola-based congruence count (b = 0 included) of the region's
     column at this c."""
-    split = _a_split(c, H, delta)
-    if region in (RegionG.SS, RegionG.SL):
-        U, X = Fraction(0), min(split, Fraction(H))
-    else:
-        U = min(split, Fraction(H))
-        X = Fraction(H) - U
+    U, X = _column(c, H, delta, region in (RegionG.SS, RegionG.SL))
     if X <= 0:
         return 0
     if region == RegionG.SL:
@@ -189,7 +171,7 @@ def _hyper_region_c(
         strict_lo = delta - H * c - 1  # d < (delta - Hc)/a over integers
         if strict_lo >= 1:
             n -= count_under_curve(
-                CurveQuery(K=delta, q=c, U=U, X=X, bound=_capped_hyperbola(strict_lo, H, U, X))
+                CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(strict_lo, cap=H))
             )
         return n
     if region == RegionG.LL:
@@ -258,18 +240,13 @@ def region_sum_J_via_hyperbola(
     is the weak-inclusion curve (0, delta/a], so no correction term."""
     total = 0
     for c in range(1, H + 1):
-        split = _a_split(c, H, delta)
-        if region is RegionJ.SMALL_A:
-            U, X = Fraction(0), min(split, Fraction(H))
-        else:
-            U = min(split, Fraction(H))
-            X = Fraction(H) - U
+        U, X = _column(c, H, delta, region is RegionJ.SMALL_A)
         if X <= 0:
             continue
         if region is RegionJ.SMALL_A:
             col = count_box(HyperbolaQuery(K=delta, q=c, U=U, V=0, X=X, Y=H))
             col -= count_under_curve(
-                CurveQuery(K=delta, q=c, U=U, X=X, bound=_capped_hyperbola(delta, H, U, X))
+                CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta, cap=H))
             )
         else:
             col = count_under_curve(

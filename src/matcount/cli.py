@@ -2,12 +2,14 @@
 and lemma regressions, hyperbola diagnostics, and fixture generation.
 
 Subcommands: count, sweep, tau, hyperbola, lemmas, casework, fit,
-fixtures.  All randomness flows from --seed through a splitmix-style
-64-bit generator, so identical (config, seed) pairs produce
-byte-identical output (suppress the timing column with --no-timing).
-The sweep builds one tau table per H and shares it across that H's
-deltas, so its wall_time_ms column is each row's own report time,
-without the table build.
+fixtures.  Each subcommand declares only the flags it reads; --config
+names a JSON object of flag values, which is parsed by the same parser
+as the command line, and explicit flags win.  All randomness flows from
+--seed through a splitmix-style 64-bit generator, so identical (config,
+seed) pairs produce byte-identical output (suppress the timing column
+with --no-timing).  The sweep builds one tau table per H and shares it
+across that H's deltas, so its wall_time_ms column is each row's own
+report time, without the table build.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 3 internal invariant violation.
 """
@@ -18,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -74,6 +77,26 @@ def _int_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
+def _unit_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not 0 <= x <= 1:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return x
 
 
 class _Parser(argparse.ArgumentParser):
@@ -316,8 +339,7 @@ def _hyperbola_rows(pair, epsilon: float) -> list[dict]:
 
 
 def _cmd_hyperbola(args) -> int:
-    n = args.N[0] if args.N else 500
-    queries = random_hyperbola_queries(args.seed, n)
+    queries = random_hyperbola_queries(args.seed, args.N)
     nested = _map_jobs(lambda p: _hyperbola_rows(p, args.epsilon), queries, args.jobs)
     rows = [row for pair in nested for row in pair]
     worst = {
@@ -370,8 +392,8 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_casework(args) -> int:
     H, delta = _single_point(args)
-    if delta < 1:
-        raise UsageError("casework requires delta >= 1")
+    if H < 1 or delta < 1:
+        raise UsageError("casework requires H >= 1 and delta >= 1")
     rows = []
     g_total = 0
     for region in RegionG:
@@ -406,8 +428,6 @@ def _cmd_casework(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if not args.input:
-        raise UsageError("fit requires an input CSV path")
     with open(args.input, newline="") as fh:
         reader = csv.DictReader(fh)
         data = [
@@ -435,61 +455,61 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+_INTS = dict(type=_int_list)
+_EPSILON = dict(type=_unit_float, default=0.1)
+_JOBS = dict(type=_positive_int, default=1)
+_EMIT = {"output": dict(), "format": dict(choices=("csv", "json"), default="csv")}
+
+# Each subcommand's flags, exactly those its _cmd_* function reads.
+_COMMANDS = {
+    "count": (_cmd_count, {"H": _INTS, "delta": _INTS, "epsilon": _EPSILON}),
+    "sweep": (_cmd_sweep, {
+        "H": _INTS, "delta": _INTS, "epsilon": _EPSILON, "jobs": _JOBS,
+        "no-timing": dict(action="store_true"), "fit": dict(action="store_true"), **_EMIT,
+    }),
+    "tau": (_cmd_tau, {"N": _INTS, "k": dict(type=int, default=2), "delta": _INTS, **_EMIT}),
+    "hyperbola": (_cmd_hyperbola, {
+        "N": dict(type=_positive_int, default=500), "seed": dict(type=int, default=0),
+        "epsilon": _EPSILON, "jobs": _JOBS, **_EMIT,
+    }),
+    "lemmas": (_cmd_lemmas, _EMIT),
+    "casework": (_cmd_casework, {"H": _INTS, "delta": _INTS, **_EMIT}),
+    "fixtures": (_cmd_fixtures, _EMIT),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="matcount", description=__doc__)
-    parser.add_argument("--config", help="JSON file of flag defaults")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--H", type=_int_list, default=None)
-        p.add_argument("--delta", type=_int_list, default=None)
-        p.add_argument("--N", type=_int_list, default=None)
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--epsilon", type=float, default=0.1)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--no-timing", action="store_true")
-        p.add_argument("--config", help="JSON file of flag defaults")
-
-    for name, fn in (
-        ("count", _cmd_count),
-        ("sweep", _cmd_sweep),
-        ("tau", _cmd_tau),
-        ("hyperbola", _cmd_hyperbola),
-        ("lemmas", _cmd_lemmas),
-        ("casework", _cmd_casework),
-        ("fit", _cmd_fit),
-        ("fixtures", _cmd_fixtures),
-    ):
+    for name, (fn, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        common(p)
-        if name == "sweep":
-            p.add_argument("--fit", action="store_true")
-        if name == "fit":
-            p.add_argument("input", nargs="?")
+        for flag, spec in flags.items():
+            p.add_argument(f"--{flag}", **spec)
+        p.add_argument("--config", help="JSON object of flag values; explicit flags win")
         p.set_defaults(func=fn)
+    p = sub.add_parser("fit")
+    p.add_argument("input")
+    p.set_defaults(func=_cmd_fit)
     return parser
 
 
-def _apply_config(args, argv: list[str]) -> None:
-    """Fill flags not given on the command line from a JSON config file."""
-    if not args.config:
-        return
-    with open(args.config) as fh:
+def _config_tokens(path: str) -> list[str]:
+    """A JSON config object as flag tokens: a list becomes --key=a,b, true
+    becomes --key, false and null are skipped."""
+    with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-             for tok in argv if tok.startswith("--")}
+    tokens = []
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest in given or not hasattr(args, dest):
-            continue
-        if dest in ("H", "delta", "N") and value is not None:
-            value = [int(v) for v in value] if isinstance(value, list) else _int_list(str(value))
-        setattr(args, dest, value)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens.append(f"{flag}={','.join(str(v) for v in value)}")
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -497,11 +517,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        if not args.command:
             raise UsageError("a subcommand is required (see --help)")
-        _apply_config(args, argv)
-        if args.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
+        if getattr(args, "config", None) is not None:
+            # the subcommand is argv[0]: the top-level parser has no flags
+            args = parser.parse_args([args.command, *_config_tokens(args.config), *argv[1:]])
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

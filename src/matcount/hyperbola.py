@@ -3,9 +3,11 @@ and under curves, with the matching main-term estimators and nominal
 error bounds.
 
 Interval convention: every range is half-open on the left and closed on
-the right, (U, U+X] x (V, V+Y]; endpoints may be real (ints, floats or
-Fractions), and the integer points inside are extracted with floor.
-This single convention is shared with the casework module.
+the right, (U, U+X] x (V, V+Y], with integer endpoints.  A curve bound is
+always u -> A/u with integer A >= 0, optionally capped at an integer, so
+the rows under it are the integer floor min(A // u, cap) and the whole
+count runs in integers.  This module owns that convention; the casework
+module passes it integer endpoints only.
 
 Main terms with K = 0 are undefined (the divisor sum over r | K has no
 meaning); the estimators then substitute D = q and flag the result as a
@@ -15,47 +17,26 @@ convention value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from numbers import Real
-
-Number = int | float | Fraction
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Hyperbolic:
-    """Curve bound u -> A / u (A >= 0); the only variant with a usable
-    second-derivative scale."""
+    """Curve bound u -> A / u (A >= 0), capped at min(A / u, cap) when a
+    cap is given."""
 
-    A: Number
-
-    def __call__(self, u: int) -> Number:
-        if isinstance(self.A, int):
-            return Fraction(self.A, u)
-        return self.A / u
-
-
-@dataclass(frozen=True)
-class Tabulated:
-    """Curve bound given pointwise on integer u."""
-
-    values: dict[int, Number]
-
-    def __call__(self, u: int) -> Number:
-        return self.values[u]
-
-
-CurveBound = Hyperbolic | Tabulated
+    A: int
+    cap: int | None = None
 
 
 @dataclass(frozen=True)
 class HyperbolaQuery:
     K: int
     q: int
-    U: Number = 0
-    V: Number = 0
-    X: Number = 0
-    Y: Number = 0
+    U: int = 0
+    V: int = 0
+    X: int = 0
+    Y: int = 0
 
     def __post_init__(self):
         if self.q < 1:
@@ -68,20 +49,19 @@ class HyperbolaQuery:
 class CurveQuery:
     K: int
     q: int
-    U: Number
-    X: Number
-    bound: CurveBound
+    U: int
+    X: int
+    bound: Hyperbolic
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"modulus must be >= 1, got {self.q}")
         if self.X < 0:
             raise ValueError("interval length must be non-negative")
-        if isinstance(self.bound, Hyperbolic):
-            if self.bound.A < 0:
-                raise ValueError("hyperbolic bound needs A >= 0")
-            if self.U < 0:
-                raise ValueError("hyperbolic bound needs U >= 0")
+        if self.bound.A < 0 or (self.bound.cap is not None and self.bound.cap < 0):
+            raise ValueError("hyperbolic bound needs A >= 0 and cap >= 0")
+        if self.U < 0:
+            raise ValueError("curve interval needs U >= 0")
 
 
 @dataclass
@@ -96,9 +76,9 @@ class AsymptoticReport:
     convention: bool = False
 
 
-def _int_range(lo: Number, length: Number) -> range:
+def _int_range(lo: int, length: int) -> range:
     """Integers in the half-open interval (lo, lo + length]."""
-    return range(math.floor(lo) + 1, math.floor(lo + length) + 1)
+    return range(lo + 1, lo + length + 1)
 
 
 def _residue_class(u: int, q: int, K: int) -> tuple[int, int] | None:
@@ -113,9 +93,9 @@ def _residue_class(u: int, q: int, K: int) -> tuple[int, int] | None:
     return v0, m
 
 
-def _count_ap(v0: int, m: int, lo: Number, length: Number) -> int:
+def _count_ap(v0: int, m: int, lo: int, length: int) -> int:
     """Integers v = v0 (mod m) in (lo, lo + length]."""
-    return math.floor((lo + length - v0) / m) - math.floor((lo - v0) / m)
+    return (lo + length - v0) // m - (lo - v0) // m
 
 
 def count_box(query: HyperbolaQuery) -> int:
@@ -151,19 +131,13 @@ def error_bound_box(query: HyperbolaQuery, epsilon: float = 0.0) -> float:
     return q**epsilon * (math.sqrt(q) + float(query.X) * D / q + D)
 
 
-def _bound_at(query: CurveQuery, u: int) -> Number:
-    f = query.bound(u)
-    if f < 0:
-        raise ValueError(f"curve bound is negative at u={u}")
-    return f
-
-
 def count_under_curve(query: CurveQuery) -> int:
     """Exact number of lattice points with U < u <= U+X, 0 < v <= f(u) on
-    the hyperbola; O(sum 1 + f(u)/q)."""
+    the hyperbola, f(u) = min(A // u, cap); O(X) residue-class strides."""
+    A, cap = query.bound.A, query.bound.cap
     total = 0
     for u in _int_range(query.U, query.X):
-        limit = _bound_at(query, u)
+        limit = A // u if cap is None else min(A // u, cap)
         if limit < 1:
             continue
         rc = _residue_class(u, query.q, query.K)
@@ -176,12 +150,13 @@ def count_under_curve(query: CurveQuery) -> int:
 
 def main_term_curve(query: CurveQuery) -> float:
     """Main term (1/q) * sum r * f(u) over u with gcd(u, q) = r | K, minus
-    the boundary correction X * delta_q(K) / 2."""
+    the boundary correction X * delta_q(K) / 2, with f(u) = min(A / u, cap)."""
+    A, cap = query.bound.A, query.bound.cap
     s = 0.0
     for u in _int_range(query.U, query.X):
         w = _gcd_weight(u, query.q, query.K)
         if w:
-            s += w * float(_bound_at(query, u))
+            s += w * (A / u if cap is None else min(A / u, cap))
     correction = float(query.X) / 2 if query.K % query.q == 0 else 0.0
     return s / query.q - correction
 
@@ -190,11 +165,9 @@ def curvature_scale(query: CurveQuery) -> float:
     """Second-derivative scale L for a hyperbolic bound A/u: |f''| = 2A/u^3,
     so L is of order U^3/A, taken at the left endpoint (clamped to u >= 1).
 
-    Only the order matters for the nominal bound; A = 0 gives a flat curve
-    and is reported as infinite L.
+    Only the order matters for the nominal bound, so a cap is ignored;
+    A = 0 gives a flat curve and is reported as infinite L.
     """
-    if not isinstance(query.bound, Hyperbolic):
-        raise ValueError("curvature scale requires a hyperbolic bound")
     A = float(query.bound.A)
     if A == 0.0:
         return math.inf

@@ -70,7 +70,7 @@ def phi_ratio_sum(X: int) -> float:
     """Exact sum of phi(n)/n over 1 <= n <= X."""
     if X < 1:
         raise ValueError(f"phi_ratio_sum() requires X >= 1, got {X}")
-    phi = sieve(X).phi
+    phi = sieve(X)
     return math.fsum(int(phi[n]) / n for n in range(1, X + 1))
 
 
@@ -78,7 +78,7 @@ def phi_over_square_sum(X: int) -> float:
     """Exact sum of phi(n)/n^2 over 1 <= n <= X."""
     if X < 1:
         raise ValueError(f"phi_over_square_sum() requires X >= 1, got {X}")
-    phi = sieve(X).phi
+    phi = sieve(X)
     return math.fsum(int(phi[n]) / (n * n) for n in range(1, X + 1))
 
 

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from matcount.arith import (
-    delta_div,
+    FACTORIZE_LIMIT,
     divisors,
     factorize,
-    gcd,
     mobius,
     phi,
     sieve,
@@ -22,21 +21,6 @@ from matcount.errors import BudgetError
 
 def naive_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_gcd_values():
-    assert gcd(0, 5) == 5
-    assert gcd(12, 18) == 6
-    assert gcd(-4, 6) == 2
-    assert gcd(0, 0) == 0
-
-
-@given(st.integers(-500, 500), st.integers(-500, 500))
-def test_gcd_divides_both(x, y):
-    g = gcd(x, y)
-    assert g == gcd(y, x)
-    if g:
-        assert x % g == 0 and y % g == 0
 
 
 def test_divisors_small():
@@ -69,6 +53,13 @@ def test_factorize_reassembles():
         assert math.prod(p**e for p, e in factorize(n)) == n
 
 
+def test_factorize_budget():
+    assert factorize(FACTORIZE_LIMIT) == [(2, 14), (5, 14)]
+    for f in (factorize, tau, sigma, phi, mobius):
+        with pytest.raises(BudgetError):
+            f(FACTORIZE_LIMIT + 1)
+
+
 def test_divisor_sum_identities():
     # sum phi(d) = n, sum mu(d) = [n == 1], sigma = sum of divisors
     for n in range(1, 10**4 + 1):
@@ -78,17 +69,10 @@ def test_divisor_sum_identities():
         assert sigma(n) == sum(ds)
 
 
-def test_delta_div():
-    assert delta_div(5, 0) == 1
-    assert delta_div(5, 7) == 0
-    assert delta_div(7, 21) == 1
-    with pytest.raises(ValueError):
-        delta_div(0, 3)
-
-
 def test_sieve_small_phi_table():
     t = sieve(10)
-    assert list(t.phi[1:]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+    assert t.dtype == np.int64
+    assert list(t[1:]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
 
 
 def test_sieve_matches_pointwise():
@@ -97,27 +81,25 @@ def test_sieve_matches_pointwise():
     rng = np.random.default_rng(7)
     for n in rng.integers(1, limit + 1, size=1000):
         n = int(n)
-        assert t.tau[n] == tau(n)
-        assert t.sigma[n] == sigma(n)
-        assert t.phi[n] == phi(n)
-        assert t.mu[n] == mobius(n)
+        assert t[n] == phi(n)
 
 
 def test_sieve_prime_rows():
     t = sieve(100)
     for p in (2, 3, 5, 7, 97):
-        assert t.tau[p] == 2
-        assert t.sigma[p] == p + 1
-        assert t.phi[p] == p - 1
-        assert t.mu[p] == -1
+        assert t[p] == p - 1
 
 
 def test_sieve_budget():
     with pytest.raises(BudgetError):
         sieve(10**6, cell_budget=100)
+    # the budget counts the limit + 1 cells of the phi table
+    assert sieve(99, cell_budget=100).size == 100
+    with pytest.raises(BudgetError):
+        sieve(100, cell_budget=100)
 
 
 def test_sieve_tables_read_only():
     t = sieve(50)
     with pytest.raises(ValueError):
-        t.phi[3] = 0
+        t[3] = 0

@@ -1,13 +1,24 @@
 """Command-line surface: output schemas, determinism, parallel equality,
-config files and exit codes."""
+config files, exit codes and an argv fuzz."""
 
+import contextlib
+import hashlib
+import io
 import json
+import shlex
+import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matcount import cli
-from matcount.cli import main
+from matcount.cli import build_parser, main
+from matcount.lemmas import phi_ratio_report
 from matcount.tau_tables import build_tau_table
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, capsys):
@@ -180,6 +191,13 @@ def test_exit_codes(capsys, tmp_path):
         ["count", "--H", "1,2", "--delta", "1"],
         ["count", "--H", "5", "--delta", "1,2"],
         ["casework", "--H", "4,5", "--delta", "1"],
+        ["casework", "--H", "0", "--delta", "1"],
+        # flags the subcommand does not read
+        ["casework", "--H", "5", "--delta", "3", "--k", "9"],
+        ["count", "--H", "5", "--delta", "3", "--format", "json"],
+        ["lemmas", "--jobs", "2"],
+        ["hyperbola", "--N", "1,2"],
+        ["count", "--H", "5", "--delta", "3", "--epsilon", "1e308"],
     ],
 )
 def test_bad_values_exit_1_with_one_line(argv, capsys):
@@ -187,3 +205,109 @@ def test_bad_values_exit_1_with_one_line(argv, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_goes_through_the_parser(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    flags = ["sweep", "--H", "5,10", "--delta", "1", "--no-timing", "--jobs", "2"]
+    cfg.write_text(json.dumps(
+        {"H": [5, 10], "delta": 1, "no_timing": True, "fit": False, "output": None, "jobs": "2"}
+    ))
+    code, out, _ = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out == run(flags, capsys)[1]
+    for bad in ({"jobs": "x"}, {"bogus": 1}):
+        cfg.write_text(json.dumps(bad))
+        code, out, err = run(flags + ["--config", str(cfg)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_readme_cli_lines_parse():
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("matcount ")]
+    assert len(lines) >= 8
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--H", "5", "--delta", "1000000000000000003"],
+        ["tau", "--N", "10,20", "--delta", "1000000000000000003"],
+    ],
+)
+def test_factorization_budget_exits_2(argv, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+# sha256 of stdout, frozen from the Fraction-endpoint implementation, so
+# the float main terms of the integer-only hyperbola layer are pinned.
+GOLDEN = {
+    ("hyperbola", "--N", "40", "--seed", "7", "--epsilon", "0.25"):
+        "3ae2c4a88833a16062941cd29e0f0ef63e8306c459e7f3a854f51dd7740232e4",
+    ("casework", "--H", "40", "--delta", "60"):
+        "b2dfd1d2cd82a086ba3f4fec9c86f42a6b1074daf1b146382581653f85e0c789",
+}
+
+
+def test_golden_stdout(capsys):
+    for argv, digest in GOLDEN.items():
+        code, out, _ = run(list(argv), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# A valid argv per subcommand; the fuzz swaps its values and appends flags.
+_FUZZ_BASE = {
+    "count": ["--H", "5", "--delta", "3"],
+    "sweep": ["--H", "5,10", "--delta", "1", "--no-timing"],
+    "tau": ["--N", "5,10", "--k", "2"],
+    "hyperbola": ["--N", "5"],
+    "lemmas": [],
+    "casework": ["--H", "5", "--delta", "3"],
+    "fixtures": [],
+    "fit": ["missing.csv"],
+}
+_FUZZ_FLAGS = ["--H", "--delta", "--N", "--k", "--epsilon", "--jobs", "--seed",
+               "--format", "--no-timing", "--fit", "--config"]
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.lists(st.integers(-3, 40), min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", "x", ",", "1,,2", "-", "nan", "1e308", "0.5", "csv", "json", "{}"]),
+)
+
+
+@given(
+    st.sampled_from(sorted(_FUZZ_BASE)).flatmap(
+        lambda cmd: st.tuples(
+            st.just(cmd),
+            st.tuples(*(st.just(tok) if tok.startswith("--") else st.just(tok) | _FUZZ_VALUES
+                        for tok in _FUZZ_BASE[cmd])),
+        )
+    ),
+    st.lists(st.tuples(st.sampled_from(_FUZZ_FLAGS), st.none() | _FUZZ_VALUES), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_argv_fuzz(base, extra):
+    command, tokens = base
+    argv = [command, *tokens]
+    for flag, value in extra:
+        argv += [flag] if value is None else [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    # the full lemma grid takes seconds and reads no flag; one row stands in
+    grid = [{"lemma": "phi_ratio", "variant": 0, "X": 10, "Y": 0, "r": 1,
+             **vars(phi_ratio_report(10))}]
+    t0 = time.perf_counter()
+    with mock.patch.object(cli, "lemma_grid_rows", lambda: grid), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - t0 < 5, argv
+    assert code in (0, 1, 2, 3), argv
+    if code:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -10,7 +10,6 @@ from matcount.hyperbola import (
     CurveQuery,
     Hyperbolic,
     HyperbolaQuery,
-    Tabulated,
     box_report,
     count_box,
     count_under_curve,
@@ -50,12 +49,6 @@ def test_box_hand_examples():
 def test_box_matches_enumeration(K, q, U, V, X, Y):
     q2 = count_box(HyperbolaQuery(K=K, q=q, U=U, V=V, X=X, Y=Y))
     assert q2 == naive_box(K, q, U, V, X, Y)
-
-
-def test_box_real_endpoints():
-    # (1/2, 7/2] x (0, 5/2] holds u in {1,2,3}, v in {1,2}
-    got = count_box(HyperbolaQuery(K=0, q=1, U=0.5, V=0, X=3.0, Y=2.5))
-    assert got == 6
 
 
 def test_box_additive_in_u_and_v():
@@ -144,13 +137,20 @@ def test_curvature_scale_edges():
     assert curvature_scale(
         CurveQuery(K=1, q=1, U=0, X=5, bound=Hyperbolic(2))
     ) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        curvature_scale(CurveQuery(K=1, q=1, U=0, X=2, bound=Tabulated({1: 1, 2: 1})))
 
 
-def test_tabulated_bound():
-    query = CurveQuery(K=0, q=1, U=0, X=3, bound=Tabulated({1: 2, 2: 0, 3: 1}))
-    assert count_under_curve(query) == 3
+@given(
+    st.integers(-15, 15),
+    st.integers(1, 9),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.integers(0, 40),
+    st.integers(0, 12),
+)
+@settings(max_examples=120, deadline=None)
+def test_capped_curve_matches_enumeration(K, q, U, X, A, cap):
+    query = CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A, cap=cap))
+    assert count_under_curve(query) == naive_curve(K, q, U, X, lambda u: min(A / u, cap))
 
 
 def test_reports():
@@ -170,3 +170,5 @@ def test_query_validation():
         HyperbolaQuery(K=1, q=2, X=-1, Y=1)
     with pytest.raises(ValueError):
         CurveQuery(K=1, q=2, U=0, X=3, bound=Hyperbolic(-1))
+    with pytest.raises(ValueError):
+        CurveQuery(K=1, q=2, U=0, X=3, bound=Hyperbolic(1, cap=-1))

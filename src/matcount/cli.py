@@ -7,7 +7,8 @@ names a JSON object of flag values, which is parsed by the same parser
 as the command line, and explicit flags win.  All randomness flows from
 --seed through a splitmix-style 64-bit generator, so identical (config,
 seed) pairs produce byte-identical output (suppress the timing column
-with --no-timing).  The sweep builds one tau table per H and shares it
+with --no-timing).  The sweep emits one row per distinct (delta, H)
+point, sorted, and builds one tau table per H and shares it
 across that H's deltas, so its wall_time_ms column is each row's own
 report time, without the table build.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
@@ -215,7 +216,7 @@ def _cmd_sweep(args) -> int:
         args.jobs,
     )
     by_point = {(row["delta"], row["H"]): row for group in groups for row in group}
-    rows = [by_point[point] for point in sorted((d, H) for d in args.delta for H in args.H)]
+    rows = [by_point[point] for point in sorted({(d, H) for d in args.delta for H in args.H})]
     columns = ["H", "delta", "exact", "main", "error", "normalized_error", "bound"]
     if timing:
         columns.append("wall_time_ms")

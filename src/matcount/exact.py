@@ -35,6 +35,10 @@ from .tau_tables import (
 # Hard cap on full enumeration: (2H+1)^(n^2) matrices.
 NAIVE_ENUM_LIMIT = 10**10
 
+# Cells per (c, d) block in sign_class_count; each int64 temporary of a
+# block costs 8 bytes per cell.
+_SIGN_CLASS_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SignClass:
@@ -168,23 +172,27 @@ def sign_class_count(H: int, delta: int, sign_class: SignClass) -> int:
 
     Direct enumeration of (a, c, d) in the prescribed orthant; b is read
     off from b = (a*d - delta) / c and checked for integrality and range.
+    For each a, k = a*d - delta is one row shared by every c, broadcast
+    against a block of c rows of at most _SIGN_CLASS_BLOCK cells (one row
+    when H exceeds it), so memory stays O(H).  Returns 0 for
+    |delta| > 2H^2, where |ad - bc| <= 2H^2 leaves no matrix.
     """
     if H < 1:
         raise ValueError(f"sign_class_count() requires H >= 1, got {H}")
+    if abs(delta) > 2 * H * H:
+        return 0
     al, ga, dp = sign_class.alpha, sign_class.gamma, sign_class.delta_prime
     d_vals = dp * np.arange(1, H + 1, dtype=np.int64)
+    c_vals = ga * np.arange(1, H + 1, dtype=np.int64)[:, None]
+    rows = max(1, _SIGN_CLASS_BLOCK // H)
     total = 0
     for a1 in range(1, H + 1):
-        a = al * a1
-        ad = a * d_vals
-        for c1 in range(1, H + 1):
-            c = ga * c1
-            k = ad - delta
-            mask = (k % c == 0) & (k != 0)
-            if not mask.any():
-                continue
-            b = k[mask] // c
-            total += int(np.count_nonzero((b >= -H) & (b <= H)))
+        k = al * a1 * d_vals - delta
+        nonzero = k != 0  # b = 0 exactly when k = 0
+        for lo in range(0, H, rows):
+            b, rem = np.divmod(k, c_vals[lo : lo + rows])
+            hit = (rem == 0) & nonzero & (b >= -H) & (b <= H)
+            total += int(np.count_nonzero(hit))
     return total
 
 

@@ -9,6 +9,11 @@ the rows under it are the integer floor min(A // u, cap) and the whole
 count runs in integers.  This module owns that convention; the casework
 module passes it integer endpoints only.
 
+The solutions v of u*v = K (mod q), and the gcd weight of u, depend on
+u only through u mod q, so each query tabulates them once over the first
+min(X, q) integers of (U, U+X]: a box sums the table weighted by how
+often each residue occurs, and a curve looks each u up in it.
+
 Main terms with K = 0 are undefined (the divisor sum over r | K has no
 meaning); the estimators then substitute D = q and flag the result as a
 convention value.
@@ -98,30 +103,47 @@ def _count_ap(v0: int, m: int, lo: int, length: int) -> int:
     return (lo + length - v0) // m - (lo - v0) // m
 
 
-def count_box(query: HyperbolaQuery) -> int:
-    """Exact number of lattice points of the hyperbola in the box
-    (U, U+X] x (V, V+Y]; O(X) residue-class strides."""
-    total = 0
-    for u in _int_range(query.U, query.X):
-        rc = _residue_class(u, query.q, query.K)
-        if rc is None:
-            continue
-        v0, m = rc
-        total += _count_ap(v0, m, query.V, query.Y)
-    return total
-
-
 def _gcd_weight(u: int, q: int, K: int) -> int:
     """gcd(u, q) if it divides K (always, for K = 0), else 0."""
     g = math.gcd(u, q)
     return g if K % g == 0 else 0
 
 
+def _residue_table(f, U: int, X: int, q: int, K: int) -> list:
+    """f(u, q, K) for the first min(X, q) integers u of (U, U+X]; f depends
+    on u only through u mod q, so any u of the range has its entry at index
+    (u - U - 1) % q."""
+    return [f(u, q, K) for u in _int_range(U, min(X, q))]
+
+
+def _class_sizes(X: int, q: int) -> list[int]:
+    """How many integers of a length-X range share each index of its
+    residue table: X // q + (i < X % q) at index i."""
+    full, extra = divmod(X, q)
+    return [full + (i < extra) for i in range(min(X, q))]
+
+
+def count_box(query: HyperbolaQuery) -> int:
+    """Exact number of lattice points of the hyperbola in the box
+    (U, U+X] x (V, V+Y]; one stride count per entry of the per-residue
+    table, so O(min(X, q)) work."""
+    U, X, q = query.U, query.X, query.q
+    total = 0
+    for rc, n in zip(_residue_table(_residue_class, U, X, q, query.K), _class_sizes(X, q)):
+        if rc is not None:
+            v0, m = rc
+            total += n * _count_ap(v0, m, query.V, query.Y)
+    return total
+
+
 def main_term_box(query: HyperbolaQuery) -> float:
     """Main term (Y/q) * sum over r | K of r * #{u in range: gcd(u, q) = r},
-    evaluated exactly over the integer u; K = 0 uses the convention value."""
-    s = sum(_gcd_weight(u, query.q, query.K) for u in _int_range(query.U, query.X))
-    return float(query.Y) * s / query.q
+    evaluated exactly over the per-residue table of gcd weights; K = 0
+    uses the convention value."""
+    U, X, q = query.U, query.X, query.q
+    weights = _residue_table(_gcd_weight, U, X, q, query.K)
+    s = sum(w * n for w, n in zip(weights, _class_sizes(X, q)))
+    return float(query.Y) * s / q
 
 
 def error_bound_box(query: HyperbolaQuery, epsilon: float = 0.0) -> float:
@@ -133,14 +155,17 @@ def error_bound_box(query: HyperbolaQuery, epsilon: float = 0.0) -> float:
 
 def count_under_curve(query: CurveQuery) -> int:
     """Exact number of lattice points with U < u <= U+X, 0 < v <= f(u) on
-    the hyperbola, f(u) = min(A // u, cap); O(X) residue-class strides."""
+    the hyperbola, f(u) = min(A // u, cap); one stride count per u, with
+    the residue class looked up in the per-residue table."""
+    U, X, q = query.U, query.X, query.q
     A, cap = query.bound.A, query.bound.cap
+    classes = _residue_table(_residue_class, U, X, q, query.K)
     total = 0
-    for u in _int_range(query.U, query.X):
+    for u in _int_range(U, X):
         limit = A // u if cap is None else min(A // u, cap)
         if limit < 1:
             continue
-        rc = _residue_class(u, query.q, query.K)
+        rc = classes[(u - U - 1) % q]
         if rc is None:
             continue
         v0, m = rc
@@ -151,10 +176,12 @@ def count_under_curve(query: CurveQuery) -> int:
 def main_term_curve(query: CurveQuery) -> float:
     """Main term (1/q) * sum r * f(u) over u with gcd(u, q) = r | K, minus
     the boundary correction X * delta_q(K) / 2, with f(u) = min(A / u, cap)."""
+    U, X, q = query.U, query.X, query.q
     A, cap = query.bound.A, query.bound.cap
-    s = 0.0
-    for u in _int_range(query.U, query.X):
-        w = _gcd_weight(u, query.q, query.K)
+    weights = _residue_table(_gcd_weight, U, X, q, query.K)
+    s = 0.0  # added in u order, so the float sum does not depend on the table
+    for u in _int_range(U, X):
+        w = weights[(u - U - 1) % q]
         if w:
             s += w * (A / u if cap is None else min(A / u, cap))
     correction = float(query.X) / 2 if query.K % query.q == 0 else 0.0

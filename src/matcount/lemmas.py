@@ -6,6 +6,10 @@ sum phi(n)/n and sum phi(n)/n^2, the coprime counting function, four
 pair sums over gcd(x, y) = r, and the truncated divisor sum
 sum_{r | delta, r <= H} 1/r against sigma(delta)/delta.
 
+Coprime counts run the Moebius sum over the products of prime subsets
+of Y, all read off one factorization.  The pair sums take integer X, Y
+and r only, so every strict bound y < x + Y/r is an integer floor.
+
 Every evaluator is exact up to floating-point rounding; sums are
 accumulated with math.fsum, and the tests compare against independent
 naive double loops at 1e-9 relative.  Envelopes are the stated O-terms
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, mobius, sieve, sigma, tau
+from .arith import divisors, factorize, mobius, sieve, sigma, tau
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
 
@@ -94,17 +98,29 @@ def phi_over_square_report(X: int, constant: float = 1.0) -> LemmaReport:
     return _make_report(phi_over_square_sum(X), SIX_OVER_PI2 * math.log(X), envelope)
 
 
-def coprime_count(X, Y: int) -> int:
-    """Exact #{0 < x <= X integer: gcd(x, Y) = 1} via Moebius over d | Y.
+def _signed_squarefree_divisors(n: int) -> list[tuple[int, int]]:
+    """Pairs (d, mu(d)) over the squarefree divisors d of n, the only
+    divisors where mu is nonzero: each prime p of n doubles the list with
+    (d*p, -mu(d))."""
+    out = [(1, 1)]
+    for p, _ in factorize(n):
+        out += [(d * p, -s) for d, s in out]
+    return out
 
-    X may be any real (int, float or Fraction); the floor is exact for
-    int and Fraction arguments.
+
+def coprime_count(X, Y: int) -> int:
+    """Exact #{0 < x <= X integer: gcd(x, Y) = 1} via Moebius over the
+    squarefree d | Y, taken from one factorization of Y.
+
+    X may be any real (int, float or Fraction); it is floored once, and the
+    floor is exact for int and Fraction arguments.
     """
     if Y < 1:
         raise ValueError(f"coprime_count() requires Y >= 1, got {Y}")
-    if X <= 0:
+    n = math.floor(X)  # x <= X  <=>  x <= floor(X)
+    if n <= 0:
         return 0
-    return sum(mobius(d) * math.floor(X / d) for d in divisors(Y))
+    return sum(s * (n // d) for d, s in _signed_squarefree_divisors(Y))
 
 
 def coprime_count_report(X, Y: int) -> LemmaReport:
@@ -117,21 +133,9 @@ def coprime_count_report(X, Y: int) -> LemmaReport:
     return _make_report(exact, main, float(tau(Y)))
 
 
-def _strict_bound(t: Fraction) -> int:
-    """Largest integer strictly below t."""
-    return -((-t.numerator) // t.denominator) - 1
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    return Fraction(x)
-
-
-def _xy_sum_exact(variant: int, X, Y, r: int) -> float:
+def _xy_sum_exact(variant: int, X: int, Y: int, r: int) -> float:
     """Exact value of the variant's pair sum, O(X/r * tau) via coprime counts."""
-    Xf, Yf = _as_fraction(X), _as_fraction(Y)
-    Xp = math.floor(Xf / r)  # x = r x', x' <= X/r
+    Xp = X // r  # x = r x', x' <= X/r
 
     if variant == 1:
         # sum r/(x y) over 0 < x, y <= X with gcd(x, y) = r
@@ -148,7 +152,7 @@ def _xy_sum_exact(variant: int, X, Y, r: int) -> float:
         # sum r/x over 0 < x <= X, 0 < y < x + Y, gcd(x, y) = r
         terms = []
         for xp in range(1, Xp + 1):
-            bound = _strict_bound(xp + Yf / r)
+            bound = (xp * r + Y - 1) // r  # y' < x' + Y/r
             terms.append(coprime_count(bound, xp) / xp)
         return math.fsum(terms)
 
@@ -156,7 +160,7 @@ def _xy_sum_exact(variant: int, X, Y, r: int) -> float:
         # sum r/y over x + Y < y <= X, 0 < x, gcd(x, y) = r
         terms = []
         for yp in range(1, Xp + 1):
-            bound = _strict_bound(yp - Yf / r)
+            bound = (yp * r - Y - 1) // r  # x' < y' - Y/r
             if bound < 1:
                 continue
             terms.append(coprime_count(bound, yp) / yp)
@@ -164,7 +168,7 @@ def _xy_sum_exact(variant: int, X, Y, r: int) -> float:
 
     if variant == 4:
         # sum r/y over 0 < x <= X, 0 < y <= Y, gcd(x, y) = r
-        Yp = math.floor(Yf / r)
+        Yp = Y // r
         terms = []
         for yp in range(1, Yp + 1):
             terms.append(coprime_count(Xp, yp) / yp)
@@ -173,8 +177,9 @@ def _xy_sum_exact(variant: int, X, Y, r: int) -> float:
     raise ValueError(f"xy_sum() variant must be 1..4, got {variant}")
 
 
-def xy_sum(variant: int, X, Y, r: int, constant: float = 1.0) -> LemmaReport:
-    """Pair sums over gcd(x, y) = r with their main terms.
+def xy_sum(variant: int, X: int, Y: int, r: int, constant: float = 1.0) -> LemmaReport:
+    """Pair sums over gcd(x, y) = r with their main terms; X, Y and r are
+    integers, so every strict bound is an integer floor.
 
     variant 1: sum r/(xy), 0 < x, y <= X;
                main (6/pi^2)(1/r) log^2(X/r), envelope ~ (1/r) log(X/r).
@@ -186,6 +191,8 @@ def xy_sum(variant: int, X, Y, r: int, constant: float = 1.0) -> LemmaReport:
     variant 4: sum r/y over the box 0 < x <= X, 0 < y <= Y; requires Y >= r;
                main (6/pi^2)(X/r) log(Y/r), envelope ~ X/r.
     """
+    if not all(isinstance(v, int) for v in (X, Y, r)):
+        raise ValueError("xy_sum() requires integer X, Y and r")
     if r < 1:
         raise ValueError(f"xy_sum() requires r >= 1, got {r}")
     if variant in (1, 2, 3) and not r <= X:

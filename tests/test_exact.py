@@ -4,6 +4,7 @@ values, sign classes and the decomposition identities."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matcount import exact
 from matcount.errors import BudgetError
 from matcount.exact import (
     ALL_SIGN_CLASSES,
@@ -122,13 +123,18 @@ def naive_sign_class(H, delta, sc):
     return total
 
 
-def test_sign_class_small_values():
+def test_sign_class_small_values(monkeypatch):
     assert sign_class_count(1, 1, SignClass(1, 1, 1)) == 0
     assert sign_class_count(2, 4, SignClass(1, 1, 1)) == 4
-    for H in (1, 2, 3):
-        for delta in (0, 1, -2, 5):
+    for H in (1, 2, 3, 4):
+        edge = 2 * H * H  # largest |ad - bc|
+        for delta in (0, 1, -1, 7, -7, -2, 5, edge, -edge, edge + 1, -edge - 1):
             for sc in ALL_SIGN_CLASSES:
-                assert sign_class_count(H, delta, sc) == naive_sign_class(H, delta, sc)
+                expect = naive_sign_class(H, delta, sc)
+                assert sign_class_count(H, delta, sc) == expect
+                with monkeypatch.context() as m:
+                    m.setattr(exact, "_SIGN_CLASS_BLOCK", 3)  # one or a few c rows per block
+                    assert sign_class_count(H, delta, sc) == expect
 
 
 def test_sign_class_rejects_bad_signs():

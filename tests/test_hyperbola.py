@@ -172,3 +172,52 @@ def test_query_validation():
         CurveQuery(K=1, q=2, U=0, X=3, bound=Hyperbolic(-1))
     with pytest.raises(ValueError):
         CurveQuery(K=1, q=2, U=0, X=3, bound=Hyperbolic(1, cap=-1))
+
+
+def reference_main_box(query):
+    """The per-u main term: (Y/q) * sum of gcd weights over every u."""
+    s = 0
+    for u in range(query.U + 1, query.U + query.X + 1):
+        g = math.gcd(u, query.q)
+        s += g if query.K % g == 0 else 0
+    return float(query.Y) * s / query.q
+
+
+def reference_main_curve(query):
+    """The per-u main term under a curve, summed in u order."""
+    A, cap = query.bound.A, query.bound.cap
+    s = 0.0
+    for u in range(query.U + 1, query.U + query.X + 1):
+        g = math.gcd(u, query.q)
+        if query.K % g == 0:
+            s += g * (A / u if cap is None else min(A / u, cap))
+    correction = float(query.X) / 2 if query.K % query.q == 0 else 0.0
+    return s / query.q - correction
+
+
+@given(
+    st.integers(1, 40).flatmap(lambda q: st.tuples(st.just(q), st.integers(0, 3 * q))),
+    st.integers(-50, 50),
+    st.integers(0, 2000),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.integers(0, 20),
+    st.integers(0, 200),
+    st.none() | st.integers(0, 50),
+)
+@settings(max_examples=300, deadline=None)
+def test_residue_tables_match_per_u(qX, K, U, V, Y, rows, extra, cap):
+    q, X = qX
+    A = rows * (U + 1) + extra  # up to about 20 rows at the left endpoint, for any U
+    box = HyperbolaQuery(K=K, q=q, U=U, V=V, X=X, Y=Y)
+    assert count_box(box) == naive_box(K, q, U, V, X, Y)
+    assert main_term_box(box) == reference_main_box(box)
+    curve = CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A, cap=cap))
+    expect = sum(
+        1
+        for u in range(U + 1, U + X + 1)
+        for v in range(1, A // u + 1)
+        if (cap is None or v <= cap) and (u * v - K) % q == 0
+    )
+    assert count_under_curve(curve) == expect
+    assert main_term_curve(curve) == reference_main_curve(curve)

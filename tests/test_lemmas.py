@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matcount.arith import tau
 from matcount.lemmas import (
@@ -96,6 +97,36 @@ def test_coprime_count_values():
     assert coprime_count(Fraction(7, 2), 2) == 2  # x in {1, 3}
 
 
+def _largest_prime_factor(y):
+    p, largest = 2, 1
+    while p * p <= y:
+        while y % p == 0:
+            y //= p
+            largest = p
+        p += 1
+    return max(largest, y)
+
+
+# Beside uniform Y, the factorizations with repeated or many primes: prime
+# powers, and every product of primes up to 13.
+_Y = st.one_of(
+    st.integers(1, 5000),
+    st.sampled_from([y for y in range(2, 5001) if _largest_prime_factor(y) <= 13]),
+    st.sampled_from([p**e for p in range(2, 71) if _largest_prime_factor(p) == p
+                     for e in range(2, 13) if p**e <= 5000]),
+)
+
+
+@given(
+    st.one_of(st.integers(-3, 300), st.fractions(Fraction(-3), Fraction(300), max_denominator=50)),
+    _Y,
+)
+@settings(max_examples=300, deadline=None)
+def test_coprime_count_matches_brute_force(X, Y):
+    expect = sum(1 for x in range(1, math.floor(X) + 1) if math.gcd(x, Y) == 1)
+    assert coprime_count(X, Y) == expect
+
+
 def test_coprime_count_error_constant():
     rng = SplitMix64(99)
     from matcount.arith import phi
@@ -151,6 +182,11 @@ def test_xy_sum_rejects_bad_hypotheses():
         xy_sum(4, 10, 1, 2)  # Y < r
     with pytest.raises(ValueError):
         xy_sum(5, 10, 1, 1)
+    # integer-only endpoints
+    with pytest.raises(ValueError):
+        xy_sum(2, 10.5, 3, 1)
+    with pytest.raises(ValueError):
+        xy_sum(4, 10, Fraction(7, 2), 1)
 
 
 def test_divisor_tail_values():

@@ -3,7 +3,7 @@
 Provides divisor enumeration, prime factorization, the classical
 arithmetic functions tau (divisor count), sigma (divisor sum), phi
 (Euler totient) and mu (Moebius), and a sieved phi table up to a
-configurable limit.
+given limit.
 
 All scalar arithmetic is plain Python integers, so intermediate products
 never wrap; the phi table is an int64 numpy array whose entries are at
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BudgetError
 
 # Sieve cells allowed in the phi table (not bytes).
-DEFAULT_CELL_BUDGET = 200_000_000
+CELL_BUDGET = 200_000_000
 
 # Largest n that factorize() accepts: trial division up to sqrt(10**14)
 # takes under a second.
@@ -110,17 +110,17 @@ def _primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(is_prime)[0]
 
 
-def sieve(limit: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
+def sieve(limit: int) -> np.ndarray:
     """Read-only int64 table of phi(n) for 0 <= n <= ``limit`` (phi[0] = 0).
 
     Agrees with the pointwise phi for every n <= limit.  Rejects limits
-    whose table would exceed ``cell_budget`` cells.
+    whose table would exceed CELL_BUDGET cells.
     """
     if limit < 1:
         raise ValueError(f"sieve() requires limit >= 1, got {limit}")
-    if limit + 1 > cell_budget:
+    if limit + 1 > CELL_BUDGET:
         raise BudgetError(
-            f"sieve(limit={limit}) needs {limit + 1} cells, budget is {cell_budget}"
+            f"sieve(limit={limit}) needs {limit + 1} cells, budget is {CELL_BUDGET}"
         )
     table = np.arange(limit + 1, dtype=np.int64)
     for p in _primes_up_to(limit):

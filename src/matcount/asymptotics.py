@@ -28,7 +28,7 @@ import numpy as np
 from .arith import sigma
 from .hyperbola import AsymptoticReport
 from .lemmas import divisor_tail
-from .tau_tables import TauTable, build_tau_table, shifted_sum
+from .tau_tables import TauTable, shifted_sum
 from .exact import fast_count
 
 COEFF_96 = 96.0 / math.pi**2
@@ -113,7 +113,14 @@ class ErrorFit:
 
 def fit_error_exponent(rows: list[tuple[int, float, float]]) -> ErrorFit:
     """Least-squares slope of ln|exact - main| vs ln H over (H, exact, main)
-    rows; zero-error rows are dropped, all-zero input is flagged degenerate."""
+    rows; zero-error rows are dropped, all-zero input is flagged degenerate.
+    Every row needs H >= 1 and finite exact and main."""
+    for H, exact, main in rows:
+        if H < 1 or not (math.isfinite(exact) and math.isfinite(main)):
+            raise ValueError(
+                f"fit_error_exponent() needs H >= 1 and finite exact and main, "
+                f"got H={H}, exact={exact}, main={main}"
+            )
     points = [(H, abs(exact - main)) for H, exact, main in rows if exact != main]
     if not points:
         return ErrorFit(0.0, -math.inf, 1.0, [], degenerate=True)
@@ -156,12 +163,11 @@ class ShiftedDiscrimination:
 
 
 def discriminate_shifted(
-    N_list: list[int],
-    delta: int,
-    tables: dict[int, TauTable] | None = None,
+    N_list: list[int], delta: int, tables: dict[int, TauTable]
 ) -> ShiftedDiscrimination:
     """Fit shifted_sum(N, delta)/N^2 against ln N and compare the slope with
-    the log-candidate's prediction (12/pi^2) sigma(delta)/delta.
+    the log-candidate's prediction (12/pi^2) sigma(delta)/delta.  tables
+    holds the tau_N table of every N in N_list.
 
     The no-log candidate predicts slope 0; whichever prediction the
     fitted slope is closer to is selected.
@@ -170,8 +176,7 @@ def discriminate_shifted(
         raise ValueError(f"discriminate_shifted() requires delta >= 1, got {delta}")
     values = {}
     for N in sorted(set(N_list)):
-        table = tables[N] if tables and N in tables else build_tau_table(N)
-        values[N] = shifted_sum(table, delta)
+        values[N] = shifted_sum(tables[N], delta)
     a, b = fit_linear_in_logN([(N, float(v)) for N, v in values.items()])
     predicted = COEFF_12 * sigma(delta) / delta
     selected = (

@@ -190,30 +190,32 @@ def _hyper_region_c(
     return n
 
 
-def region_sum_G_via_hyperbola(
-    H: int, delta: int, region: RegionG, check: bool = False
-) -> int:
+def _check_column(
+    col: int, direct: int, c: int, H: int, delta: int, region: RegionG | RegionJ
+) -> None:
+    if col != direct:
+        raise InvariantError(
+            f"hyperbola column mismatch at c={c} "
+            f"(H={H}, delta={delta}, region={region.name}): {col} != {direct}"
+        )
+
+
+def region_sum_G_via_hyperbola(H: int, delta: int, region: RegionG) -> int:
     """Region sum evaluated through box/curve hyperbola counts.
 
-    Must equal region_sum_G exactly; with check=True every column is
-    compared against the direct congruence count and the first
-    mismatching c is reported.
+    Must equal region_sum_G exactly; every column is compared against the
+    direct congruence count, and the first mismatching c raises
+    InvariantError.
     """
     total = 0
     for c in _c_range_G(H, delta, region):
         col = _hyper_region_c(c, H, delta, region)
-        if check:
-            direct = sum(
-                count_G_with_b0(a, c, H, delta)
-                for a in range(1, H + 1)
-                if _in_region_G(a, c, H, delta, region)
-            )
-            if col != direct:
-                raise InvariantError(
-                    f"hyperbola column mismatch at c={c} "
-                    f"(H={H}, delta={delta}, region={region.name}): "
-                    f"{col} != {direct}"
-                )
+        direct = sum(
+            count_G_with_b0(a, c, H, delta)
+            for a in range(1, H + 1)
+            if _in_region_G(a, c, H, delta, region)
+        )
+        _check_column(col, direct, c, H, delta, region)
         total += col
     return total - _b0_count_region(H, delta, region)
 
@@ -233,11 +235,11 @@ def region_sum_J(H: int, delta: int, region: RegionJ) -> int:
     return total
 
 
-def region_sum_J_via_hyperbola(
-    H: int, delta: int, region: RegionJ, check: bool = False
-) -> int:
+def region_sum_J_via_hyperbola(H: int, delta: int, region: RegionJ) -> int:
     """Hyperbola-based J region sum; the strict lower endpoint d > delta/a
-    is the weak-inclusion curve (0, delta/a], so no correction term."""
+    is the weak-inclusion curve (0, delta/a], so no correction term.
+    Every column is checked against the direct count, as in
+    region_sum_G_via_hyperbola."""
     total = 0
     for c in range(1, H + 1):
         U, X = _column(c, H, delta, region is RegionJ.SMALL_A)
@@ -255,17 +257,11 @@ def region_sum_J_via_hyperbola(
             col -= count_under_curve(
                 CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta))
             )
-        if check:
-            direct = sum(
-                count_J(a, c, H, delta)
-                for a in range(1, H + 1)
-                if _in_region_J(a, c, H, delta, region)
-            )
-            if col != direct:
-                raise InvariantError(
-                    f"hyperbola column mismatch at c={c} "
-                    f"(H={H}, delta={delta}, region={region.name}): "
-                    f"{col} != {direct}"
-                )
+        direct = sum(
+            count_J(a, c, H, delta)
+            for a in range(1, H + 1)
+            if _in_region_J(a, c, H, delta, region)
+        )
+        _check_column(col, direct, c, H, delta, region)
         total += col
     return total

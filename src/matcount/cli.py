@@ -52,7 +52,6 @@ from .hyperbola import (
 )
 from .lemmas import (
     coprime_count_report,
-    divisor_tail,
     gcd_power_report,
     phi_over_square_report,
     phi_ratio_report,
@@ -75,9 +74,12 @@ def _fmt(x) -> str:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        values = [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+    if not values:
+        raise UsageError(f"expected a non-empty integer list, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -205,7 +207,7 @@ def _sweep_row(
 
 
 def _cmd_sweep(args) -> int:
-    if not args.H or args.delta is None:
+    if args.H is None or args.delta is None:
         raise UsageError("sweep requires --H and --delta lists")
     timing = not args.no_timing
     deltas = sorted(set(args.delta))
@@ -355,7 +357,7 @@ def _cmd_hyperbola(args) -> int:
     return 0
 
 
-def lemma_grid_rows(constant: float = 1.0) -> list[dict]:
+def lemma_grid_rows() -> list[dict]:
     """The logarithmic regression grid for every lemma evaluator."""
     rows = []
 
@@ -370,14 +372,14 @@ def lemma_grid_rows(constant: float = 1.0) -> list[dict]:
 
     for X in (100, 1000, 10000):
         add("gcd_power", 0, X, 720, 1, gcd_power_report(X, 720, 0.5, 1.0))
-        add("phi_ratio", 0, X, 0, 1, phi_ratio_report(X, constant))
-        add("phi_over_square", 0, X, 0, 1, phi_over_square_report(X, constant))
+        add("phi_ratio", 0, X, 0, 1, phi_ratio_report(X))
+        add("phi_over_square", 0, X, 0, 1, phi_over_square_report(X))
         add("coprime", 0, X, 360, 1, coprime_count_report(X, 360))
         for r in (1, 2, 5, 10):
-            add("xy_sum", 1, X, 0, r, xy_sum(1, X, 0, r, constant))
-            add("xy_sum", 2, X, X // 2, r, xy_sum(2, X, X // 2, r, constant))
-            add("xy_sum", 3, X, X // 2, r, xy_sum(3, X, X // 2, r, constant))
-            add("xy_sum", 4, X, X, r, xy_sum(4, X, X, r, constant))
+            add("xy_sum", 1, X, 0, r, xy_sum(1, X, 0, r))
+            add("xy_sum", 2, X, X // 2, r, xy_sum(2, X, X // 2, r))
+            add("xy_sum", 3, X, X // 2, r, xy_sum(3, X, X // 2, r))
+            add("xy_sum", 4, X, X, r, xy_sum(4, X, X, r))
     return rows
 
 
@@ -399,7 +401,7 @@ def _cmd_casework(args) -> int:
     g_total = 0
     for region in RegionG:
         direct = region_sum_G(H, delta, region)
-        hyper = region_sum_G_via_hyperbola(H, delta, region, check=True)
+        hyper = region_sum_G_via_hyperbola(H, delta, region)
         if direct != hyper:
             raise InvariantError(
                 f"G region {region.name}: direct {direct} != hyperbola {hyper}"
@@ -409,7 +411,7 @@ def _cmd_casework(args) -> int:
     j_total = 0
     for region in RegionJ:
         direct = region_sum_J(H, delta, region)
-        hyper = region_sum_J_via_hyperbola(H, delta, region, check=True)
+        hyper = region_sum_J_via_hyperbola(H, delta, region)
         if direct != hyper:
             raise InvariantError(
                 f"J region {region.name}: direct {direct} != hyperbola {hyper}"
@@ -430,7 +432,8 @@ def _cmd_casework(args) -> int:
 
 def _cmd_fit(args) -> int:
     with open(args.input, newline="") as fh:
-        reader = csv.DictReader(fh)
+        # a short row reads "" for its missing cells, which fails to parse
+        reader = csv.DictReader(fh, restval="")
         data = [
             (int(row["H"]), float(row["exact"]), float(row["main"]))
             for row in reader

@@ -23,16 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .tau_tables import (
-    DEFAULT_CELL_BUDGET,
-    ProductCount,
-    TauTable,
-    _dot,
-    build_tau_table,
-    product_count,
-)
+from .tau_tables import TauTable, _dot, build_tau_table, c2
 
-# Hard cap on full enumeration: (2H+1)^(n^2) matrices.
+# Hard cap on full enumeration: (2H+1)^4 matrices.
 NAIVE_ENUM_LIMIT = 10**10
 
 # Cells per (c, d) block in sign_class_count; each int64 temporary of a
@@ -86,51 +79,20 @@ def _det_histogram_2x2(H: int) -> np.ndarray:
     return hist
 
 
-def naive_count(H: int, delta: int, n: int = 2) -> int:
-    """Exact #D_n(H, delta) by full enumeration of the box.
-
-    n = 3 exists only as a toy-scale exhibit; the enforced budget
-    (2H+1)^(n^2) <= 1e10 restricts it to H <= 2.
-    """
+def naive_count(H: int, delta: int) -> int:
+    """Exact #D_2(H, delta) by full enumeration of the box."""
     if H < 1:
         raise ValueError(f"naive_count() requires H >= 1, got {H}")
-    if n not in (2, 3):
-        raise ValueError(f"naive_count() supports n in {{2, 3}}, got {n}")
-    if (2 * H + 1) ** (n * n) > NAIVE_ENUM_LIMIT:
-        raise BudgetError(
-            f"naive_count(H={H}, n={n}) would enumerate (2H+1)^{n * n} matrices"
-        )
-    if n == 2:
-        hist = _det_histogram_2x2(H)
-        idx = delta + 2 * H * H
-        if idx < 0 or idx >= hist.size:
-            return 0
-        return int(hist[idx])
-    return _naive_count_3x3(H, delta)
+    if (2 * H + 1) ** 4 > NAIVE_ENUM_LIMIT:
+        raise BudgetError(f"naive_count(H={H}) would enumerate (2H+1)^4 matrices")
+    hist = _det_histogram_2x2(H)
+    idx = delta + 2 * H * H
+    if idx < 0 or idx >= hist.size:
+        return 0
+    return int(hist[idx])
 
 
-def _naive_count_3x3(H: int, delta: int) -> int:
-    v = np.arange(-H, H + 1, dtype=np.int64)
-    grids = np.meshgrid(*([v] * 6), indexing="ij", sparse=False)
-    d, e, f, g, h, i = (x.ravel() for x in grids)
-    # 2x2 minors of the lower two rows; the top row is looped
-    m1 = e * i - f * h
-    m2 = d * i - f * g
-    m3 = d * h - e * g
-    total = 0
-    for a in v:
-        for b in v:
-            for c in v:
-                total += int(np.count_nonzero(a * m1 - b * m2 + c * m3 == delta))
-    return total
-
-
-def fast_count(
-    H: int,
-    delta: int,
-    table: TauTable | None = None,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> int:
+def fast_count(H: int, delta: int, table: TauTable | None = None) -> int:
     """Exact #D_2(H, delta) as sum(m) c2(m) * c2(m - delta).
 
     With t = tau_H and D = |delta| > 0 the signed sum collapses to
@@ -146,7 +108,7 @@ def fast_count(
     if D > 2 * H * H:
         return 0
     if table is None:
-        table = build_tau_table(H, cell_budget)
+        table = build_tau_table(H)
     elif table.N != H:
         raise ValueError(f"tau table is for N={table.N}, expected H={H}")
     limit = H * H
@@ -196,19 +158,19 @@ def sign_class_count(H: int, delta: int, sign_class: SignClass) -> int:
     return total
 
 
-def zero_entry_count(
-    H: int, delta: int, products: ProductCount | None = None
-) -> int:
+def zero_entry_count(H: int, delta: int, table: TauTable | None = None) -> int:
     """Exact count of matrices in D_2(H, delta) with at least one zero entry.
 
     Inclusion-exclusion over the four events {entry == 0}; each term
-    reduces to the signed product counter c2.
+    reduces to the signed product counter c2 of the tau_H table.
     """
     if H < 1:
         raise ValueError(f"zero_entry_count() requires H >= 1, got {H}")
-    if products is None:
-        products = product_count(H)
-    c2d = products.count(delta)  # c2 is even in m
+    if table is None:
+        table = build_tau_table(H)
+    elif table.N != H:
+        raise ValueError(f"tau table is for N={table.N}, expected H={H}")
+    c2d = c2(table, delta)  # c2 is even in m
     side = 2 * H + 1
     z = 4 * side * c2d - 2 * c2d
     if delta == 0:
@@ -229,7 +191,7 @@ def decompose(
         (sc.alpha, sc.gamma, sc.delta_prime): sign_class_count(H, delta, sc)
         for sc in ALL_SIGN_CLASSES
     }
-    zero = zero_entry_count(H, delta, products=ProductCount(H=H, table=table))
+    zero = zero_entry_count(H, delta, table=table)
 
     failures: list[str] = []
     c111 = per_class[(1, 1, 1)]

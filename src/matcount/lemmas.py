@@ -13,8 +13,8 @@ and r only, so every strict bound y < x + Y/r is an integer floor.
 Every evaluator is exact up to floating-point rounding; sums are
 accumulated with math.fsum, and the tests compare against independent
 naive double loops at 1e-9 relative.  Envelopes are the stated O-terms
-scaled by a configurable constant, so the ratio |error| / envelope is a
-direct regression statistic.
+with constant 1, so the ratio |error| / envelope is a direct regression
+statistic.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from fractions import Fraction
 from .arith import divisors, factorize, mobius, sieve, sigma, tau
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
+
+# The epsilon of the gcd-power bound K^(A+1+eps) L^eps.
+GCD_POWER_EPS = 0.05
 
 
 @dataclass
@@ -57,16 +60,15 @@ def gcd_power_sum(K: int, L: int, A: float, B: float) -> float:
     return math.fsum(c**A * math.gcd(c, L) ** B for c in range(1, K + 1))
 
 
-def gcd_power_report(
-    K: int, L: int, A: float, B: float, eps: float = 0.05, constant: float = 1.0
-) -> LemmaReport:
-    """Upper-bound report: main = 0, envelope = constant * K^(A+1+eps) * L^eps.
+def gcd_power_report(K: int, L: int, A: float, B: float) -> LemmaReport:
+    """Upper-bound report: main = 0, envelope = K^(A+1+eps) * L^eps with
+    eps = GCD_POWER_EPS.
 
     This identity is a bound, not an asymptotic, so the whole sum is the
     'error' and the report checks it stays under the envelope.
     """
     exact = gcd_power_sum(K, L, A, B)
-    envelope = constant * K ** (A + 1 + eps) * L**eps
+    envelope = K ** (A + 1 + GCD_POWER_EPS) * L**GCD_POWER_EPS
     return _make_report(exact, 0.0, envelope)
 
 
@@ -86,16 +88,15 @@ def phi_over_square_sum(X: int) -> float:
     return math.fsum(int(phi[n]) / (n * n) for n in range(1, X + 1))
 
 
-def phi_ratio_report(X: int, constant: float = 1.0) -> LemmaReport:
+def phi_ratio_report(X: int) -> LemmaReport:
     """sum phi(n)/n = (6/pi^2) X + O(log X)."""
-    envelope = constant * max(math.log(X), 1.0)
+    envelope = max(math.log(X), 1.0)
     return _make_report(phi_ratio_sum(X), SIX_OVER_PI2 * X, envelope)
 
 
-def phi_over_square_report(X: int, constant: float = 1.0) -> LemmaReport:
+def phi_over_square_report(X: int) -> LemmaReport:
     """sum phi(n)/n^2 = (6/pi^2) log X + O(1)."""
-    envelope = constant
-    return _make_report(phi_over_square_sum(X), SIX_OVER_PI2 * math.log(X), envelope)
+    return _make_report(phi_over_square_sum(X), SIX_OVER_PI2 * math.log(X), 1.0)
 
 
 def _signed_squarefree_divisors(n: int) -> list[tuple[int, int]]:
@@ -177,19 +178,19 @@ def _xy_sum_exact(variant: int, X: int, Y: int, r: int) -> float:
     raise ValueError(f"xy_sum() variant must be 1..4, got {variant}")
 
 
-def xy_sum(variant: int, X: int, Y: int, r: int, constant: float = 1.0) -> LemmaReport:
+def xy_sum(variant: int, X: int, Y: int, r: int) -> LemmaReport:
     """Pair sums over gcd(x, y) = r with their main terms; X, Y and r are
     integers, so every strict bound is an integer floor.
 
     variant 1: sum r/(xy), 0 < x, y <= X;
-               main (6/pi^2)(1/r) log^2(X/r), envelope ~ (1/r) log(X/r).
+               main (6/pi^2)(1/r) log^2(X/r), envelope (1/r) log(X/r).
     variant 2: sum r/x, 0 < x <= X, 0 < y < x + Y;
-               main (6/pi^2)(X/r + (Y/r) log(X/r)), envelope ~ Y/r + log^2(X/r).
+               main (6/pi^2)(X/r + (Y/r) log(X/r)), envelope Y/r + log^2(X/r).
     variant 3: sum r/y, x + Y < y <= X (upper bound taken weakly, matching
                the telescoped proof), 0 < x; requires Y <= X;
                main (6/pi^2)((X-Y)/r + (Y/r) log(X/Y)), envelope as variant 2.
     variant 4: sum r/y over the box 0 < x <= X, 0 < y <= Y; requires Y >= r;
-               main (6/pi^2)(X/r) log(Y/r), envelope ~ X/r.
+               main (6/pi^2)(X/r) log(Y/r), envelope X/r.
     """
     if not all(isinstance(v, int) for v in (X, Y, r)):
         raise ValueError("xy_sum() requires integer X, Y and r")
@@ -210,17 +211,17 @@ def xy_sum(variant: int, X: int, Y: int, r: int, constant: float = 1.0) -> Lemma
 
     if variant == 1:
         main = SIX_OVER_PI2 * logXr**2 / r
-        envelope = constant * logXr / r
+        envelope = logXr / r
     elif variant == 2:
         main = SIX_OVER_PI2 * (Xr + (float(Y) / r) * logXr)
-        envelope = constant * (float(Y) / r + logXr**2)
+        envelope = float(Y) / r + logXr**2
     elif variant == 3:
         ylog = (float(Y) / r) * math.log(float(X) / float(Y)) if Y > 0 else 0.0
         main = SIX_OVER_PI2 * ((float(X) - float(Y)) / r + ylog)
-        envelope = constant * (float(Y) / r + logXr**2)
+        envelope = float(Y) / r + logXr**2
     else:
         main = SIX_OVER_PI2 * Xr * math.log(float(Y) / r)
-        envelope = constant * Xr
+        envelope = Xr
     return _make_report(exact, main, envelope)
 
 

@@ -4,8 +4,8 @@ tau_N(n) counts ordered factorizations n = a*b with 1 <= a, b <= N;
 equivalently, divisors d of n with n/N <= d <= N.  ``build_tau_table``
 is the only source of tau_N: an O(N^2) sieve into a read-only uint16
 table.  The exact moments, the shifted convolutions and the signed
-product counter used by the fast matrix counter all read that table in
-place; every reduction accumulates in int64 without a table-sized copy.
+product counter c2 all read that table in place; every reduction
+accumulates in int64 without a table-sized copy.
 
 The signed counter c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} obeys the
 brute-force-derived law
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import BudgetError
 
-DEFAULT_CELL_BUDGET = 200_000_000
+# Table cells allowed per build (not bytes).
+CELL_BUDGET = 200_000_000
 
 # tau_N(n) <= tau(n) <= 1600 < 2^16 for every n < 2^31 (the maximum, 1600,
 # is reached at n = 2095133040), so uint16 cells cannot overflow while
@@ -50,7 +51,7 @@ class TauTable:
         return self.N * self.N
 
 
-def build_tau_table(N: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> TauTable:
+def build_tau_table(N: int) -> TauTable:
     """Sieve tau_N over [1, N^2].
 
     A product a*b with a < b counts for both orders, so row a adds 2 at
@@ -59,9 +60,9 @@ def build_tau_table(N: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> TauTable:
     """
     if N < 1:
         raise ValueError(f"build_tau_table() requires N >= 1, got {N}")
-    if N * N + 1 > cell_budget:
+    if N * N + 1 > CELL_BUDGET:
         raise BudgetError(
-            f"build_tau_table(N={N}) needs {N * N + 1} cells, budget is {cell_budget}"
+            f"build_tau_table(N={N}) needs {N * N + 1} cells, budget is {CELL_BUDGET}"
         )
     if N * N >= _MAX_LIMIT:
         raise ValueError(f"build_tau_table(N={N}): N^2 >= 2^31 overflows uint16 cells")
@@ -111,23 +112,12 @@ def shifted_sum(table: TauTable, delta: int) -> int:
     return _dot(c[1 : limit - delta + 1], c[1 + delta : limit + 1])
 
 
-@dataclass(frozen=True)
-class ProductCount:
-    """Signed-box product counter c2 for a fixed height H, backed by a TauTable."""
-
-    H: int
-    table: TauTable
-
-    def count(self, m: int) -> int:
-        """c2(m) = #{(x, y): |x|, |y| <= H, x*y = m}."""
-        if m == 0:
-            return 4 * self.H + 1
-        a = abs(m)
-        if a > self.H * self.H:
-            return 0
-        return 2 * int(self.table.counts[a])
-
-
-def product_count(H: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> ProductCount:
-    """Build the c2 counter for height H (tau table of size H^2)."""
-    return ProductCount(H=H, table=build_tau_table(H, cell_budget))
+def c2(table: TauTable, m: int) -> int:
+    """c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} for H = table.N."""
+    H = table.N
+    if m == 0:
+        return 4 * H + 1
+    a = abs(m)
+    if a > H * H:
+        return 0
+    return 2 * int(table.counts[a])

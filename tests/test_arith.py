@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from matcount import arith
 from matcount.arith import (
     FACTORIZE_LIMIT,
     divisors,
@@ -90,13 +91,14 @@ def test_sieve_prime_rows():
         assert t[p] == p - 1
 
 
-def test_sieve_budget():
+def test_sieve_budget(monkeypatch):
+    monkeypatch.setattr(arith, "CELL_BUDGET", 100)
     with pytest.raises(BudgetError):
-        sieve(10**6, cell_budget=100)
+        sieve(10**6)
     # the budget counts the limit + 1 cells of the phi table
-    assert sieve(99, cell_budget=100).size == 100
+    assert sieve(99).size == 100
     with pytest.raises(BudgetError):
-        sieve(100, cell_budget=100)
+        sieve(100)
 
 
 def test_sieve_tables_read_only():

@@ -91,6 +91,10 @@ def test_fit_error_exponent_degenerate_and_invalid():
     assert fit.degenerate
     with pytest.raises(ValueError):
         fit_error_exponent([(10, 1.0, 0.0), (10, 2.0, 0.0), (10, 3.0, 0.0)])
+    good = [(10, 9.0, 3.0), (20, 30.0, 2.0)]
+    for bad in ((0, 5.0, 4.0), (1, math.inf, 3.0), (1, 5.0, math.nan)):
+        with pytest.raises(ValueError, match="H >= 1 and finite"):
+            fit_error_exponent([bad, *good])
 
 
 def test_fit_linear_in_logN_synthetic():

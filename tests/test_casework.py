@@ -114,8 +114,8 @@ def test_delta_H_squared_kills_J():
 def test_hyperbola_equals_direct(H):
     for delta in (1, 3, 7, 25, H, 2 * H, H * H // 2):
         for region in RegionG:
-            assert region_sum_G_via_hyperbola(H, delta, region, check=True) == \
+            assert region_sum_G_via_hyperbola(H, delta, region) == \
                 region_sum_G(H, delta, region), (H, delta, region)
         for region in RegionJ:
-            assert region_sum_J_via_hyperbola(H, delta, region, check=True) == \
+            assert region_sum_J_via_hyperbola(H, delta, region) == \
                 region_sum_J(H, delta, region), (H, delta, region)

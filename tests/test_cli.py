@@ -13,8 +13,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import cli
+from matcount import casework, cli
+from matcount.casework import RegionG, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
+from matcount.errors import InvariantError
 from matcount.lemmas import phi_ratio_report
 from matcount.tau_tables import build_tau_table
 
@@ -182,6 +184,34 @@ def test_fit_roundtrip(tmp_path, capsys):
     assert out.splitlines()[0].startswith("exponent = ")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "H,exact,main\n1,5\n10,9,3\n20,30,2\n",  # short row
+        "H,exact,main\n0,5,4\n10,9,3\n20,30,2\n",  # H = 0
+        "H,exact,main\n1,inf,3\n10,9,3\n20,30,2\n",  # non-finite exact
+    ],
+    ids=["short-row", "H-zero", "exact-inf"],
+)
+def test_fit_rejects_bad_csv(body, tmp_path, capfd):
+    # capfd, not capsys: LAPACK prints its complaints to file descriptor 1
+    path = tmp_path / "rows.csv"
+    path.write_text(body)
+    code, out, err = run(["fit", str(path)], capfd)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_invariant_violation_exits_3(monkeypatch, capsys):
+    real = casework.count_box
+    monkeypatch.setattr(casework, "count_box", lambda query: real(query) + 1)
+    with pytest.raises(InvariantError, match="column mismatch at c=1 "):
+        region_sum_G_via_hyperbola(10, 3, RegionG.SL)
+    code, out, err = run(["casework", "--H", "10", "--delta", "3"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("invariant violation: ") and err.count("\n") == 1
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"H": [100], "delta": [1]}))
@@ -221,6 +251,10 @@ def test_exit_codes(capsys, tmp_path):
         ["lemmas", "--jobs", "2"],
         ["hyperbola", "--N", "1,2"],
         ["count", "--H", "5", "--delta", "3", "--epsilon", "1e308"],
+        # empty integer lists
+        ["sweep", "--H", "5", "--delta", ""],
+        ["tau", "--N", "5,10", "--delta", ""],
+        ["count", "--H", ",", "--delta", "1"],
     ],
 )
 def test_bad_values_exit_1_with_one_line(argv, capsys):
@@ -239,7 +273,7 @@ def test_config_goes_through_the_parser(tmp_path, capsys):
     code, out, _ = run(["sweep", "--config", str(cfg)], capsys)
     assert code == 0
     assert out == run(flags, capsys)[1]
-    for bad in ({"jobs": "x"}, {"bogus": 1}):
+    for bad in ({"jobs": "x"}, {"bogus": 1}, {"delta": []}):
         cfg.write_text(json.dumps(bad))
         code, out, err = run(flags + ["--config", str(cfg)], capsys)
         assert (code, out) == (1, "")

@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matcount import tau_tables
 from matcount.arith import divisors, tau
 from matcount.errors import BudgetError
 from matcount.exact import fast_count
-from matcount.tau_tables import (
-    build_tau_table,
-    product_count,
-    shifted_sum,
-    tau_moment,
-)
+from matcount.tau_tables import build_tau_table, c2, shifted_sum, tau_moment
 
 
 def tau_by_pairs(N, n):
@@ -74,15 +70,17 @@ def test_reductions_match_enumeration():
             assert shifted_sum(t, delta) == want
 
 
-def test_uint16_cells_and_overflow_guard():
+def test_uint16_cells_and_overflow_guard(monkeypatch):
     t = build_tau_table(40)
     assert t.counts.dtype == np.uint16
     assert not t.counts.flags.writeable
-    # 46341^2 >= 2^31: refused before the 4 GB table is allocated
+    # 46341^2 >= 2^31: refused before the 4 GB table is allocated, even
+    # under a cell budget that admits it
+    monkeypatch.setattr(tau_tables, "CELL_BUDGET", 1 << 40)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="2\\^31"):
-            build_tau_table(46341, cell_budget=1 << 40)
+            build_tau_table(46341)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -127,19 +125,24 @@ def naive_c2(H, m):
 @pytest.mark.parametrize("H", range(1, 13))
 def test_product_count_law_pinned_by_brute_force(H):
     # the signed counter satisfies c2(0) = 4H+1 and c2(m) = 2 tau_H(|m|)
-    pc = product_count(H)
+    table = build_tau_table(H)
     for m in range(-H * H - 2, H * H + 3):
-        assert pc.count(m) == naive_c2(H, m), (H, m)
+        assert c2(table, m) == naive_c2(H, m), (H, m)
 
 
 def test_product_count_examples():
-    pc1, pc2 = product_count(1), product_count(2)
-    assert pc1.count(0) == 5 and pc1.count(1) == pc1.count(-1) == 2
-    assert pc2.count(0) == 9
+    t1, t2 = build_tau_table(1), build_tau_table(2)
+    assert c2(t1, 0) == 5 and c2(t1, 1) == c2(t1, -1) == 2
+    assert c2(t2, 0) == 9
     # xy = 4 in the H = 2 box: only (2,2) and (-2,-2)
-    assert pc2.count(4) == naive_c2(2, 4) == 2
+    assert c2(t2, 4) == naive_c2(2, 4) == 2
 
 
-def test_budget():
+def test_budget(monkeypatch):
+    monkeypatch.setattr(tau_tables, "CELL_BUDGET", 10)
     with pytest.raises(BudgetError):
-        build_tau_table(1000, cell_budget=10)
+        build_tau_table(1000)
+    # the budget counts the N^2 + 1 cells of the table
+    assert build_tau_table(3).counts.size == 10
+    with pytest.raises(BudgetError):
+        build_tau_table(4)

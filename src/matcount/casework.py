@@ -6,16 +6,20 @@ G(a, c) counts pairs (b, d) with a*d = delta + b*c, 1 <= d <= H and
 1 <= |b| <= H (b of either sign, b != 0).  J(a, c) is the variant with
 1 <= b <= H strictly positive.  Region thresholds are the rational lines
 c = delta/H and a = c + delta/H; all comparisons are done in integer
-arithmetic (a*H vs c*H + delta), never floating point, and a column's
-a-range is cut at the integer floor (c*H + delta) // H.
+arithmetic (a*H vs c*H + delta), never floating point.  A region's enum
+value is its geometry, read as the member attributes small_a and (for G)
+small_c, so no code branches on which member it is.
 
-The hyperbola-based evaluations intentionally include the b = 0 pairs
-(the congruence formulation admits them) and subtract an explicit
-correction; exact agreement with the direct double loop is the test
-currency of this module.  Strict endpoints (d < f(a)) are realized by
-shifting the integer numerator by one: d < (M)/a over integers is
-d <= (M-1)/a.  Curves that must stay inside the box rows d <= H are
-hyperbolic bounds capped at H.
+The hyperbola route counts every column c with one formula, upper minus
+lower, over the a-range (U, U+X] cut at the integer split
+min((c*H + delta) // H, H).  Upper is the box rows d <= H on the small-a
+side and the curve d <= (delta + Hc)/a on the large-a side.  Lower is
+the curve d <= lower/a, capped at H on the small-a side and skipped when
+lower < 1: lower = delta - Hc - 1 for G (the strict endpoint
+d > (delta - Hc)/a, shifted by one over integers) and lower = delta for
+J (b >= 1 is d > delta/a).  The G route includes the b = 0 pairs, which
+the congruence admits, and subtracts them at the end.  Every column must
+equal its direct count exactly; that is the test currency of this module.
 """
 
 from __future__ import annotations
@@ -32,22 +36,37 @@ from .hyperbola import (
     count_under_curve,
 )
 
+# The casework command visits H*H (a, c) cells per region sum in pure
+# Python; H <= 316 keeps it to a few seconds.
+CELL_BUDGET = 100_000
+
 
 class RegionG(enum.Enum):
     """(small/large a) x (small/large c) with thresholds a <= c + delta/H
-    and c <= delta/H; the four regions partition (0, H]^2."""
+    and c <= delta/H; the four regions partition (0, H]^2.  A member's
+    value is its (small_a, small_c) pair."""
 
-    SS = "small_a_small_c"
-    SL = "small_a_large_c"
-    LS = "large_a_small_c"
-    LL = "large_a_large_c"
+    SS = (True, True)
+    SL = (True, False)
+    LS = (False, True)
+    LL = (False, False)
+
+    def __init__(self, small_a: bool, small_c: bool):
+        # plain attributes: the direct loops read them H^2 times, and
+        # Enum.value is a slower descriptor
+        self.small_a = small_a
+        self.small_c = small_c
 
 
 class RegionJ(enum.Enum):
-    """Split at a <= delta/H + c; the two regions partition (0, H]^2."""
+    """Split at a <= delta/H + c; the two regions partition (0, H]^2.  A
+    member's value is small_a."""
 
-    SMALL_A = "small_a"
-    LARGE_A = "large_a"
+    SMALL_A = True
+    LARGE_A = False
+
+    def __init__(self, small_a: bool):
+        self.small_a = small_a
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -115,10 +134,7 @@ def count_J(a: int, c: int, H: int, delta: int) -> int:
 
 
 def _in_region_G(a: int, c: int, H: int, delta: int, region: RegionG) -> bool:
-    small_c = c * H <= delta
-    if a * H <= c * H + delta:
-        return region is (RegionG.SS if small_c else RegionG.SL)
-    return region is (RegionG.LS if small_c else RegionG.LL)
+    return (a * H <= c * H + delta) == region.small_a and (c * H <= delta) == region.small_c
 
 
 def region_sum_G(H: int, delta: int, region: RegionG) -> int:
@@ -132,17 +148,9 @@ def region_sum_G(H: int, delta: int, region: RegionG) -> int:
 
 
 def _c_range_G(H: int, delta: int, region: RegionG) -> range:
-    small_c = region in (RegionG.SS, RegionG.LS)
-    if small_c:
+    if region.small_c:
         return range(1, min(H, delta // H) + 1)
     return range(delta // H + 1, H + 1)
-
-
-def _column(c: int, H: int, delta: int, small_a: bool) -> tuple[int, int]:
-    """The a-range (U, U+X] of a column at c: a <= c + delta/H on the small-a
-    side, the rest of (0, H] on the large-a side."""
-    split = min((c * H + delta) // H, H)
-    return (0, split) if small_a else (split, H - split)
 
 
 def _b0_count_region(H: int, delta: int, region: RegionG) -> int:
@@ -156,37 +164,22 @@ def _b0_count_region(H: int, delta: int, region: RegionG) -> int:
     return total
 
 
-def _hyper_region_c(
-    c: int, H: int, delta: int, region: RegionG
-) -> int:
-    """Hyperbola-based congruence count (b = 0 included) of the region's
-    column at this c."""
-    U, X = _column(c, H, delta, region in (RegionG.SS, RegionG.SL))
+def _hyper_column(c: int, H: int, delta: int, small_a: bool, lower: int) -> int:
+    """Points of a*d = delta (mod c), b = 0 included, in the column at c:
+    upper minus the lower curve, as the module docstring states."""
+    split = min((c * H + delta) // H, H)
+    U, X = (0, split) if small_a else (split, H - split)
     if X <= 0:
         return 0
-    if region == RegionG.SL:
-        return count_box(HyperbolaQuery(K=delta, q=c, U=U, V=0, X=X, Y=H))
-    if region == RegionG.SS:
+    if small_a:
         n = count_box(HyperbolaQuery(K=delta, q=c, U=U, V=0, X=X, Y=H))
-        strict_lo = delta - H * c - 1  # d < (delta - Hc)/a over integers
-        if strict_lo >= 1:
-            n -= count_under_curve(
-                CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(strict_lo, cap=H))
-            )
-        return n
-    if region == RegionG.LL:
-        return count_under_curve(
+    else:
+        n = count_under_curve(
             CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta + H * c))
         )
-    # LL handled; LS = band (f_-, f_+]
-    n = count_under_curve(
-        CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta + H * c))
-    )
-    strict_lo = delta - H * c - 1
-    if strict_lo >= 1:
-        n -= count_under_curve(
-            CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(strict_lo))
-        )
+    if lower >= 1:
+        bound = Hyperbolic(lower, cap=H if small_a else None)
+        n -= count_under_curve(CurveQuery(K=delta, q=c, U=U, X=X, bound=bound))
     return n
 
 
@@ -201,7 +194,8 @@ def _check_column(
 
 
 def region_sum_G_via_hyperbola(H: int, delta: int, region: RegionG) -> int:
-    """Region sum evaluated through box/curve hyperbola counts.
+    """Region sum evaluated through box/curve hyperbola counts; the strict
+    lower endpoint d > (delta - Hc)/a is the curve at delta - Hc - 1.
 
     Must equal region_sum_G exactly; every column is compared against the
     direct congruence count, and the first mismatching c raises
@@ -209,7 +203,7 @@ def region_sum_G_via_hyperbola(H: int, delta: int, region: RegionG) -> int:
     """
     total = 0
     for c in _c_range_G(H, delta, region):
-        col = _hyper_region_c(c, H, delta, region)
+        col = _hyper_column(c, H, delta, region.small_a, delta - H * c - 1)
         direct = sum(
             count_G_with_b0(a, c, H, delta)
             for a in range(1, H + 1)
@@ -221,8 +215,7 @@ def region_sum_G_via_hyperbola(H: int, delta: int, region: RegionG) -> int:
 
 
 def _in_region_J(a: int, c: int, H: int, delta: int, region: RegionJ) -> bool:
-    small_a = a * H <= delta + c * H
-    return small_a if region is RegionJ.SMALL_A else not small_a
+    return (a * H <= delta + c * H) == region.small_a
 
 
 def region_sum_J(H: int, delta: int, region: RegionJ) -> int:
@@ -242,21 +235,7 @@ def region_sum_J_via_hyperbola(H: int, delta: int, region: RegionJ) -> int:
     region_sum_G_via_hyperbola."""
     total = 0
     for c in range(1, H + 1):
-        U, X = _column(c, H, delta, region is RegionJ.SMALL_A)
-        if X <= 0:
-            continue
-        if region is RegionJ.SMALL_A:
-            col = count_box(HyperbolaQuery(K=delta, q=c, U=U, V=0, X=X, Y=H))
-            col -= count_under_curve(
-                CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta, cap=H))
-            )
-        else:
-            col = count_under_curve(
-                CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta + H * c))
-            )
-            col -= count_under_curve(
-                CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta))
-            )
+        col = _hyper_column(c, H, delta, region.small_a, delta)
         direct = sum(
             count_J(a, c, H, delta)
             for a in range(1, H + 1)

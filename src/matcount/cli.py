@@ -26,20 +26,12 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from . import __version__
+from . import __version__, casework
 from .asymptotics import (
     discriminate_shifted,
     fit_error_exponent,
     fit_linear_in_logN,
     report,
-)
-from .casework import (
-    RegionG,
-    RegionJ,
-    region_sum_G,
-    region_sum_G_via_hyperbola,
-    region_sum_J,
-    region_sum_J_via_hyperbola,
 )
 from .errors import BudgetError, InvariantError, UsageError
 from .exact import naive_count, sign_class_count, SignClass
@@ -75,10 +67,12 @@ def _fmt(x) -> str:
 def _int_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+    except ValueError:
+        values = []
     if not values:
-        raise UsageError(f"expected a non-empty integer list, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a non-empty comma-separated integer list, got {text!r}"
+        )
     return values
 
 
@@ -397,47 +391,61 @@ def _cmd_casework(args) -> int:
     H, delta = _single_point(args)
     if H < 1 or delta < 1:
         raise UsageError("casework requires H >= 1 and delta >= 1")
-    rows = []
-    g_total = 0
-    for region in RegionG:
-        direct = region_sum_G(H, delta, region)
-        hyper = region_sum_G_via_hyperbola(H, delta, region)
-        if direct != hyper:
-            raise InvariantError(
-                f"G region {region.name}: direct {direct} != hyperbola {hyper}"
-            )
-        g_total += direct
-        rows.append({"problem": "G", "region": region.name, "count": direct})
-    j_total = 0
-    for region in RegionJ:
-        direct = region_sum_J(H, delta, region)
-        hyper = region_sum_J_via_hyperbola(H, delta, region)
-        if direct != hyper:
-            raise InvariantError(
-                f"J region {region.name}: direct {direct} != hyperbola {hyper}"
-            )
-        j_total += direct
-        rows.append({"problem": "J", "region": region.name, "count": direct})
-    c111 = sign_class_count(H, delta, SignClass(1, 1, 1))
-    c11m1 = sign_class_count(H, delta, SignClass(1, 1, -1))
-    if g_total != c111:
-        raise InvariantError(f"G total {g_total} != sign class (1,1,1) {c111}")
-    if j_total != c11m1:
-        raise InvariantError(f"J total {j_total} != sign class (1,1,-1) {c11m1}")
-    rows.append({"problem": "G", "region": "TOTAL", "count": g_total})
-    rows.append({"problem": "J", "region": "TOTAL", "count": j_total})
-    _emit(rows, columns=["problem", "region", "count"], args=args)
+    if H * H > casework.CELL_BUDGET:
+        raise BudgetError(
+            f"casework(H={H}) visits {H * H} cells, budget is {casework.CELL_BUDGET}"
+        )
+    rows, total_rows = [], []
+    for problem, regions, direct_sum, hyper_sum, sign_class in (
+        ("G", casework.RegionG, casework.region_sum_G, casework.region_sum_G_via_hyperbola,
+         SignClass(1, 1, 1)),
+        ("J", casework.RegionJ, casework.region_sum_J, casework.region_sum_J_via_hyperbola,
+         SignClass(1, 1, -1)),
+    ):
+        total = 0
+        for region in regions:
+            direct = direct_sum(H, delta, region)
+            hyper = hyper_sum(H, delta, region)
+            if direct != hyper:
+                raise InvariantError(
+                    f"{problem} region {region.name}: direct {direct} != hyperbola {hyper}"
+                )
+            total += direct
+            rows.append({"problem": problem, "region": region.name, "count": direct})
+        expected = sign_class_count(H, delta, sign_class)
+        if total != expected:
+            signs = f"{sign_class.alpha},{sign_class.gamma},{sign_class.delta_prime}"
+            raise InvariantError(f"{problem} total {total} != sign class ({signs}) {expected}")
+        total_rows.append({"problem": problem, "region": "TOTAL", "count": total})
+    _emit(rows + total_rows, columns=["problem", "region", "count"], args=args)
     return 0
+
+
+# Each CSV column of `fit`, its type and the form it must take.
+_FIT_COLUMNS = (
+    ("H", int, "an integer"), ("exact", float, "a number"), ("main", float, "a number")
+)
 
 
 def _cmd_fit(args) -> int:
     with open(args.input, newline="") as fh:
         # a short row reads "" for its missing cells, which fails to parse
         reader = csv.DictReader(fh, restval="")
-        data = [
-            (int(row["H"]), float(row["exact"]), float(row["main"]))
-            for row in reader
-        ]
+        for column, _, _ in _FIT_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise UsageError(f"{args.input}: missing column {column!r}")
+        data = []
+        for i, row in enumerate(reader, 1):
+            cells = []
+            for column, kind, form in _FIT_COLUMNS:
+                try:
+                    cells.append(kind(row[column]))
+                except ValueError:
+                    raise UsageError(
+                        f"{args.input}: data row {i}, column {column}: expected {form}, "
+                        f"got {row[column]!r}"
+                    ) from None
+            data.append(tuple(cells))
     try:
         fit = fit_error_exponent(data)
     except ValueError as exc:

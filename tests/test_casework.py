@@ -2,6 +2,7 @@
 agreement between the direct and hyperbola-based region sums."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matcount.casework import (
     RegionG,
@@ -119,3 +120,15 @@ def test_hyperbola_equals_direct(H):
         for region in RegionJ:
             assert region_sum_J_via_hyperbola(H, delta, region) == \
                 region_sum_J(H, delta, region), (H, delta, region)
+
+
+@given(st.integers(1, 15).flatmap(lambda H: st.tuples(st.just(H), st.integers(1, 2 * H * H + 1))))
+@settings(max_examples=300, deadline=None)
+def test_hyperbola_equals_direct_for_every_delta(point):
+    # delta runs past H^2 and 2H^2, where the lower curve and the split
+    # at H take over; each route also checks itself column by column
+    H, delta = point
+    for region in RegionG:
+        assert region_sum_G_via_hyperbola(H, delta, region) == region_sum_G(H, delta, region)
+    for region in RegionJ:
+        assert region_sum_J_via_hyperbola(H, delta, region) == region_sum_J(H, delta, region)

@@ -185,21 +185,39 @@ def test_fit_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body,message",
     [
-        "H,exact,main\n1,5\n10,9,3\n20,30,2\n",  # short row
-        "H,exact,main\n0,5,4\n10,9,3\n20,30,2\n",  # H = 0
-        "H,exact,main\n1,inf,3\n10,9,3\n20,30,2\n",  # non-finite exact
+        ("H,exact,main\n1,5\n10,9,3\n20,30,2\n",  # short row
+         "rows.csv: data row 1, column main: expected a number, got ''"),
+        ("H,exact,main\n0,5,4\n10,9,3\n20,30,2\n", None),  # H = 0
+        ("H,exact,main\n1,inf,3\n10,9,3\n20,30,2\n", None),  # non-finite exact
+        ("H,exact\n1,5\n10,9\n", "rows.csv: missing column 'main'"),
+        ("H,exact,main\n10,9,3\n1.5,5,3\n",
+         "rows.csv: data row 2, column H: expected an integer, got '1.5'"),
     ],
-    ids=["short-row", "H-zero", "exact-inf"],
+    ids=["short-row", "H-zero", "exact-inf", "no-main-column", "H-not-integer"],
 )
-def test_fit_rejects_bad_csv(body, tmp_path, capfd):
+def test_fit_rejects_bad_csv(body, message, tmp_path, capfd):
     # capfd, not capsys: LAPACK prints its complaints to file descriptor 1
     path = tmp_path / "rows.csv"
     path.write_text(body)
     code, out, err = run(["fit", str(path)], capfd)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err.endswith(f"{message}\n")
+
+
+def test_casework_budget(monkeypatch, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(["casework", "--H", "317", "--delta", "1"], capsys)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: casework(H=317) visits 100489 cells, budget is 100000\n"
+    assert run(["casework", "--H", "316", "--delta", "1"], capsys)[0] == 0
+    # the command reads the module constant when it runs
+    monkeypatch.setattr(casework, "CELL_BUDGET", 24)
+    assert run(["casework", "--H", "5", "--delta", "1"], capsys)[0] == 2
 
 
 def test_invariant_violation_exits_3(monkeypatch, capsys):
@@ -262,6 +280,19 @@ def test_bad_values_exit_1_with_one_line(argv, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if tuple(argv) in _BAD_VALUE_TEXTS:
+        assert err == _BAD_VALUE_TEXTS[tuple(argv)]
+
+
+# The messages of the integer-list parser, which argparse passes through.
+_BAD_VALUE_TEXTS = {
+    ("sweep", "--H", "5", "--delta", ""):
+        "error: argument --delta: expected a non-empty comma-separated integer list, got ''\n",
+    ("tau", "--N", "5,10", "--delta", ""):
+        "error: argument --delta: expected a non-empty comma-separated integer list, got ''\n",
+    ("count", "--H", ",", "--delta", "1"):
+        "error: argument --H: expected a non-empty comma-separated integer list, got ','\n",
+}
 
 
 def test_config_goes_through_the_parser(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every name that a module of the package imports is used in that module,
-so a deleted feature leaves no import behind."""
+"""Every name that a module of the package imports, and every private
+module-level name it defines, is used in that module, so a deleted
+feature leaves no import or helper behind."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,34 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for every module-level `_name` a def, class or
+    assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    unused = []
+    for name, definition in _private_definitions(tree):
+        elsewhere = (
+            node
+            for stmt in tree.body if stmt is not definition
+            for node in ast.walk(stmt)
+        )
+        if not any(isinstance(n, ast.Name) and n.id == name for n in elsewhere):
+            unused.append(name)
+    assert not unused, f"{path.name}: private names never used {unused}"

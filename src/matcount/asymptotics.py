@@ -68,7 +68,7 @@ def main_term(kind: MainTermKind, n: int, delta: int = 0) -> float:
     return COEFF_12 * (sigma(D) / D) * n * n
 
 
-def error_envelope(H: int, delta: int, epsilon: float = 0.1) -> float:
+def error_envelope(H: int, delta: int, epsilon: float) -> float:
     """Nominal bound H^eps * max(H^(5/3), |delta|)."""
     return H**epsilon * max(H ** (5 / 3), abs(delta))
 
@@ -86,17 +86,10 @@ def report(
     """
     if H < 1:
         raise ValueError(f"report() requires H >= 1, got {H}")
-    exact = fast_count(H, delta, table=table)
     kind = MainTermKind.DELTA0_MAIN if delta == 0 else MainTermKind.THEOREM_MAIN
-    main = main_term(kind, H, delta)
-    bound = error_envelope(H, delta, epsilon)
-    err = exact - main
     return AsymptoticReport(
-        exact=exact,
-        main=main,
-        error=err,
-        bound=bound,
-        normalized=abs(err) / bound,
+        fast_count(H, delta, table=table), main_term(kind, H, delta),
+        error_envelope(H, delta, epsilon),
     )
 
 

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +87,25 @@ def _positive_int(text: str) -> int:
     return n
 
 
+# tau's largest --k: tau_N(n) <= 1600 for every N the cell budget admits,
+# so each k-th moment stays below 2e8 * 1600^64 < 10^214, a float that
+# prints in full.
+MAX_MOMENT_ORDER = 64
+
+
+def _moment_order(text: str) -> int:
+    """tau's --k, an integer in 1..MAX_MOMENT_ORDER."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if not 1 <= k <= MAX_MOMENT_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in 1..{MAX_MOMENT_ORDER}, got {text!r}"
+        )
+    return k
+
+
 def _unit_float(text: str) -> float:
     try:
         x = float(text)
@@ -142,12 +162,20 @@ def _emit(
         sys.stdout.write(text)
 
 
-def _map_jobs(fn, items, jobs: int):
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_jobs(fn, items: list, jobs: int):
     """Ordered map, optionally threaded; output order never depends on
-    completion order."""
-    if jobs <= 1:
+    completion order.  The pool has no more threads than items or CPUs."""
+    workers = min(jobs, len(items), _available_cpus())
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -287,6 +315,11 @@ def _cmd_tau(args) -> int:
     return 0
 
 
+# hyperbola's largest --N: 2,000 query pairs take about 3 s on a 2-core host,
+# and the time grows linearly in N.
+HYPERBOLA_QUERY_BUDGET = 2000
+
+
 def random_hyperbola_queries(
     seed: int, n: int
 ) -> list[tuple[HyperbolaQuery, CurveQuery]]:
@@ -311,31 +344,25 @@ def random_hyperbola_queries(
 
 def _hyperbola_rows(pair, epsilon: float) -> list[dict]:
     box, curve = pair
-    rows = []
-    b = box_report(box, epsilon)
-    rows.append(
+    return [
         {
-            "kind": "box",
-            "K": box.K, "q": box.q, "U": box.U, "V": box.V, "X": box.X, "Y": box.Y,
-            "A": 0,
-            "exact": b.exact, "main": b.main, "error": b.error,
-            "bound": b.bound, "normalized": b.normalized,
+            "kind": kind, "K": query.K, "q": query.q, "U": query.U, "V": V, "X": query.X,
+            "Y": Y, "A": A, "exact": rep.exact, "main": rep.main, "error": rep.error,
+            "bound": rep.bound, "normalized": rep.normalized,
         }
-    )
-    c = curve_report(curve, epsilon)
-    rows.append(
-        {
-            "kind": "curve",
-            "K": curve.K, "q": curve.q, "U": curve.U, "V": 0, "X": curve.X, "Y": 0,
-            "A": curve.bound.A,
-            "exact": c.exact, "main": c.main, "error": c.error,
-            "bound": c.bound, "normalized": c.normalized,
-        }
-    )
-    return rows
+        for kind, query, V, Y, A, rep in (
+            ("box", box, box.V, box.Y, 0, box_report(box, epsilon)),
+            ("curve", curve, 0, 0, curve.bound.A, curve_report(curve, epsilon)),
+        )
+    ]
 
 
 def _cmd_hyperbola(args) -> int:
+    if args.N > HYPERBOLA_QUERY_BUDGET:
+        raise BudgetError(
+            f"hyperbola(N={args.N}) makes {args.N} query pairs, "
+            f"budget is {HYPERBOLA_QUERY_BUDGET}"
+        )
     queries = random_hyperbola_queries(args.seed, args.N)
     nested = _map_jobs(lambda p: _hyperbola_rows(p, args.epsilon), queries, args.jobs)
     rows = [row for pair in nested for row in pair]
@@ -351,29 +378,31 @@ def _cmd_hyperbola(args) -> int:
     return 0
 
 
+def _lemma_row(lemma: str, variant: int, X: int, Y: int, r: int, rep) -> dict:
+    """One row of the lemmas table; the report's bound and normalized
+    error are its envelope and ratio columns."""
+    return {
+        "lemma": lemma, "variant": variant, "X": X, "Y": Y, "r": r,
+        "exact": rep.exact, "main": rep.main, "error": rep.error,
+        "envelope": rep.bound, "ratio": rep.normalized,
+    }
+
+
 def lemma_grid_rows() -> list[dict]:
     """The logarithmic regression grid for every lemma evaluator."""
     rows = []
-
-    def add(lemma, variant, X, Y, r, rep):
-        rows.append(
-            {
-                "lemma": lemma, "variant": variant, "X": X, "Y": Y, "r": r,
-                "exact": rep.exact, "main": rep.main, "error": rep.error,
-                "envelope": rep.envelope, "ratio": rep.ratio,
-            }
-        )
-
     for X in (100, 1000, 10000):
-        add("gcd_power", 0, X, 720, 1, gcd_power_report(X, 720, 0.5, 1.0))
-        add("phi_ratio", 0, X, 0, 1, phi_ratio_report(X))
-        add("phi_over_square", 0, X, 0, 1, phi_over_square_report(X))
-        add("coprime", 0, X, 360, 1, coprime_count_report(X, 360))
+        rows.append(
+            _lemma_row("gcd_power", 0, X, 720, 1, gcd_power_report(X, 720, 0.5, 1.0))
+        )
+        rows.append(_lemma_row("phi_ratio", 0, X, 0, 1, phi_ratio_report(X)))
+        rows.append(_lemma_row("phi_over_square", 0, X, 0, 1, phi_over_square_report(X)))
+        rows.append(_lemma_row("coprime", 0, X, 360, 1, coprime_count_report(X, 360)))
         for r in (1, 2, 5, 10):
-            add("xy_sum", 1, X, 0, r, xy_sum(1, X, 0, r))
-            add("xy_sum", 2, X, X // 2, r, xy_sum(2, X, X // 2, r))
-            add("xy_sum", 3, X, X // 2, r, xy_sum(3, X, X // 2, r))
-            add("xy_sum", 4, X, X, r, xy_sum(4, X, X, r))
+            rows.append(_lemma_row("xy_sum", 1, X, 0, r, xy_sum(1, X, 0, r)))
+            rows.append(_lemma_row("xy_sum", 2, X, X // 2, r, xy_sum(2, X, X // 2, r)))
+            rows.append(_lemma_row("xy_sum", 3, X, X // 2, r, xy_sum(3, X, X // 2, r)))
+            rows.append(_lemma_row("xy_sum", 4, X, X, r, xy_sum(4, X, X, r)))
     return rows
 
 
@@ -479,7 +508,9 @@ _COMMANDS = {
         "H": _INTS, "delta": _INTS, "epsilon": _EPSILON, "jobs": _JOBS,
         "no-timing": dict(action="store_true"), "fit": dict(action="store_true"), **_EMIT,
     }),
-    "tau": (_cmd_tau, {"N": _INTS, "k": dict(type=int, default=2), "delta": _INTS, **_EMIT}),
+    "tau": (_cmd_tau, {
+        "N": _INTS, "k": dict(type=_moment_order, default=2), "delta": _INTS, **_EMIT,
+    }),
     "hyperbola": (_cmd_hyperbola, {
         "N": dict(type=_positive_int, default=500), "seed": dict(type=int, default=0),
         "epsilon": _EPSILON, "jobs": _JOBS, **_EMIT,
@@ -538,8 +569,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # a BudgetError, or an allocation that failed
+        print(f"budget exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -14,9 +14,8 @@ u only through u mod q, so each query tabulates them once over the first
 min(X, q) integers of (U, U+X]: a box sums the table weighted by how
 often each residue occurs, and a curve looks each u up in it.
 
-Main terms with K = 0 are undefined (the divisor sum over r | K has no
-meaning); the estimators then substitute D = q and flag the result as a
-convention value.
+K = 0 needs no special case: every gcd(u, q) divides 0, so each u
+carries its full gcd weight, and the bounds' D = gcd(0, q) is q.
 """
 
 from __future__ import annotations
@@ -69,16 +68,25 @@ class CurveQuery:
             raise ValueError("curve interval needs U >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AsymptoticReport:
-    """Exact count vs. estimator for one query."""
+    """Exact value vs. main term for one query or identity instance, with
+    the nominal bound on their difference.  A zero bound normalizes a zero
+    error to 0 and any other error to infinity."""
 
-    exact: int
+    exact: int | float
     main: float
-    error: float
     bound: float
-    normalized: float
-    convention: bool = False
+
+    @property
+    def error(self) -> float:
+        return self.exact - self.main
+
+    @property
+    def normalized(self) -> float:
+        if self.bound > 0:
+            return abs(self.error) / self.bound
+        return 0.0 if self.error == 0 else math.inf
 
 
 def _int_range(lo: int, length: int) -> range:
@@ -138,18 +146,17 @@ def count_box(query: HyperbolaQuery) -> int:
 
 def main_term_box(query: HyperbolaQuery) -> float:
     """Main term (Y/q) * sum over r | K of r * #{u in range: gcd(u, q) = r},
-    evaluated exactly over the per-residue table of gcd weights; K = 0
-    uses the convention value."""
+    evaluated exactly over the per-residue table of gcd weights."""
     U, X, q = query.U, query.X, query.q
     weights = _residue_table(_gcd_weight, U, X, q, query.K)
     s = sum(w * n for w, n in zip(weights, _class_sizes(X, q)))
     return float(query.Y) * s / q
 
 
-def error_bound_box(query: HyperbolaQuery, epsilon: float = 0.0) -> float:
+def error_bound_box(query: HyperbolaQuery, epsilon: float) -> float:
     """Nominal bound q^eps * (sqrt(q) + X*D/q + D) with D = gcd(K, q)."""
     q = query.q
-    D = math.gcd(query.K, q) if query.K != 0 else q
+    D = math.gcd(query.K, q)
     return q**epsilon * (math.sqrt(q) + float(query.X) * D / q + D)
 
 
@@ -202,10 +209,10 @@ def curvature_scale(query: CurveQuery) -> float:
     return u0**3 / A
 
 
-def error_bound_curve(query: CurveQuery, epsilon: float = 0.0) -> float:
+def error_bound_curve(query: CurveQuery, epsilon: float) -> float:
     """Nominal bound q^eps * (X*L^(-1/3) + D^(1/2)*L^(1/2)/q + sqrt(q) + D)."""
     q = query.q
-    D = math.gcd(query.K, q) if query.K != 0 else q
+    D = math.gcd(query.K, q)
     L = curvature_scale(query)
     X = float(query.X)
     if math.isinf(L):
@@ -214,31 +221,13 @@ def error_bound_curve(query: CurveQuery, epsilon: float = 0.0) -> float:
     return q**epsilon * (X * L ** (-1 / 3) + math.sqrt(D) * math.sqrt(L) / q + math.sqrt(q) + D)
 
 
-def box_report(query: HyperbolaQuery, epsilon: float = 0.0) -> AsymptoticReport:
-    exact = count_box(query)
-    main = main_term_box(query)
-    bound = error_bound_box(query, epsilon)
-    err = exact - main
+def box_report(query: HyperbolaQuery, epsilon: float) -> AsymptoticReport:
     return AsymptoticReport(
-        exact=exact,
-        main=main,
-        error=err,
-        bound=bound,
-        normalized=abs(err) / bound if bound > 0 else math.inf,
-        convention=query.K == 0,
+        count_box(query), main_term_box(query), error_bound_box(query, epsilon)
     )
 
 
-def curve_report(query: CurveQuery, epsilon: float = 0.0) -> AsymptoticReport:
-    exact = count_under_curve(query)
-    main = main_term_curve(query)
-    bound = error_bound_curve(query, epsilon)
-    err = exact - main
+def curve_report(query: CurveQuery, epsilon: float) -> AsymptoticReport:
     return AsymptoticReport(
-        exact=exact,
-        main=main,
-        error=err,
-        bound=bound,
-        normalized=abs(err) / bound if bound > 0 else math.inf,
-        convention=query.K == 0,
+        count_under_curve(query), main_term_curve(query), error_bound_curve(query, epsilon)
     )

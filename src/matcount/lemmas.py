@@ -13,42 +13,22 @@ and r only, so every strict bound y < x + Y/r is an integer floor.
 Every evaluator is exact up to floating-point rounding; sums are
 accumulated with math.fsum, and the tests compare against independent
 naive double loops at 1e-9 relative.  Envelopes are the stated O-terms
-with constant 1, so the ratio |error| / envelope is a direct regression
-statistic.
+with constant 1, and each report carries its envelope as the bound, so
+the normalized error |error| / envelope is a direct regression statistic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import divisors, factorize, mobius, sieve, sigma, tau
+from .hyperbola import AsymptoticReport
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
 
 # The epsilon of the gcd-power bound K^(A+1+eps) L^eps.
 GCD_POWER_EPS = 0.05
-
-
-@dataclass
-class LemmaReport:
-    """Exact value vs. main term for one identity instance."""
-
-    exact: float
-    main: float
-    error: float
-    envelope: float
-    ratio: float
-
-
-def _make_report(exact: float, main: float, envelope: float) -> LemmaReport:
-    err = exact - main
-    if envelope > 0:
-        ratio = abs(err) / envelope
-    else:
-        ratio = 0.0 if err == 0 else math.inf
-    return LemmaReport(exact=exact, main=main, error=err, envelope=envelope, ratio=ratio)
 
 
 def gcd_power_sum(K: int, L: int, A: float, B: float) -> float:
@@ -60,7 +40,7 @@ def gcd_power_sum(K: int, L: int, A: float, B: float) -> float:
     return math.fsum(c**A * math.gcd(c, L) ** B for c in range(1, K + 1))
 
 
-def gcd_power_report(K: int, L: int, A: float, B: float) -> LemmaReport:
+def gcd_power_report(K: int, L: int, A: float, B: float) -> AsymptoticReport:
     """Upper-bound report: main = 0, envelope = K^(A+1+eps) * L^eps with
     eps = GCD_POWER_EPS.
 
@@ -69,7 +49,7 @@ def gcd_power_report(K: int, L: int, A: float, B: float) -> LemmaReport:
     """
     exact = gcd_power_sum(K, L, A, B)
     envelope = K ** (A + 1 + GCD_POWER_EPS) * L**GCD_POWER_EPS
-    return _make_report(exact, 0.0, envelope)
+    return AsymptoticReport(exact, 0.0, envelope)
 
 
 def phi_ratio_sum(X: int) -> float:
@@ -88,15 +68,15 @@ def phi_over_square_sum(X: int) -> float:
     return math.fsum(int(phi[n]) / (n * n) for n in range(1, X + 1))
 
 
-def phi_ratio_report(X: int) -> LemmaReport:
+def phi_ratio_report(X: int) -> AsymptoticReport:
     """sum phi(n)/n = (6/pi^2) X + O(log X)."""
     envelope = max(math.log(X), 1.0)
-    return _make_report(phi_ratio_sum(X), SIX_OVER_PI2 * X, envelope)
+    return AsymptoticReport(phi_ratio_sum(X), SIX_OVER_PI2 * X, envelope)
 
 
-def phi_over_square_report(X: int) -> LemmaReport:
+def phi_over_square_report(X: int) -> AsymptoticReport:
     """sum phi(n)/n^2 = (6/pi^2) log X + O(1)."""
-    return _make_report(phi_over_square_sum(X), SIX_OVER_PI2 * math.log(X), 1.0)
+    return AsymptoticReport(phi_over_square_sum(X), SIX_OVER_PI2 * math.log(X), 1.0)
 
 
 def _signed_squarefree_divisors(n: int) -> list[tuple[int, int]]:
@@ -124,14 +104,14 @@ def coprime_count(X, Y: int) -> int:
     return sum(s * (n // d) for d, s in _signed_squarefree_divisors(Y))
 
 
-def coprime_count_report(X, Y: int) -> LemmaReport:
+def coprime_count_report(X, Y: int) -> AsymptoticReport:
     """Exact count vs. X * phi(Y) / Y with envelope tau(Y); the Moebius
     proof gives the error constant 1."""
     from .arith import phi
 
     exact = float(coprime_count(X, Y))
     main = float(X) * phi(Y) / Y
-    return _make_report(exact, main, float(tau(Y)))
+    return AsymptoticReport(exact, main, float(tau(Y)))
 
 
 def _xy_sum_exact(variant: int, X: int, Y: int, r: int) -> float:
@@ -178,7 +158,7 @@ def _xy_sum_exact(variant: int, X: int, Y: int, r: int) -> float:
     raise ValueError(f"xy_sum() variant must be 1..4, got {variant}")
 
 
-def xy_sum(variant: int, X: int, Y: int, r: int) -> LemmaReport:
+def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
     """Pair sums over gcd(x, y) = r with their main terms; X, Y and r are
     integers, so every strict bound is an integer floor.
 
@@ -222,7 +202,7 @@ def xy_sum(variant: int, X: int, Y: int, r: int) -> LemmaReport:
     else:
         main = SIX_OVER_PI2 * Xr * math.log(float(Y) / r)
         envelope = Xr
-    return _make_report(exact, main, envelope)
+    return AsymptoticReport(exact, main, envelope)
 
 
 def divisor_tail(delta: int, H: int) -> tuple[Fraction, Fraction]:

@@ -5,7 +5,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -273,10 +277,17 @@ def test_exit_codes(capsys, tmp_path):
         ["sweep", "--H", "5", "--delta", ""],
         ["tau", "--N", "5,10", "--delta", ""],
         ["count", "--H", ",", "--delta", "1"],
+        # moment orders outside 1..64
+        ["tau", "--N", "10,20", "--k", "600"],
+        ["tau", "--N", "5", "--k", "1000000"],
+        ["tau", "--N", "5", "--k", "100000000"],
+        ["tau", "--N", "5", "--k", "0"],
     ],
 )
 def test_bad_values_exit_1_with_one_line(argv, capsys):
+    t0 = time.perf_counter()
     code, out, err = run(argv, capsys)
+    assert time.perf_counter() - t0 < 1
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -292,7 +303,102 @@ _BAD_VALUE_TEXTS = {
         "error: argument --delta: expected a non-empty comma-separated integer list, got ''\n",
     ("count", "--H", ",", "--delta", "1"):
         "error: argument --H: expected a non-empty comma-separated integer list, got ','\n",
+    ("tau", "--N", "10,20", "--k", "600"):
+        "error: argument --k: expected an integer in 1..64, got '600'\n",
 }
+
+
+def test_tau_moment_order_bound(monkeypatch, capsys):
+    # the largest order prints every moment in full and fits it as a float
+    code, out, err = run(["tau", "--N", "10,20", "--k", "64", "--format", "json"], capsys)
+    assert code == 0 and err.startswith("fit: ")
+    assert all(0 < float(row["moment"]) < math.inf for row in json.loads(out)["rows"])
+    # one past it is refused by the parser, before any table is built
+    monkeypatch.setattr(cli, "build_tau_table", None)
+    code, out, err = run(["tau", "--N", "10,20", "--k", "65"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: argument --k: expected an integer in 1..64, got '65'\n"
+
+
+def test_hyperbola_budget(monkeypatch, capsys):
+    with monkeypatch.context() as m:
+        # refused before any query is generated
+        m.setattr(cli, "random_hyperbola_queries", None)
+        t0 = time.perf_counter()
+        code, out, err = run(["hyperbola", "--N", "2001"], capsys)
+        assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: hyperbola(N=2001) makes 2001 query pairs, budget is 2000\n"
+    # the command reads the module constant when it runs
+    monkeypatch.setattr(cli, "HYPERBOLA_QUERY_BUDGET", 3)
+    assert run(["hyperbola", "--N", "3"], capsys)[0] == 0
+    code, out, err = run(["hyperbola", "--N", "4"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
+def test_memory_error_exits_2():
+    import resource
+
+    limit = 300 * 2**20
+
+    def child(H):
+        # the limit is set in the child only, between fork and exec
+        return subprocess.run(
+            [sys.executable, "-m", "matcount.cli", "count", "--H", str(H), "--delta", "6"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                     PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    t0 = time.perf_counter()
+    big = child(14000)  # a 392 MB table
+    assert time.perf_counter() - t0 < 5
+    assert (big.returncode, big.stdout) == (2, "")
+    assert big.stderr.startswith("budget exceeded: ") and big.stderr.count("\n") == 1
+    small = child(100)
+    assert (small.returncode, small.stderr) == (0, "")
+    assert small.stdout.startswith("exact = 195184\n")
+
+
+def test_jobs_pool_is_clamped(monkeypatch, capsys):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records the pool size and maps
+        in the calling thread, so no thread is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+    items = list(range(10))
+    assert cli._map_jobs(str, items, 500) == [str(i) for i in items]
+    assert cli._map_jobs(str, items[:3], 500) == ["0", "1", "2"]
+    assert cli._map_jobs(str, items, 2) == [str(i) for i in items]
+    assert sizes == [4, 3, 2]
+    # one CPU, one item or one job: no pool at all
+    assert cli._map_jobs(str, items[:1], 500) == ["0"]
+    assert cli._map_jobs(str, items, 1) == [str(i) for i in items]
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+    assert cli._map_jobs(str, items, 500) == [str(i) for i in items]
+    assert sizes == [4, 3, 2]
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 64)
+    code, out, _ = run(["hyperbola", "--N", "5", "--jobs", "500"], capsys)
+    assert code == 0 and sizes[-1] == 5
+    assert out == run(["hyperbola", "--N", "5"], capsys)[1]
 
 
 def test_config_goes_through_the_parser(tmp_path, capsys):
@@ -374,7 +480,8 @@ _FUZZ_FLAGS = ["--H", "--delta", "--N", "--k", "--epsilon", "--jobs", "--seed",
 _FUZZ_VALUES = st.one_of(
     st.integers(-3, 40).map(str),
     st.lists(st.integers(-3, 40), min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs))),
-    st.sampled_from(["", "x", ",", "1,,2", "-", "nan", "1e308", "0.5", "csv", "json", "{}"]),
+    st.sampled_from(["", "x", ",", "1,,2", "-", "nan", "1e308", "0.5", "csv", "json", "{}",
+                     "1000000000"]),
 )
 
 
@@ -398,8 +505,7 @@ def test_argv_fuzz(base, extra):
     # the full lemma grid reads no flag and takes about 0.47 s (median of
     # 5, Intel Xeon, Python 3.11), which 200 cases would repeat; one row
     # stands in
-    grid = [{"lemma": "phi_ratio", "variant": 0, "X": 10, "Y": 0, "r": 1,
-             **vars(phi_ratio_report(10))}]
+    grid = [cli._lemma_row("phi_ratio", 0, 10, 0, 1, phi_ratio_report(10))]
     t0 = time.perf_counter()
     with mock.patch.object(cli, "lemma_grid_rows", lambda: grid), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

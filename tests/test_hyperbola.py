@@ -67,10 +67,10 @@ def test_main_term_box_hand_examples():
 
 
 def test_error_bound_box():
-    got = error_bound_box(HyperbolaQuery(K=1, q=100, U=0, V=0, X=1000, Y=1))
+    got = error_bound_box(HyperbolaQuery(K=1, q=100, U=0, V=0, X=1000, Y=1), 0.0)
     assert got == pytest.approx(10 + 10 + 1)
-    small = error_bound_box(HyperbolaQuery(K=1, q=9, U=0, V=0, X=10, Y=1))
-    large = error_bound_box(HyperbolaQuery(K=1, q=9, U=0, V=0, X=100, Y=1))
+    small = error_bound_box(HyperbolaQuery(K=1, q=9, U=0, V=0, X=10, Y=1), 0.0)
+    large = error_bound_box(HyperbolaQuery(K=1, q=9, U=0, V=0, X=100, Y=1), 0.0)
     assert small < large  # monotone in X
 
 
@@ -127,7 +127,7 @@ def test_error_bound_curve_formula():
     query = CurveQuery(K=1, q=1, U=10, X=10, bound=Hyperbolic(1))
     L = curvature_scale(query)
     assert L == pytest.approx(1000.0)
-    got = error_bound_curve(query)
+    got = error_bound_curve(query, 0.0)
     assert got == pytest.approx(10 / 10 + math.sqrt(1000) + 1 + 1)
 
 
@@ -154,12 +154,9 @@ def test_capped_curve_matches_enumeration(K, q, U, X, A, cap):
 
 
 def test_reports():
-    rep = box_report(HyperbolaQuery(K=6, q=4, U=0, V=0, X=4, Y=4))
+    rep = box_report(HyperbolaQuery(K=6, q=4, U=0, V=0, X=4, Y=4), 0.0)
     assert rep.exact - rep.main == rep.error
-    assert not rep.convention
-    conv = box_report(HyperbolaQuery(K=0, q=4, U=0, V=0, X=4, Y=4))
-    assert conv.convention
-    crep = curve_report(CurveQuery(K=1, q=3, U=0, X=9, bound=Hyperbolic(20)))
+    crep = curve_report(CurveQuery(K=1, q=3, U=0, X=9, bound=Hyperbolic(20)), 0.0)
     assert crep.normalized == pytest.approx(abs(crep.error) / crep.bound)
 
 

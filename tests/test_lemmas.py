@@ -61,7 +61,7 @@ def test_gcd_power_envelope():
     rep = gcd_power_report(1000, 720, 0.5, 1.0)
     assert rep.exact <= 10 * 1000**1.5 * (1000 * 720) ** 0.05
     assert rep.main == 0.0
-    assert rep.ratio < 10
+    assert rep.normalized < 10
 
 
 def test_phi_sums_small():
@@ -137,7 +137,7 @@ def test_coprime_count_error_constant():
         exact = coprime_count(X, Y)
         assert exact == sum(1 for x in range(1, X + 1) if math.gcd(x, Y) == 1)
         assert abs(exact - X * phi(Y) / Y) <= tau(Y)
-        assert coprime_count_report(X, Y).ratio <= 1 + 1e-12
+        assert coprime_count_report(X, Y).normalized <= 1 + 1e-12
 
 
 def test_xy_sum_matches_naive_grid():

@@ -3,18 +3,16 @@ reports, and log-log regression of error exponents over sweeps.
 
 Main terms ("log" is always the natural logarithm):
 
-  THEOREM_MAIN            (96/pi^2) (sigma(|delta|)/|delta|) H^2
-  DELTA0_MAIN             (96/pi^2) H^2 ln H
-  SIGN_LEMMA_MAIN         (12/pi^2) H^2 sum_{r | delta, r <= H} 1/r
-  TAU_SQ_MAIN             (12/pi^2) N^2 ln N
+  report, delta != 0      (96/pi^2) (sigma(|delta|)/|delta|) H^2
+  report, delta = 0       (96/pi^2) H^2 ln H
   SHIFTED_LOG_CANDIDATE   (12/pi^2) (sigma(|delta|)/|delta|) N^2 ln N
   SHIFTED_NOLOG_CANDIDATE (12/pi^2) (sigma(|delta|)/|delta|) N^2
 
 The two SHIFTED kinds are rival main terms for the shifted convolution
 sum tau_N(n) tau_N(n + delta): the literature-style statement carries a
 log factor while the sign-class identity forces a log-free leading
-order.  Neither is hard-coded as truth; ``discriminate_shifted`` fits
-the data and reports which candidate survives.
+order.  Neither is hard-coded as truth; ``shifted_verdict`` fits the
+exact sums and reports which candidate survives.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import numpy as np
 
 from .arith import sigma
 from .hyperbola import AsymptoticReport
-from .lemmas import divisor_tail
 from .tau_tables import TauTable, shifted_sum
 from .exact import fast_count
 
@@ -36,36 +33,10 @@ COEFF_12 = 12.0 / math.pi**2
 
 
 class MainTermKind(enum.Enum):
-    THEOREM_MAIN = "theorem_main"
-    DELTA0_MAIN = "delta0_main"
-    SIGN_LEMMA_MAIN = "sign_lemma_main"
-    TAU_SQ_MAIN = "tau_sq_main"
+    """The two candidate main terms a shifted-sum verdict selects from."""
+
     SHIFTED_LOG_CANDIDATE = "shifted_log_candidate"
     SHIFTED_NOLOG_CANDIDATE = "shifted_nolog_candidate"
-
-
-_DELTA_FREE = {MainTermKind.DELTA0_MAIN, MainTermKind.TAU_SQ_MAIN}
-
-
-def main_term(kind: MainTermKind, n: int, delta: int = 0) -> float:
-    """Value of the named main term at height (or table size) n."""
-    if n < 1:
-        raise ValueError(f"main_term() requires n >= 1, got {n}")
-    if kind not in _DELTA_FREE and delta == 0:
-        raise ValueError(f"main_term() kind {kind.name} requires delta != 0")
-    D = abs(delta)
-    if kind is MainTermKind.THEOREM_MAIN:
-        return COEFF_96 * (sigma(D) / D) * n * n
-    if kind is MainTermKind.DELTA0_MAIN:
-        return COEFF_96 * n * n * math.log(n)
-    if kind is MainTermKind.SIGN_LEMMA_MAIN:
-        partial, _ = divisor_tail(D, n)
-        return COEFF_12 * n * n * float(partial)
-    if kind is MainTermKind.TAU_SQ_MAIN:
-        return COEFF_12 * n * n * math.log(n)
-    if kind is MainTermKind.SHIFTED_LOG_CANDIDATE:
-        return COEFF_12 * (sigma(D) / D) * n * n * math.log(n)
-    return COEFF_12 * (sigma(D) / D) * n * n
 
 
 def error_envelope(H: int, delta: int, epsilon: float) -> float:
@@ -86,10 +57,13 @@ def report(
     """
     if H < 1:
         raise ValueError(f"report() requires H >= 1, got {H}")
-    kind = MainTermKind.DELTA0_MAIN if delta == 0 else MainTermKind.THEOREM_MAIN
+    D = abs(delta)
+    if D == 0:
+        main = COEFF_96 * H * H * math.log(H)
+    else:
+        main = COEFF_96 * (sigma(D) / D) * H * H
     return AsymptoticReport(
-        fast_count(H, delta, table=table), main_term(kind, H, delta),
-        error_envelope(H, delta, epsilon),
+        fast_count(H, delta, table=table), main, error_envelope(H, delta, epsilon)
     )
 
 
@@ -155,21 +129,17 @@ class ShiftedDiscrimination:
         return self.selected is MainTermKind.SHIFTED_NOLOG_CANDIDATE
 
 
-def discriminate_shifted(
-    N_list: list[int], delta: int, tables: dict[int, TauTable]
-) -> ShiftedDiscrimination:
-    """Fit shifted_sum(N, delta)/N^2 against ln N and compare the slope with
-    the log-candidate's prediction (12/pi^2) sigma(delta)/delta.  tables
-    holds the tau_N table of every N in N_list.
+def shifted_verdict(delta: int, values: dict[int, int]) -> ShiftedDiscrimination:
+    """Fit the exact shifted_sum(N, delta) values, keyed by N, as value/N^2
+    against ln N and compare the slope with the log-candidate's prediction
+    (12/pi^2) sigma(delta)/delta.
 
     The no-log candidate predicts slope 0; whichever prediction the
     fitted slope is closer to is selected.
     """
     if delta < 1:
-        raise ValueError(f"discriminate_shifted() requires delta >= 1, got {delta}")
-    values = {}
-    for N in sorted(set(N_list)):
-        values[N] = shifted_sum(tables[N], delta)
+        raise ValueError(f"shifted_verdict() requires delta >= 1, got {delta}")
+    values = dict(sorted(values.items()))
     a, b = fit_linear_in_logN([(N, float(v)) for N, v in values.items()])
     predicted = COEFF_12 * sigma(delta) / delta
     selected = (
@@ -185,3 +155,11 @@ def discriminate_shifted(
         selected=selected,
         values=values,
     )
+
+
+def discriminate_shifted(
+    N_list: list[int], delta: int, tables: dict[int, TauTable]
+) -> ShiftedDiscrimination:
+    """shifted_verdict over shifted_sum(tables[N], delta) for every N in
+    N_list; tables holds the tau_N table of each."""
+    return shifted_verdict(delta, {N: shifted_sum(tables[N], delta) for N in set(N_list)})

@@ -10,7 +10,8 @@ seed) pairs produce byte-identical output (suppress the timing column
 with --no-timing).  The sweep emits one row per distinct (delta, H)
 point, sorted, and builds one tau table per H and shares it
 across that H's deltas, so its wall_time_ms column is each row's own
-report time, without the table build.
+report time, without the table build.  tau likewise emits one row per
+distinct (delta, N) and holds one tau table at a time.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 3 internal invariant violation.
 """
@@ -29,10 +30,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, casework
 from .asymptotics import (
-    discriminate_shifted,
     fit_error_exponent,
     fit_linear_in_logN,
     report,
+    shifted_verdict,
 )
 from .errors import BudgetError, InvariantError, UsageError
 from .exact import naive_count, sign_class_count, SignClass
@@ -51,7 +52,7 @@ from .lemmas import (
     xy_sum,
 )
 from .rng import SplitMix64
-from .tau_tables import TauTable, build_tau_table, tau_moment
+from .tau_tables import TauTable, build_tau_table, shifted_sum, tau_moment
 
 
 def _fmt(x) -> str:
@@ -272,21 +273,35 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _tau_values(N: int, k: int, deltas: list[int]):
+    """N's shifted sums at deltas, or its k-th moment when there are no
+    deltas, all read from one tau table, which is dropped on return."""
+    table = build_tau_table(N)
+    if deltas:
+        return {delta: shifted_sum(table, delta) for delta in deltas}
+    return tau_moment(table, k)
+
+
 def _cmd_tau(args) -> int:
     if not args.N:
         raise UsageError("tau requires --N")
     k = args.k
-    tables = {N: build_tau_table(N) for N in sorted(set(args.N))}
+    Ns = sorted(set(args.N))
+    deltas = list(dict.fromkeys(args.delta or ()))  # distinct, first-occurrence order
+    if deltas and min(deltas) < 1:
+        raise UsageError(f"tau requires every --delta >= 1, got {min(deltas)}")
+    if deltas and len(Ns) < 2:
+        raise UsageError("tau --delta requires at least two distinct --N values")
+    # largest N first, so the largest build sets the peak: each table is
+    # dropped before the next one is built
+    values = {N: _tau_values(N, k, deltas) for N in reversed(Ns)}
     extra: dict = {}
-    if args.delta:
+    if deltas:
         # shifted-convolution mode: sums tau_N(n) tau_N(n+delta) and the
         # log vs no-log main-term discrimination
-        rows = []
         extra["discrimination"] = {}
-        for delta in args.delta:
-            verdict = discriminate_shifted(list(tables), delta, tables=tables)
-            for N, value in verdict.values.items():
-                rows.append({"N": N, "delta": delta, "value": value})
+        for delta in deltas:
+            verdict = shifted_verdict(delta, {N: values[N][delta] for N in Ns})
             extra["discrimination"][str(delta)] = {
                 "slope": verdict.slope,
                 "predicted_log_slope": verdict.predicted_log_slope,
@@ -297,13 +312,10 @@ def _cmd_tau(args) -> int:
                 f"{_fmt(verdict.predicted_log_slope)} -> {verdict.selected.value}",
                 file=sys.stderr,
             )
-        rows.sort(key=lambda r: (r["delta"], r["N"]))
+        rows = [{"N": N, "delta": d, "value": values[N][d]} for d in sorted(deltas) for N in Ns]
         _emit(rows, columns=["N", "delta", "value"], args=args, extra=extra)
         return 0
-    rows = [
-        {"N": N, "k": k, "moment": tau_moment(table, k)}
-        for N, table in tables.items()
-    ]
+    rows = [{"N": N, "k": k, "moment": values[N]} for N in Ns]
     if len(rows) >= 2 and k >= 2:
         a, b = fit_linear_in_logN([(r["N"], float(r["moment"])) for r in rows])
         extra["fit"] = {"a": a, "b": b}

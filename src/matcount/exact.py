@@ -3,7 +3,9 @@ determinant.
 
 Two independent routes are kept side by side: ``naive_count`` enumerates
 every matrix in the box, while ``fast_count`` evaluates the product
-convolution sum(m) c2(m) * c2(m - delta) from a tau_H table.  The two
+convolution sum(m) c2(m) * c2(m - delta) from a tau_H table, assembled
+from the reductions ``c2``, ``shifted_sum`` and ``self_convolution`` of
+``tau_tables``, the one module that reads the table's cells.  The two
 must agree exactly; the tests enforce this exhaustively at small heights.
 
 Also provides sign-class counts (prescribed signs of a, c, d with all
@@ -23,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .tau_tables import TauTable, _dot, build_tau_table, c2
+from .tau_tables import TauTable, build_tau_table, c2, self_convolution, shifted_sum
 
 # Hard cap on full enumeration: (2H+1)^4 matrices.
 NAIVE_ENUM_LIMIT = 10**10
@@ -92,40 +94,40 @@ def naive_count(H: int, delta: int) -> int:
     return int(hist[idx])
 
 
+def _tau_table(H: int, table: TauTable | None) -> TauTable:
+    """The given tau table, refused unless it is the tau_H table, or a
+    new tau_H table when none is given."""
+    if table is None:
+        return build_tau_table(H)
+    if table.N != H:
+        raise ValueError(f"tau table is for N={table.N}, expected H={H}")
+    return table
+
+
 def fast_count(H: int, delta: int, table: TauTable | None = None) -> int:
     """Exact #D_2(H, delta) as sum(m) c2(m) * c2(m - delta).
 
     With t = tau_H and D = |delta| > 0 the signed sum collapses to
 
-        4*(4H+1)*t(D) + 8*sum_{k>=1} t(k)t(k+D) + 4*sum_{0<m<D} t(m)t(D-m),
+        2*(4H+1)*c2(D) + 8*sum_{k>=1} t(k)t(k+D) + 4*sum_{0<m<D} t(m)t(D-m),
 
-    and for delta = 0 to (4H+1)^2 + 8*sum t(k)^2.  All sums run over the
-    support k <= H^2 of the supplied tau_H table.
+    and for delta = 0 to (4H+1)^2 + 8*sum t(k)^2.  Each term is one
+    reduction of the tau_H table: c2, shifted_sum (at D, or at 0 for the
+    squares) and self_convolution.
     """
     if H < 1:
         raise ValueError(f"fast_count() requires H >= 1, got {H}")
     D = abs(delta)
     if D > 2 * H * H:
         return 0
-    if table is None:
-        table = build_tau_table(H)
-    elif table.N != H:
-        raise ValueError(f"tau table is for N={table.N}, expected H={H}")
-    limit = H * H
-    t = table.counts
+    table = _tau_table(H, table)
     if D == 0:
-        return (4 * H + 1) ** 2 + 8 * _dot(t[1:], t[1:])
-    total = 0
-    if D <= limit:
-        total += 4 * (4 * H + 1) * int(t[D])
-    if D < limit:
-        total += 8 * _dot(t[1 : limit - D + 1], t[1 + D : limit + 1])
-    if D >= 2:
-        hi = min(D - 1, limit)
-        lo = D - hi  # mirror index >= 1; both factors need support <= limit
-        if lo <= hi:
-            total += 4 * _dot(t[lo : hi + 1], t[hi : lo - 1 : -1])
-    return total
+        return (4 * H + 1) ** 2 + 8 * shifted_sum(table, 0)
+    return (
+        2 * (4 * H + 1) * c2(table, D)
+        + 8 * shifted_sum(table, D)
+        + 4 * self_convolution(table, D)
+    )
 
 
 def sign_class_count(H: int, delta: int, sign_class: SignClass) -> int:
@@ -166,11 +168,7 @@ def zero_entry_count(H: int, delta: int, table: TauTable | None = None) -> int:
     """
     if H < 1:
         raise ValueError(f"zero_entry_count() requires H >= 1, got {H}")
-    if table is None:
-        table = build_tau_table(H)
-    elif table.N != H:
-        raise ValueError(f"tau table is for N={table.N}, expected H={H}")
-    c2d = c2(table, delta)  # c2 is even in m
+    c2d = c2(_tau_table(H, table), delta)  # c2 is even in m
     side = 2 * H + 1
     z = 4 * side * c2d - 2 * c2d
     if delta == 0:
@@ -184,8 +182,7 @@ def decompose(
     table: TauTable | None = None,
 ) -> DecompositionReport:
     """Full sign decomposition of #D_2(H, delta) with exact identity checks."""
-    if table is None:
-        table = build_tau_table(H)
+    table = _tau_table(H, table)
     total = fast_count(H, delta, table=table)
     per_class = {
         (sc.alpha, sc.gamma, sc.delta_prime): sign_class_count(H, delta, sc)

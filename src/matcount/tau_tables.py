@@ -3,9 +3,10 @@
 tau_N(n) counts ordered factorizations n = a*b with 1 <= a, b <= N;
 equivalently, divisors d of n with n/N <= d <= N.  ``build_tau_table``
 is the only source of tau_N: an O(N^2) sieve into a read-only uint16
-table.  The exact moments, the shifted convolutions and the signed
-product counter c2 all read that table in place; every reduction
-accumulates in int64 without a table-sized copy.
+table.  The exact moments, the shifted sums, the self-convolution and
+the signed product counter c2 all read that table in place; every
+reduction accumulates in int64 without a table-sized copy, and no other
+module reads the table's cells.
 
 The signed counter c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} obeys the
 brute-force-derived law
@@ -101,15 +102,26 @@ def tau_moment(table: TauTable, k: int) -> int:
 
 
 def shifted_sum(table: TauTable, delta: int) -> int:
-    """Exact sum of tau_N(n) * tau_N(n + delta) over 1 <= n <= N^2."""
-    if delta < 1:
-        raise ValueError(f"shifted_sum() requires delta >= 1, got {delta}")
+    """Exact sum of tau_N(n) * tau_N(n + delta) over 1 <= n <= N^2;
+    delta = 0 gives the sum of tau_N(n)^2."""
+    if delta < 0:
+        raise ValueError(f"shifted_sum() requires delta >= 0, got {delta}")
     limit = table.limit
     if delta >= limit:
         return 0
     c = table.counts
     # terms with n + delta > N^2 vanish
     return _dot(c[1 : limit - delta + 1], c[1 + delta : limit + 1])
+
+
+def self_convolution(table: TauTable, D: int) -> int:
+    """Exact sum of tau_N(m) * tau_N(D - m) over 0 < m < D."""
+    hi = min(D - 1, table.limit)
+    lo = D - hi  # mirror index >= 1; both factors need support <= N^2
+    if lo > hi:
+        return 0
+    c = table.counts
+    return _dot(c[lo : hi + 1], c[hi : lo - 1 : -1])
 
 
 def c2(table: TauTable, m: int) -> int:

@@ -14,52 +14,18 @@ from matcount.asymptotics import (
     error_envelope,
     fit_error_exponent,
     fit_linear_in_logN,
-    main_term,
     report,
+    shifted_verdict,
 )
 from matcount.tau_tables import build_tau_table
 
 
 def test_main_term_values():
-    assert main_term(MainTermKind.THEOREM_MAIN, 100, 1) == pytest.approx(
-        COEFF_96 * 1e4
-    )
-    # sigma(6)/6 = 2
-    assert main_term(MainTermKind.THEOREM_MAIN, 10, 6) == pytest.approx(
-        2 * COEFF_96 * 100
-    )
-    assert main_term(MainTermKind.SIGN_LEMMA_MAIN, 10, 6) == pytest.approx(
-        2400 / math.pi**2
-    )
-    assert main_term(MainTermKind.DELTA0_MAIN, 50) == pytest.approx(
-        COEFF_96 * 2500 * math.log(50)
-    )
-    assert main_term(MainTermKind.TAU_SQ_MAIN, 50) == pytest.approx(
-        COEFF_12 * 2500 * math.log(50)
-    )
-    assert main_term(MainTermKind.SHIFTED_LOG_CANDIDATE, 50, 1) == pytest.approx(
-        COEFF_12 * 2500 * math.log(50)
-    )
-    assert main_term(MainTermKind.SHIFTED_NOLOG_CANDIDATE, 50, 1) == pytest.approx(
-        COEFF_12 * 2500
-    )
-
-
-def test_main_term_rejects_delta0():
-    with pytest.raises(ValueError):
-        main_term(MainTermKind.THEOREM_MAIN, 10, 0)
-
-
-def test_theorem_vs_sign_lemma_relation():
-    # 96/pi^2 * sigma/delta - 8 * 12/pi^2 * partial >= 0, vanishing once H
-    # covers every divisor
-    for H, delta in ((10, 6), (5, 100), (100, 6)):
-        gap = main_term(MainTermKind.THEOREM_MAIN, H, delta) - 8 * main_term(
-            MainTermKind.SIGN_LEMMA_MAIN, H, delta
-        )
-        assert gap >= -1e-9
-        if delta <= H:
-            assert gap == pytest.approx(0.0, abs=1e-9)
+    assert report(100, 1).main == pytest.approx(COEFF_96 * 1e4)
+    # sigma(6)/6 = 2, and the law is even in delta
+    assert report(10, 6).main == pytest.approx(2 * COEFF_96 * 100)
+    assert report(10, -6).main == report(10, 6).main
+    assert report(50, 0).main == pytest.approx(COEFF_96 * 2500 * math.log(50))
 
 
 def test_report_small_and_support():
@@ -112,3 +78,12 @@ def test_discriminate_shifted_small(tau_cache):
     verdict = discriminate_shifted(sizes, 1, tables=tables)
     assert verdict.predicted_log_slope == pytest.approx(COEFF_12)
     assert verdict.consistent_with_nolog
+    assert verdict.selected.value == "shifted_nolog_candidate"
+    # the fit reads the values in N order, whatever order they come in
+    assert list(verdict.values) == sizes
+    assert shifted_verdict(1, dict(reversed(verdict.values.items()))) == verdict
+    with pytest.raises(ValueError, match="delta >= 1"):
+        shifted_verdict(0, verdict.values)
+    assert {kind.value for kind in MainTermKind} == {
+        "shifted_log_candidate", "shifted_nolog_candidate"
+    }

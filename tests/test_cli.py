@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -125,6 +126,46 @@ def test_tau_shifted_discrimination(capsys):
     assert code == 0
     assert out.splitlines()[0] == "N,delta,value"
     assert "shifted_nolog_candidate" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--N", "10,40,20,30", "--k", "2"], ["--N", "10,40,20,30", "--delta=1,3"]]
+)
+def test_tau_holds_one_table_at_a_time(argv, monkeypatch, capsys):
+    sizes, built, alive = [], [], []
+
+    def tracking_build(N):
+        alive.append(sum(ref() is not None for ref in built))
+        table = build_tau_table(N)
+        sizes.append(N)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(cli, "build_tau_table", tracking_build)
+    assert run(["tau", *argv], capsys)[0] == 0
+    # largest N first, and every earlier table is gone before the next build
+    assert sizes == [40, 30, 20, 10]
+    assert alive == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, dedup",
+    [
+        (["--N", "10,20", "--delta=1,1"], ["--N", "10,20", "--delta=1"]),
+        (["--N", "10,20,10", "--delta=3,1,3", "--format", "json"],
+         ["--N", "10,20", "--delta=3,1", "--format", "json"]),
+    ],
+)
+def test_tau_repeated_values_give_one_row(argv, dedup, capsys):
+    code, out, err = run(["tau", *argv], capsys)
+    assert code == 0
+    _, dedup_out, dedup_err = run(["tau", *dedup], capsys)
+    assert err == dedup_err
+    if "json" in argv:
+        # the config echoes the argv as given; rows and verdicts are deduplicated
+        out, dedup_out = json.loads(out), json.loads(dedup_out)
+        del out["config"], dedup_out["config"]
+    assert out == dedup_out
 
 
 def test_hyperbola_seeded_determinism(tmp_path):
@@ -282,9 +323,14 @@ def test_exit_codes(capsys, tmp_path):
         ["tau", "--N", "5", "--k", "1000000"],
         ["tau", "--N", "5", "--k", "100000000"],
         ["tau", "--N", "5", "--k", "0"],
+        # shifted mode checks its deltas and N count before any table build
+        ["tau", "--N", "6000,7000", "--delta=0"],
+        ["tau", "--N", "7000", "--delta", "1"],
     ],
 )
-def test_bad_values_exit_1_with_one_line(argv, capsys):
+def test_bad_values_exit_1_with_one_line(argv, monkeypatch, capsys):
+    if tuple(argv) in _REFUSED_BEFORE_ANY_TABLE:
+        monkeypatch.setattr(cli, "build_tau_table", None)
     t0 = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - t0 < 1
@@ -305,6 +351,15 @@ _BAD_VALUE_TEXTS = {
         "error: argument --H: expected a non-empty comma-separated integer list, got ','\n",
     ("tau", "--N", "10,20", "--k", "600"):
         "error: argument --k: expected an integer in 1..64, got '600'\n",
+    ("tau", "--N", "6000,7000", "--delta=0"):
+        "error: tau requires every --delta >= 1, got 0\n",
+    ("tau", "--N", "7000", "--delta", "1"):
+        "error: tau --delta requires at least two distinct --N values\n",
+}
+
+_REFUSED_BEFORE_ANY_TABLE = {
+    ("tau", "--N", "6000,7000", "--delta=0"),
+    ("tau", "--N", "7000", "--delta", "1"),
 }
 
 

@@ -1,6 +1,8 @@
 """Every name that a module of the package imports, and every private
 module-level name it defines, is used in that module, so a deleted
-feature leaves no import or helper behind."""
+feature leaves no import or helper behind; and no module reaches into
+another's private names, so each layout decision stays behind the one
+module that owns it."""
 
 import ast
 from pathlib import Path
@@ -60,3 +62,33 @@ def test_every_private_name_is_used(path):
         if not any(isinstance(n, ast.Name) and n.id == name for n in elsewhere):
             unused.append(name)
     assert not unused, f"{path.name}: private names never used {unused}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    tree = ast.parse(path.read_text())
+    modules = set()  # names bound to a module of the package
+    crossing = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "matcount":
+            continue
+        for alias in node.names:
+            if node.module in (None, "matcount"):  # from . import module
+                modules.add(alias.asname or alias.name)
+            elif _is_private(alias.name):
+                crossing.append(f"line {node.lineno}: {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _is_private(node.attr)
+        ):
+            crossing.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    assert not crossing, f"{path.name}: private names of other modules {crossing}"

@@ -11,7 +11,13 @@ from matcount import tau_tables
 from matcount.arith import divisors, tau
 from matcount.errors import BudgetError
 from matcount.exact import fast_count
-from matcount.tau_tables import build_tau_table, c2, shifted_sum, tau_moment
+from matcount.tau_tables import (
+    build_tau_table,
+    c2,
+    self_convolution,
+    shifted_sum,
+    tau_moment,
+)
 
 
 def tau_by_pairs(N, n):
@@ -65,9 +71,14 @@ def test_reductions_match_enumeration():
         ref = [0] + [tau_by_window(N, n) for n in range(1, limit + 1)]
         for k in (1, 2, 3, 5):
             assert tau_moment(t, k) == sum(v**k for v in ref)
-        for delta in (1, 2, 17, limit - 1):
+        for delta in (0, 1, 2, 17, limit - 1):
             want = sum(ref[n] * ref[n + delta] for n in range(1, limit - delta + 1))
             assert shifted_sum(t, delta) == want
+        assert shifted_sum(t, 0) == tau_moment(t, 2)
+        padded = ref + [0] * (limit + 2)  # tau_N vanishes above N^2
+        for D in (1, 2, 17, limit, limit + 1, 2 * limit, 2 * limit + 1):
+            want = sum(padded[m] * padded[D - m] for m in range(1, D))
+            assert self_convolution(t, D) == want, (N, D)
 
 
 def test_uint16_cells_and_overflow_guard(monkeypatch):
@@ -94,6 +105,7 @@ def test_reductions_allocate_less_than_the_table():
         lambda: fast_count(1000, 7, table=t),
         lambda: fast_count(1000, -1_500_000, table=t),
         lambda: shifted_sum(t, 3),
+        lambda: self_convolution(t, 1_500_000),
         lambda: tau_moment(t, 2),
     ]
     for call in calls:
@@ -111,6 +123,8 @@ def test_shifted_small():
     t2 = build_tau_table(2)
     assert shifted_sum(t2, 1) == 2
     assert shifted_sum(t2, 2) == 2
+    with pytest.raises(ValueError, match="delta >= 0"):
+        shifted_sum(t2, -1)
 
 
 def naive_c2(H, m):

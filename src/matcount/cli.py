@@ -78,6 +78,15 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _positive_int_list(text: str) -> list[int]:
+    """A list of sizes, each at least 1: --H and tau's --N."""
+    values = _int_list(text)
+    bad = [v for v in values if v < 1]
+    if bad:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {bad[0]} in {text!r}")
+    return values
+
+
 def _positive_int(text: str) -> int:
     try:
         n = int(text)
@@ -430,7 +439,7 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_casework(args) -> int:
     H, delta = _single_point(args)
-    if H < 1 or delta < 1:
+    if delta < 1:
         raise UsageError("casework requires H >= 1 and delta >= 1")
     if H * H > casework.CELL_BUDGET:
         raise BudgetError(
@@ -509,26 +518,27 @@ def _cmd_fixtures(args) -> int:
 
 
 _INTS = dict(type=_int_list)
+_SIZES = dict(type=_positive_int_list)
 _EPSILON = dict(type=_unit_float, default=0.1)
 _JOBS = dict(type=_positive_int, default=1)
 _EMIT = {"output": dict(), "format": dict(choices=("csv", "json"), default="csv")}
 
 # Each subcommand's flags, exactly those its _cmd_* function reads.
 _COMMANDS = {
-    "count": (_cmd_count, {"H": _INTS, "delta": _INTS, "epsilon": _EPSILON}),
+    "count": (_cmd_count, {"H": _SIZES, "delta": _INTS, "epsilon": _EPSILON}),
     "sweep": (_cmd_sweep, {
-        "H": _INTS, "delta": _INTS, "epsilon": _EPSILON, "jobs": _JOBS,
+        "H": _SIZES, "delta": _INTS, "epsilon": _EPSILON, "jobs": _JOBS,
         "no-timing": dict(action="store_true"), "fit": dict(action="store_true"), **_EMIT,
     }),
     "tau": (_cmd_tau, {
-        "N": _INTS, "k": dict(type=_moment_order, default=2), "delta": _INTS, **_EMIT,
+        "N": _SIZES, "k": dict(type=_moment_order, default=2), "delta": _INTS, **_EMIT,
     }),
     "hyperbola": (_cmd_hyperbola, {
         "N": dict(type=_positive_int, default=500), "seed": dict(type=int, default=0),
         "epsilon": _EPSILON, "jobs": _JOBS, **_EMIT,
     }),
     "lemmas": (_cmd_lemmas, _EMIT),
-    "casework": (_cmd_casework, {"H": _INTS, "delta": _INTS, **_EMIT}),
+    "casework": (_cmd_casework, {"H": _SIZES, "delta": _INTS, **_EMIT}),
     "fixtures": (_cmd_fixtures, _EMIT),
 }
 

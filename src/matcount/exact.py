@@ -3,9 +3,11 @@ determinant.
 
 Two independent routes are kept side by side: ``naive_count`` enumerates
 every matrix in the box, while ``fast_count`` evaluates the product
-convolution sum(m) c2(m) * c2(m - delta) from a tau_H table, assembled
-from the reductions ``c2``, ``shifted_sum`` and ``self_convolution`` of
-``tau_tables``, the one module that reads the table's cells.  The two
+convolution sum(m) c2(m) * c2(m - delta) from tau_H, assembled from the
+reductions ``c2``, ``shifted_sum`` and ``self_convolution`` of
+``tau_tables``, the one module that reads tau_H's cells.  Given no
+table, it reads tau_H one window at a time, so its memory stays bounded
+at any H whose uint16 cells cannot overflow (H^2 < 2^31).  The two
 must agree exactly; the tests enforce this exhaustively at small heights.
 
 Also provides sign-class counts (prescribed signs of a, c, d with all
@@ -25,7 +27,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .tau_tables import TauTable, build_tau_table, c2, self_convolution, shifted_sum
+from .tau_tables import (
+    TauTable,
+    TauWindows,
+    build_tau_table,
+    c2,
+    self_convolution,
+    shifted_sum,
+)
 
 # Hard cap on full enumeration: (2H+1)^4 matrices.
 NAIVE_ENUM_LIMIT = 10**10
@@ -94,13 +103,17 @@ def naive_count(H: int, delta: int) -> int:
     return int(hist[idx])
 
 
-def _tau_table(H: int, table: TauTable | None) -> TauTable:
-    """The given tau table, refused unless it is the tau_H table, or a
-    new tau_H table when none is given."""
+def _tau_table(H: int, table: TauTable | None) -> TauTable | TauWindows:
+    """The given tau table, refused unless it is the whole tau_H table;
+    when none is given, a new whole table if it fits in one window, else
+    tau_H read one window at a time."""
     if table is None:
-        return build_tau_table(H)
+        windows = TauWindows(H)
+        return build_tau_table(H) if H * H + 1 <= windows.window else windows
     if table.N != H:
         raise ValueError(f"tau table is for N={table.N}, expected H={H}")
+    if table.counts.size != H * H + 1:
+        raise ValueError(f"tau table is a window of tau_{H}, expected the whole table")
     return table
 
 

@@ -2,11 +2,15 @@
 
 tau_N(n) counts ordered factorizations n = a*b with 1 <= a, b <= N;
 equivalently, divisors d of n with n/N <= d <= N.  ``build_tau_table``
-is the only source of tau_N: an O(N^2) sieve into a read-only uint16
-table.  The exact moments, the shifted sums, the self-convolution and
-the signed product counter c2 all read that table in place; every
-reduction accumulates in int64 without a table-sized copy, and no other
-module reads the table's cells.
+is the only source of tau_N: an O(N^2) sieve over a window (lo, hi] of
+[1, N^2] into a read-only uint16 table; the whole table is the window
+(0, N^2].  The exact moments read a whole table.  The shifted sums, the
+self-convolution and the signed product counter c2 read either a whole
+table, as one window, or ``TauWindows(N)``, which sieves windows of
+_WINDOW_CELLS cells as it reads them, so their memory does not grow
+with N.  Every reduction accumulates in int64 without a table-sized
+copy and adds up exact Python-int partial sums, one per window; no
+other module reads the table's cells.
 
 The signed counter c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} obeys the
 brute-force-derived law
@@ -21,12 +25,14 @@ law is pinned against exhaustive enumeration for H <= 12 in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from .errors import BudgetError
 
-# Table cells allowed per build (not bytes).
+# Table cells allowed per build (not bytes); a window of TauWindows is at
+# most 2 * _WINDOW_CELLS + 1 cells, far below it.
 CELL_BUDGET = 200_000_000
 
 # tau_N(n) <= tau(n) <= 1600 < 2^16 for every n < 2^31 (the maximum, 1600,
@@ -38,41 +44,91 @@ _MAX_LIMIT = 1 << 31
 # intp, so a block costs 8 bytes per cell of scratch.
 _MOMENT_BLOCK = 1 << 16
 
+# Cells per window when a reduction reads tau_N without a kept table:
+# 4 MB of uint16 cells, and at most two windows' worth alive at once.
+_WINDOW_CELLS = 1 << 21
+
 
 @dataclass(frozen=True)
 class TauTable:
-    """counts[n] = tau_N(n) for 1 <= n <= N^2 (index 0 unused), read-only
-    uint16 cells."""
+    """counts[n - lo] = tau_N(n) for lo < n <= hi (index 0 unused), read-only
+    uint16 cells.  The whole table has lo = 0 and hi = N^2."""
 
     N: int
     counts: np.ndarray
+    lo: int = 0
 
     @property
     def limit(self) -> int:
         return self.N * self.N
 
+    @property
+    def window(self) -> int:
+        """Cells a reduction reads at once: all of them."""
+        return self.limit
 
-def build_tau_table(N: int) -> TauTable:
-    """Sieve tau_N over [1, N^2].
+    def cells(self, lo: int, hi: int) -> np.ndarray:
+        """tau_N(n) for lo < n <= hi, a view of this table."""
+        return self.counts[lo - self.lo + 1 : hi - self.lo + 1]
+
+
+@dataclass(frozen=True)
+class TauWindows:
+    """tau_N over [1, N^2] as windows of _WINDOW_CELLS cells, each sieved
+    when a reduction reads it and dropped after, so memory stays bounded
+    for any N the uint16 cells admit."""
+
+    N: int
+
+    def __post_init__(self):
+        _check_limit(self.N)
+
+    @property
+    def limit(self) -> int:
+        return self.N * self.N
+
+    @property
+    def window(self) -> int:
+        return _WINDOW_CELLS
+
+    def cells(self, lo: int, hi: int) -> np.ndarray:
+        """tau_N(n) for lo < n <= hi, sieved now."""
+        return build_tau_table(self.N, lo, hi).counts[1:]
+
+
+def _check_limit(N: int) -> None:
+    if N * N >= _MAX_LIMIT:
+        raise ValueError(f"build_tau_table(N={N}): N^2 >= 2^31 overflows uint16 cells")
+
+
+def build_tau_table(N: int, lo: int = 0, hi: int | None = None) -> TauTable:
+    """Sieve tau_N over the window (lo, hi]; the default is the whole
+    table, (0, N^2].
 
     A product a*b with a < b counts for both orders, so row a adds 2 at
-    the multiples a*b, a < b <= N, and the squares a*a get 1 each: half
-    the strided updates of looping every ordered pair.
+    the multiples a*b, a < b <= N, that fall in the window, as one
+    strided slice, and the squares a*a get 1 each: half the strided
+    updates of looping every ordered pair.  Only rows lo/N < a <=
+    sqrt(hi) reach the window.
     """
     if N < 1:
         raise ValueError(f"build_tau_table() requires N >= 1, got {N}")
-    if N * N + 1 > CELL_BUDGET:
+    hi = N * N if hi is None else hi
+    if hi - lo + 1 > CELL_BUDGET:
         raise BudgetError(
-            f"build_tau_table(N={N}) needs {N * N + 1} cells, budget is {CELL_BUDGET}"
+            f"build_tau_table(N={N}) needs {hi - lo + 1} cells, budget is {CELL_BUDGET}"
         )
-    if N * N >= _MAX_LIMIT:
-        raise ValueError(f"build_tau_table(N={N}): N^2 >= 2^31 overflows uint16 cells")
-    counts = np.zeros(N * N + 1, dtype=np.uint16)
-    for a in range(1, N + 1):
-        counts[a * a + a : a * N + 1 : a] += 2
-    counts[np.arange(1, N + 1) ** 2] += 1
+    _check_limit(N)
+    if not 0 <= lo < hi <= N * N:
+        raise ValueError(f"build_tau_table(N={N}) needs 0 <= lo < hi <= N^2, got ({lo}, {hi}]")
+    counts = np.zeros(hi - lo + 1, dtype=np.uint16)
+    for a in range(lo // N + 1, isqrt(hi) + 1):
+        b0, b1 = max(a + 1, lo // a + 1), min(N, hi // a)
+        counts[a * b0 - lo : a * b1 - lo + 1 : a] += 2
+    roots = np.arange(isqrt(lo) + 1, isqrt(hi) + 1)
+    counts[roots * roots - lo] += 1
     counts.flags.writeable = False
-    return TauTable(N=N, counts=counts)
+    return TauTable(N=N, counts=counts, lo=lo)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> int:
@@ -101,30 +157,52 @@ def tau_moment(table: TauTable, k: int) -> int:
     return sum(int(f) * v**k for v, f in enumerate(freq) if f)
 
 
-def shifted_sum(table: TauTable, delta: int) -> int:
+def shifted_sum(table: TauTable | TauWindows, delta: int) -> int:
     """Exact sum of tau_N(n) * tau_N(n + delta) over 1 <= n <= N^2;
-    delta = 0 gives the sum of tau_N(n)^2."""
+    delta = 0 gives the sum of tau_N(n)^2.
+
+    One exact partial sum per window of n; a whole table is one window.
+    """
     if delta < 0:
         raise ValueError(f"shifted_sum() requires delta >= 0, got {delta}")
-    limit = table.limit
-    if delta >= limit:
-        return 0
-    c = table.counts
-    # terms with n + delta > N^2 vanish
-    return _dot(c[1 : limit - delta + 1], c[1 + delta : limit + 1])
+    top = table.limit - delta  # terms with n + delta > N^2 vanish
+    step = table.window
+    return sum(
+        _shifted_window(table, lo, min(lo + step, top), delta)
+        for lo in range(0, top, step)
+    )
 
 
-def self_convolution(table: TauTable, D: int) -> int:
-    """Exact sum of tau_N(m) * tau_N(D - m) over 0 < m < D."""
+def _shifted_window(table: TauTable | TauWindows, lo: int, hi: int, delta: int) -> int:
+    """sum tau_N(n) * tau_N(n + delta) over lo < n <= hi: the window and
+    its delta extra cells when delta fits the window, else the window and
+    its shift (lo + delta, hi + delta]."""
+    if delta <= hi - lo:
+        c = table.cells(lo, hi + delta)
+        return _dot(c[: hi - lo], c[delta:])
+    return _dot(table.cells(lo, hi), table.cells(lo + delta, hi + delta))
+
+
+def self_convolution(table: TauTable | TauWindows, D: int) -> int:
+    """Exact sum of tau_N(m) * tau_N(D - m) over 0 < m < D.
+
+    One exact partial sum per window of m, each paired with its mirror
+    window of D - m; a whole table is one window.
+    """
     hi = min(D - 1, table.limit)
     lo = D - hi  # mirror index >= 1; both factors need support <= N^2
-    if lo > hi:
-        return 0
-    c = table.counts
-    return _dot(c[lo : hi + 1], c[hi : lo - 1 : -1])
+    step = table.window
+    return sum(
+        _mirror_window(table, a, min(a + step, hi), D) for a in range(lo - 1, hi, step)
+    )
 
 
-def c2(table: TauTable, m: int) -> int:
+def _mirror_window(table: TauTable | TauWindows, lo: int, hi: int, D: int) -> int:
+    """sum tau_N(m) * tau_N(D - m) over lo < m <= hi."""
+    return _dot(table.cells(lo, hi), table.cells(D - hi - 1, D - lo - 1)[::-1])
+
+
+def c2(table: TauTable | TauWindows, m: int) -> int:
     """c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} for H = table.N."""
     H = table.N
     if m == 0:
@@ -132,4 +210,4 @@ def c2(table: TauTable, m: int) -> int:
     a = abs(m)
     if a > H * H:
         return 0
-    return 2 * int(table.counts[a])
+    return 2 * int(table.cells(a - 1, a)[0])

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import casework, cli
+from matcount import casework, cli, exact
 from matcount.casework import RegionG, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
 from matcount.errors import InvariantError
@@ -363,6 +364,24 @@ _REFUSED_BEFORE_ANY_TABLE = {
 }
 
 
+@pytest.mark.parametrize(
+    "argv,flag,bad",
+    [
+        (["tau", "--N", "0"], "N", "0 in '0'"),
+        (["tau", "--N", "100,0"], "N", "0 in '100,0'"),
+        (["count", "--H", "0", "--delta", "1"], "H", "0 in '0'"),
+        (["sweep", "--H", "0,5", "--delta", "1"], "H", "0 in '0,5'"),
+    ],
+)
+def test_sizes_are_checked_by_the_parser(argv, flag, bad, monkeypatch, capsys):
+    # refused before any table is built
+    monkeypatch.setattr(cli, "build_tau_table", None)
+    monkeypatch.setattr(exact, "build_tau_table", None)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --{flag}: expected positive integers, got {bad}\n"
+
+
 def test_tau_moment_order_bound(monkeypatch, capsys):
     # the largest order prints every moment in full and fits it as a float
     code, out, err = run(["tau", "--N", "10,20", "--k", "64", "--format", "json"], capsys)
@@ -398,10 +417,10 @@ def test_memory_error_exits_2():
 
     limit = 300 * 2**20
 
-    def child(H):
+    def child(*argv):
         # the limit is set in the child only, between fork and exec
         return subprocess.run(
-            [sys.executable, "-m", "matcount.cli", "count", "--H", str(H), "--delta", "6"],
+            [sys.executable, "-m", "matcount.cli", *argv],
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
                      PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
@@ -409,13 +428,29 @@ def test_memory_error_exits_2():
         )
 
     t0 = time.perf_counter()
-    big = child(14000)  # a 392 MB table
+    big = child("tau", "--N", "14000", "--k", "2")  # a 374 MiB whole table
     assert time.perf_counter() - t0 < 5
     assert (big.returncode, big.stdout) == (2, "")
     assert big.stderr.startswith("budget exceeded: ") and big.stderr.count("\n") == 1
-    small = child(100)
+    small = child("count", "--H", "100", "--delta", "6")
     assert (small.returncode, small.stderr) == (0, "")
     assert small.stdout.startswith("exact = 195184\n")
+    # count reads tau_H one window at a time, so the same H fits
+    windowed = child("count", "--H", "14000", "--delta", "6")
+    assert (windowed.returncode, windowed.stderr) == (0, "")
+    assert windowed.stdout.startswith("exact = 3813148592\n")
+
+
+def test_count_past_the_uint16_limit_exits_1_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(["count", "--H", "46341", "--delta", "6"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: build_tau_table(N=46341): N^2 >= 2^31 overflows uint16 cells\n"
+    assert peak < 1 << 20
 
 
 def test_jobs_pool_is_clamped(monkeypatch, capsys):

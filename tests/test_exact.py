@@ -92,6 +92,8 @@ def test_fast_symmetry_and_support(H, delta):
 def test_fast_rejects_mismatched_table():
     with pytest.raises(ValueError):
         fast_count(3, 1, table=build_tau_table(4))
+    with pytest.raises(ValueError, match="window"):
+        fast_count(3, 1, table=build_tau_table(3, 2, 9))
 
 
 def naive_sign_class(H, delta, sc):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from matcount import tau_tables
 from matcount.arith import divisors, tau
 from matcount.errors import BudgetError
-from matcount.exact import fast_count
+from matcount.exact import fast_count, naive_count
 from matcount.tau_tables import (
     build_tau_table,
     c2,
@@ -116,6 +116,64 @@ def test_reductions_allocate_less_than_the_table():
         finally:
             tracemalloc.stop()
         assert peak < t.counts.nbytes
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_window_is_a_slice_of_the_whole_table(data):
+    N = data.draw(st.integers(1, 300))
+    lo = data.draw(st.integers(0, N * N - 1))
+    hi = data.draw(st.integers(lo + 1, N * N))
+    window = build_tau_table(N, lo, hi)
+    # cell n sits at index n - lo, as in the whole table (lo = 0)
+    assert window.lo == lo and window.counts[0] == 0
+    assert np.array_equal(window.counts[1:], build_tau_table(N).counts[lo + 1 : hi + 1])
+    assert not window.counts.flags.writeable
+
+
+def test_window_bounds_are_checked():
+    for lo, hi in ((-1, 4), (3, 3), (5, 4), (0, 17)):
+        with pytest.raises(ValueError, match="0 <= lo < hi <= N\\^2"):
+            build_tau_table(4, lo, hi)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_windowed_fast_count_equals_naive(cells, monkeypatch):
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", cells)
+    for H in range(1, 9):
+        for delta in range(-2 * H * H - 1, 2 * H * H + 2):
+            assert fast_count(H, delta) == naive_count(H, delta), (cells, H, delta)
+
+
+def test_windowed_fast_count_equals_whole_table(monkeypatch):
+    H, window = 300, 1 << 10
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
+    t = build_tau_table(H)
+    limit = H * H
+    # D = 0, 1, inside one window, past it, past H^2 and the support edge
+    for D in (0, 1, 17, window - 1, window, window + 1, 5 * window + 3,
+              limit - 1, limit, limit + 1, limit + 4321, 2 * limit - 1, 2 * limit):
+        for delta in (D, -D):
+            assert fast_count(H, delta) == fast_count(H, delta, table=t), delta
+
+
+def test_windowed_fast_count_memory_is_bounded(monkeypatch):
+    window = 1 << 14
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
+    # 4 windows' bytes (a window and its shift or mirror take 2 at 2 bytes
+    # a cell), plus einsum's two int64 cast buffers, which do not shrink
+    # with the window
+    bound = 4 * window * 2 + 2 * np.getbufsize() * 8
+    whole = build_tau_table(1000).counts.nbytes
+    assert bound < whole // 4
+    for delta in (0, 7, -1_500_000, 1_999_999):
+        tracemalloc.start()
+        try:
+            fast_count(1000, delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (delta, peak)
 
 
 def test_shifted_small():

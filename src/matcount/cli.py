@@ -214,8 +214,9 @@ def _cmd_count(args) -> int:
 
 def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> list[dict]:
     """Rows of one H, all read from one tau table, which is dropped on
-    return.  A delta with |delta| > 2H^2 counts 0 and needs no table."""
-    table = build_tau_table(H) if any(abs(d) <= 2 * H * H for d in deltas) else None
+    return.  Only 0 < |delta| <= 2H^2 needs the table: delta = 0 is
+    counted without one, and |delta| > 2H^2 counts 0."""
+    table = build_tau_table(H) if any(0 < abs(d) <= 2 * H * H for d in deltas) else None
     return [_sweep_row(H, delta, table, epsilon, timing) for delta in deltas]
 
 

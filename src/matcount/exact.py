@@ -7,7 +7,19 @@ convolution sum(m) c2(m) * c2(m - delta) from tau_H, assembled from the
 reductions ``c2``, ``shifted_sum`` and ``self_convolution`` of
 ``tau_tables``, the one module that reads tau_H's cells.  Given no
 table, it reads tau_H one window at a time, so its memory stays bounded
-at any H whose uint16 cells cannot overflow (H^2 < 2^31).  The two
+at any H whose uint16 cells cannot overflow (H^2 < 2^31).  At delta = 0
+it reads no table at all:
+
+    #D_2(H, 0) = (4H+1)^2 + 8 * sum_{n <= H^2} tau_H(n)^2,
+
+and the sum of squares counts the solutions of ab = cd in [1, H]^4,
+which ``tau_tables.square_sum`` gives in O(H) as
+
+    sum_{m=1}^{H} (2 phi(m) - [m = 1]) floor(H/m)^2:
+
+with g = gcd(a, c), a = gu, c = gv and gcd(u, v) = 1, ab = cd forces
+b = vk and d = uk with g, k <= H / max(u, v), and exactly 2 phi(m)
+coprime pairs have max(u, v) = m >= 2, one pair m = 1.  The two counters
 must agree exactly; the tests enforce this exhaustively at small heights.
 
 Also provides sign-class counts (prescribed signs of a, c, d with all
@@ -34,6 +46,7 @@ from .tau_tables import (
     c2,
     self_convolution,
     shifted_sum,
+    square_sum,
 )
 
 # Hard cap on full enumeration: (2H+1)^4 matrices.
@@ -124,18 +137,22 @@ def fast_count(H: int, delta: int, table: TauTable | None = None) -> int:
 
         2*(4H+1)*c2(D) + 8*sum_{k>=1} t(k)t(k+D) + 4*sum_{0<m<D} t(m)t(D-m),
 
-    and for delta = 0 to (4H+1)^2 + 8*sum t(k)^2.  Each term is one
-    reduction of the tau_H table: c2, shifted_sum (at D, or at 0 for the
-    squares) and self_convolution.
+    and for delta = 0 to (4H+1)^2 + 8*sum t(k)^2.  Each term for D > 0
+    is one reduction of the tau_H table: c2, shifted_sum and
+    self_convolution; the sum of squares is square_sum(H), which reads
+    no table, so at delta = 0 a given table is only checked and none is
+    built.
     """
     if H < 1:
         raise ValueError(f"fast_count() requires H >= 1, got {H}")
     D = abs(delta)
     if D > 2 * H * H:
         return 0
-    table = _tau_table(H, table)
     if D == 0:
-        return (4 * H + 1) ** 2 + 8 * shifted_sum(table, 0)
+        if table is not None:
+            _tau_table(H, table)
+        return (4 * H + 1) ** 2 + 8 * square_sum(H)
+    table = _tau_table(H, table)
     return (
         2 * (4 * H + 1) * c2(table, D)
         + 8 * shifted_sum(table, D)

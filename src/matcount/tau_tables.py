@@ -2,15 +2,29 @@
 
 tau_N(n) counts ordered factorizations n = a*b with 1 <= a, b <= N;
 equivalently, divisors d of n with n/N <= d <= N.  ``build_tau_table``
-is the only source of tau_N: an O(N^2) sieve over a window (lo, hi] of
-[1, N^2] into a read-only uint16 table; the whole table is the window
-(0, N^2].  The exact moments read a whole table.  The shifted sums, the
-self-convolution and the signed product counter c2 read either a whole
-table, as one window, or ``TauWindows(N)``, which sieves windows of
-_WINDOW_CELLS cells as it reads them, so their memory does not grow
-with N.  Every reduction accumulates in int64 without a table-sized
+is the only source of tau_N's cells: an O(N^2) sieve over a window
+(lo, hi] of [1, N^2] into a read-only uint16 table; the whole table is
+the window (0, N^2].  The exact moments read a whole table.  The
+shifted sums, the self-convolution and the signed product counter c2
+read either a whole table, as one window, or ``TauWindows(N)``, which
+sieves windows of _WINDOW_CELLS cells as it reads them, so their memory
+does not grow with N.  Every reduction accumulates in int64 without a table-sized
 copy and adds up exact Python-int partial sums, one per window; no
 other module reads the table's cells.
+
+The sum of squares needs no table.  ``square_sum(N)`` counts the
+solutions of ab = cd in [1, N]^4, which is sum_{n <= N^2} tau_N(n)^2,
+by the totient identity
+
+    sum_{n <= N^2} tau_N(n)^2 = sum_{m=1}^{N} (2 phi(m) - [m = 1]) floor(N/m)^2.
+
+Proof: with g = gcd(a, c) write a = gu, c = gv, gcd(u, v) = 1.  Then
+ab = cd reads ub = vd, so v | b and u | d: b = vk, d = uk for one
+k >= 1.  All four entries are at most N exactly when g, k <=
+N / max(u, v), so each coprime pair (u, v) contributes floor(N/m)^2
+solutions, m = max(u, v).  For m >= 2 exactly 2 phi(m) coprime pairs
+have max(u, v) = m, namely (u, m) and (m, u) for 1 <= u < m with
+gcd(u, m) = 1; for m = 1 there is the one pair (1, 1).
 
 The signed counter c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} obeys the
 brute-force-derived law
@@ -29,6 +43,7 @@ from math import isqrt
 
 import numpy as np
 
+from .arith import sieve
 from .errors import BudgetError
 
 # Table cells allowed per build (not bytes); a window of TauWindows is at
@@ -47,6 +62,9 @@ _MOMENT_BLOCK = 1 << 16
 # Cells per window when a reduction reads tau_N without a kept table:
 # 4 MB of uint16 cells, and at most two windows' worth alive at once.
 _WINDOW_CELLS = 1 << 21
+
+# The sieve's increment, a uint16 scalar so np.add needs no cast.
+_TWO = np.uint16(2)
 
 
 @dataclass(frozen=True)
@@ -109,7 +127,8 @@ def build_tau_table(N: int, lo: int = 0, hi: int | None = None) -> TauTable:
     the multiples a*b, a < b <= N, that fall in the window, as one
     strided slice, and the squares a*a get 1 each: half the strided
     updates of looping every ordered pair.  Only rows lo/N < a <=
-    sqrt(hi) reach the window.
+    sqrt(hi) reach the window; their slice bounds are computed at once
+    in int64, so the loop does one in-place add per row.
     """
     if N < 1:
         raise ValueError(f"build_tau_table() requires N >= 1, got {N}")
@@ -122,9 +141,15 @@ def build_tau_table(N: int, lo: int = 0, hi: int | None = None) -> TauTable:
     if not 0 <= lo < hi <= N * N:
         raise ValueError(f"build_tau_table(N={N}) needs 0 <= lo < hi <= N^2, got ({lo}, {hi}]")
     counts = np.zeros(hi - lo + 1, dtype=np.uint16)
-    for a in range(lo // N + 1, isqrt(hi) + 1):
-        b0, b1 = max(a + 1, lo // a + 1), min(N, hi // a)
-        counts[a * b0 - lo : a * b1 - lo + 1 : a] += 2
+    rows = range(lo // N + 1, isqrt(hi) + 1)
+    a = np.arange(rows.start, rows.stop, dtype=np.int64)
+    # row a covers b in [max(a + 1, lo//a + 1), min(N, hi//a)]; an empty
+    # row starts past the window's end, so its slice is empty
+    start = a * np.maximum(a + 1, lo // a + 1) - lo
+    stop = a * np.minimum(N, hi // a) - lo + 1
+    for step, s, e in zip(rows, start.tolist(), stop.tolist()):
+        view = counts[s:e:step]
+        np.add(view, _TWO, out=view)
     roots = np.arange(isqrt(lo) + 1, isqrt(hi) + 1)
     counts[roots * roots - lo] += 1
     counts.flags.writeable = False
@@ -139,6 +164,23 @@ def _dot(x: np.ndarray, y: np.ndarray) -> int:
     2^31 * 1600^2 < 2^63.
     """
     return int(np.einsum("i,i->", x, y, dtype=np.int64))
+
+
+def square_sum(N: int) -> int:
+    """Exact sum of tau_N(n)^2 over 1 <= n <= N^2 in O(N), from the
+    totient identity in the module docstring; it builds no table.
+
+    Its domain is that of the tables, N^2 < 2^31.  Each term
+    (2 phi(m) - [m = 1]) * floor(N/m)^2 is at most 2 N^2, so the int64
+    dot stays below 2 N^3 < 2^63.
+    """
+    if N < 1:
+        raise ValueError(f"square_sum() requires N >= 1, got {N}")
+    _check_limit(N)
+    weights = 2 * sieve(N)[1:]
+    weights[0] -= 1
+    q = N // np.arange(1, N + 1, dtype=np.int64)
+    return int(np.dot(weights, q * q))
 
 
 def tau_moment(table: TauTable, k: int) -> int:

@@ -2,6 +2,7 @@
 config files, exit codes and an argv fuzz."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -19,10 +20,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import casework, cli, exact
+from matcount import casework, cli, exact, tau_tables
 from matcount.casework import RegionG, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
 from matcount.errors import InvariantError
+from matcount.exact import naive_count
 from matcount.lemmas import phi_ratio_report
 from matcount.tau_tables import build_tau_table
 
@@ -441,16 +443,41 @@ def test_memory_error_exits_2():
     assert windowed.stdout.startswith("exact = 3813148592\n")
 
 
+def test_count_at_zero_reads_no_table(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("count at delta = 0 sieved tau_H")
+
+    monkeypatch.setattr(tau_tables, "build_tau_table", refuse)
+    monkeypatch.setattr(exact, "build_tau_table", refuse)
+    t0 = time.perf_counter()
+    code, out, err = run(["count", "--H", "46340", "--delta", "0"], capsys)
+    assert time.perf_counter() - t0 < 2
+    assert (code, err) == (0, "")
+    assert out.startswith("exact = 249982967585\n")
+
+
+def test_sweep_at_zero_builds_no_table(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_tau_table", None)
+    code, out, err = run(["sweep", "--H", "5,10,20000", "--delta", "0", "--no-timing"], capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["H"]) for r in rows] == [5, 10, 20000]
+    for r in rows[:2]:
+        assert int(r["exact"]) == naive_count(int(r["H"]), 0)
+
+
 def test_count_past_the_uint16_limit_exits_1_before_allocating(capsys):
-    tracemalloc.start()
-    try:
-        code, out, err = run(["count", "--H", "46341", "--delta", "6"], capsys)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (code, out) == (1, "")
-    assert err == "error: build_tau_table(N=46341): N^2 >= 2^31 overflows uint16 cells\n"
-    assert peak < 1 << 20
+    # delta = 0 reads no table, but square_sum keeps the tables' domain
+    for delta in ("6", "0"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(["count", "--H", "46341", "--delta", delta], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == "error: build_tau_table(N=46341): N^2 >= 2^31 overflows uint16 cells\n"
+        assert peak < 1 << 20
 
 
 def test_jobs_pool_is_clamped(monkeypatch, capsys):

@@ -2,12 +2,13 @@
 sums, the signed product counter, and the table's memory contract."""
 
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import tau_tables
+from matcount import exact, tau_tables
 from matcount.arith import divisors, tau
 from matcount.errors import BudgetError
 from matcount.exact import fast_count, naive_count
@@ -16,6 +17,7 @@ from matcount.tau_tables import (
     c2,
     self_convolution,
     shifted_sum,
+    square_sum,
     tau_moment,
 )
 
@@ -79,6 +81,79 @@ def test_reductions_match_enumeration():
         for D in (1, 2, 17, limit, limit + 1, 2 * limit, 2 * limit + 1):
             want = sum(padded[m] * padded[D - m] for m in range(1, D))
             assert self_convolution(t, D) == want, (N, D)
+
+
+def test_square_sum_equals_the_table_routes():
+    for N in range(1, 81):
+        t = build_tau_table(N)
+        assert square_sum(N) == shifted_sum(t, 0) == tau_moment(t, 2), N
+
+
+@given(st.integers(1, 3000))
+@settings(max_examples=15, deadline=None)
+def test_square_sum_equals_the_table_routes_sampled(N):
+    t = build_tau_table(N)
+    assert square_sum(N) == shifted_sum(t, 0) == tau_moment(t, 2)
+
+
+def test_square_sum_domain():
+    with pytest.raises(ValueError, match="N >= 1"):
+        square_sum(0)
+    with pytest.raises(ValueError, match="2\\^31"):
+        square_sum(46341)
+
+
+def test_fast_count_at_zero_builds_no_table(monkeypatch):
+    monkeypatch.setattr(exact, "build_tau_table", None)
+    monkeypatch.setattr(tau_tables, "build_tau_table", None)
+    for H in range(1, 13):
+        assert fast_count(H, 0) == naive_count(H, 0), H
+
+
+def test_fast_count_at_zero_still_checks_a_given_table():
+    with pytest.raises(ValueError, match="N=4"):
+        fast_count(3, 0, table=build_tau_table(4))
+    with pytest.raises(ValueError, match="window"):
+        fast_count(3, 0, table=build_tau_table(3, 2, 9))
+
+
+def tau_by_factorization(N, lo, hi):
+    """tau_N(n) for lo < n <= hi, one cell at a time in pure Python: the
+    divisors d of n with n/N <= d <= N, listed from n's factorization.
+    The primes up to sqrt(hi) are marked at their multiples in the
+    window, so no cell is factored by trial division."""
+    top = isqrt(hi)
+    composite = bytearray(top + 1)
+    factors = [[] for _ in range(hi - lo)]
+    for p in range(2, top + 1):
+        if composite[p]:
+            continue
+        composite[p * p :: p] = b"\x01" * len(range(p * p, top + 1, p))
+        for m in range(lo + p - lo % p, hi + 1, p):
+            factors[m - lo - 1].append(p)
+    out = []
+    for n, primes in zip(range(lo + 1, hi + 1), factors):
+        divs, rest = [1], n
+        for p in primes:
+            power, more = 1, []
+            while rest % p == 0:
+                rest //= p
+                power *= p
+                more += [d * power for d in divs]
+            divs += more
+        if rest > 1:  # one prime factor above sqrt(hi)
+            divs += [d * rest for d in divs]
+        out.append(sum(1 for d in divs if d <= N and n <= d * N))
+    return out
+
+
+def test_window_kernel_at_the_largest_N():
+    # the largest N the uint16 cells admit, N^2 < 2^31 <= (N + 1)^2: the
+    # top window holds the largest products, the middle one about 0.2 N rows
+    N, cells = 46340, 4096
+    for hi in (N * N, N * N // 2):
+        window = build_tau_table(N, hi - cells, hi)
+        assert window.counts[1:].tolist() == tau_by_factorization(N, hi - cells, hi), hi
 
 
 def test_uint16_cells_and_overflow_guard(monkeypatch):

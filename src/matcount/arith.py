@@ -2,13 +2,13 @@
 
 Provides divisor enumeration, prime factorization, the classical
 arithmetic functions tau (divisor count), sigma (divisor sum), phi
-(Euler totient) and mu (Moebius), and a sieved phi table up to a
-given limit.
+(Euler totient) and mu (Moebius), and sieved phi and mu tables up to
+a given limit.
 
 All scalar arithmetic is plain Python integers, so intermediate products
 never wrap; the phi table is an int64 numpy array whose entries are at
-most the limit.  Factorization is trial division, so it refuses
-n > FACTORIZE_LIMIT rather than run for minutes.
+most the limit, and the mu table is int8.  Factorization is trial
+division, so it refuses n > FACTORIZE_LIMIT rather than run for minutes.
 """
 
 from __future__ import annotations
@@ -127,3 +127,31 @@ def sieve(limit: int) -> np.ndarray:
         table[p::p] -= table[p::p] // p
     table.flags.writeable = False
     return table
+
+
+def mobius_sieve(limit: int) -> np.ndarray:
+    """Read-only int8 table of mu(n) for 0 <= n <= ``limit`` (mu[0] = 0).
+
+    Only the primes p <= sqrt(limit) are sieved: each flips the sign of
+    its multiples, zeroes the multiples of p^2 and multiplies p into
+    their running product.  An n whose product falls short of n has one
+    more prime factor, above sqrt(limit) (two would exceed the limit),
+    and gets one more sign flip.  Rejects limits whose table would exceed
+    CELL_BUDGET cells.
+    """
+    if limit < 1:
+        raise ValueError(f"mobius_sieve() requires limit >= 1, got {limit}")
+    if limit + 1 > CELL_BUDGET:
+        raise BudgetError(
+            f"mobius_sieve(limit={limit}) needs {limit + 1} cells, budget is {CELL_BUDGET}"
+        )
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    small = np.ones(limit + 1, dtype=np.int64)  # product of the primes <= sqrt(limit) of n
+    for p in _primes_up_to(math.isqrt(limit)).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        small[p::p] *= p
+    mu[small != np.arange(limit + 1)] *= -1
+    mu.flags.writeable = False
+    return mu

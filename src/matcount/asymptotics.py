@@ -4,7 +4,7 @@ reports, and log-log regression of error exponents over sweeps.
 Main terms ("log" is always the natural logarithm):
 
   report, delta != 0      (96/pi^2) (sigma(|delta|)/|delta|) H^2
-  report, delta = 0       (96/pi^2) H^2 ln H
+  report, delta = 0       (96/pi^2) H^2 (ln H + DELTA0_K)
   SHIFTED_LOG_CANDIDATE   (12/pi^2) (sigma(|delta|)/|delta|) N^2 ln N
   SHIFTED_NOLOG_CANDIDATE (12/pi^2) (sigma(|delta|)/|delta|) N^2
 
@@ -31,6 +31,12 @@ from .exact import fast_count
 COEFF_96 = 96.0 / math.pi**2
 COEFF_12 = 12.0 / math.pi**2
 
+# The H^2 constant of the delta = 0 law, 2 gamma - 1/2 - zeta'(2)/zeta(2):
+# partial summation of sum phi(m)/m^2 in the totient identity behind
+# tau_tables.square_sum gives #D2(H, 0) = (96/pi^2) H^2 (ln H + DELTA0_K)
+# + o(H^2).
+DELTA0_K = 1.2243923228975986
+
 
 class MainTermKind(enum.Enum):
     """The two candidate main terms a shifted-sum verdict selects from."""
@@ -52,14 +58,15 @@ def report(
 ) -> AsymptoticReport:
     """Exact count vs. the determinant-count main term.
 
-    delta = 0 uses the H^2 log H law, delta != 0 the divisor-ratio law;
-    bound is the nominal H^eps * max(H^(5/3), |delta|) envelope.
+    delta = 0 uses the H^2 (log H + DELTA0_K) law, delta != 0 the
+    divisor-ratio law; bound is the nominal H^eps * max(H^(5/3), |delta|)
+    envelope.
     """
     if H < 1:
         raise ValueError(f"report() requires H >= 1, got {H}")
     D = abs(delta)
     if D == 0:
-        main = COEFF_96 * H * H * math.log(H)
+        main = COEFF_96 * H * H * (math.log(H) + DELTA0_K)
     else:
         main = COEFF_96 * (sigma(D) / D) * H * H
     return AsymptoticReport(

@@ -178,7 +178,10 @@ def _hyper_column(c: int, H: int, delta: int, small_a: bool, lower: int) -> int:
             CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta + H * c))
         )
     if lower >= 1:
-        bound = Hyperbolic(lower, cap=H if small_a else None)
+        # Capped at H on (0, X], the curve is flat wherever lower >= H a, so
+        # lowering its A to H X changes no row and keeps A inside the
+        # queries' int64 domain however large delta is.
+        bound = Hyperbolic(min(lower, H * X), cap=H) if small_a else Hyperbolic(lower)
         n -= count_under_curve(CurveQuery(K=delta, q=c, U=U, X=X, bound=bound))
     return n
 

@@ -12,7 +12,16 @@ module passes it integer endpoints only.
 The solutions v of u*v = K (mod q), and the gcd weight of u, depend on
 u only through u mod q, so each query tabulates them once over the first
 min(X, q) integers of (U, U+X]: a box sums the table weighted by how
-often each residue occurs, and a curve looks each u up in it.
+often each residue occurs.  A curve evaluates all u of (U, U+X] as int64
+arrays, one block of U_BLOCK at a time: the row limit min(A // u, cap),
+the gather from the table and the stride count.  Its float main term is
+still added in u order (np.cumsum adds sequentially, np.sum would not),
+so it does not depend on the blocks or the table.
+
+The array path needs int64 room, so both queries refuse q, A or U + X
+at or above INT64_LIMIT = 2^62 with ValueError rather than wrap.  Each
+curve quotient A / u is the correctly rounded float64 of two integers
+below 2^53; above that, A is rounded to float64 first.
 
 K = 0 needs no special case: every gcd(u, q) divides 0, so each u
 carries its full gcd weight, and the bounds' D = gcd(0, q) is q.
@@ -22,6 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+# Queries keep q, A and U + X below this, so the curve's int64 arrays
+# (u, A // u, limit - v0) cannot wrap.
+INT64_LIMIT = 1 << 62
+
+# u values per array pass under a curve: a few MB of arrays at most.
+U_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,8 @@ class HyperbolaQuery:
             raise ValueError(f"modulus must be >= 1, got {self.q}")
         if self.X < 0 or self.Y < 0:
             raise ValueError("box side lengths must be non-negative")
+        if max(self.q, self.U + self.X) >= INT64_LIMIT:
+            raise ValueError("box queries need q and U + X below 2^62")
 
 
 @dataclass(frozen=True)
@@ -66,6 +86,8 @@ class CurveQuery:
             raise ValueError("hyperbolic bound needs A >= 0 and cap >= 0")
         if self.U < 0:
             raise ValueError("curve interval needs U >= 0")
+        if max(self.q, self.bound.A, self.U + self.X) >= INT64_LIMIT:
+            raise ValueError("curve queries need q, A and U + X below 2^62")
 
 
 @dataclass(frozen=True)
@@ -160,23 +182,31 @@ def error_bound_box(query: HyperbolaQuery, epsilon: float) -> float:
     return q**epsilon * (math.sqrt(q) + float(query.X) * D / q + D)
 
 
+def _u_blocks(U: int, X: int, q: int):
+    """(u, i) int64 arrays over (U, U+X], U_BLOCK integers at a time: each
+    u with the index (u - U - 1) % q of its residue table entry."""
+    for lo in range(0, X, U_BLOCK):
+        offset = np.arange(lo, min(lo + U_BLOCK, X), dtype=np.int64)
+        yield offset + (U + 1), offset % q
+
+
 def count_under_curve(query: CurveQuery) -> int:
     """Exact number of lattice points with U < u <= U+X, 0 < v <= f(u) on
-    the hyperbola, f(u) = min(A // u, cap); one stride count per u, with
-    the residue class looked up in the per-residue table."""
+    the hyperbola, f(u) = min(A // u, cap); one stride count per u, all
+    u of a block at once, with the residue classes gathered from the
+    per-residue table."""
     U, X, q = query.U, query.X, query.q
     A, cap = query.bound.A, query.bound.cap
     classes = _residue_table(_residue_class, U, X, q, query.K)
+    solvable = np.array([rc is not None for rc in classes], dtype=bool)
+    v0 = np.array([rc[0] if rc else 0 for rc in classes], dtype=np.int64)
+    m = np.array([rc[1] if rc else 1 for rc in classes], dtype=np.int64)
+    cap = A if cap is None else min(cap, A)  # A // u <= A, so a larger cap never binds
     total = 0
-    for u in _int_range(U, X):
-        limit = A // u if cap is None else min(A // u, cap)
-        if limit < 1:
-            continue
-        rc = classes[(u - U - 1) % q]
-        if rc is None:
-            continue
-        v0, m = rc
-        total += _count_ap(v0, m, 0, limit)
+    for u, i in _u_blocks(U, X, q):
+        limit = np.minimum(A // u, cap)
+        counts = (limit - v0[i]) // m[i] - (-v0[i]) // m[i]
+        total += sum(counts[solvable[i]].tolist())  # Python ints: no int64 sum
     return total
 
 
@@ -185,12 +215,13 @@ def main_term_curve(query: CurveQuery) -> float:
     the boundary correction X * delta_q(K) / 2, with f(u) = min(A / u, cap)."""
     U, X, q = query.U, query.X, query.q
     A, cap = query.bound.A, query.bound.cap
-    weights = _residue_table(_gcd_weight, U, X, q, query.K)
-    s = 0.0  # added in u order, so the float sum does not depend on the table
-    for u in _int_range(U, X):
-        w = weights[(u - U - 1) % q]
-        if w:
-            s += w * (A / u if cap is None else min(A / u, cap))
+    weights = np.array(_residue_table(_gcd_weight, U, X, q, query.K), dtype=np.int64)
+    s = 0.0
+    for u, i in _u_blocks(U, X, q):
+        f = A / u if cap is None else np.minimum(A / u, min(cap, A))  # A / u <= A
+        terms = weights[i] * f
+        terms[0] += s
+        s = float(np.cumsum(terms)[-1])  # in u order, one addition at a time
     correction = float(query.X) / 2 if query.K % query.q == 0 else 0.0
     return s / query.q - correction
 

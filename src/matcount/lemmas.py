@@ -6,9 +6,19 @@ sum phi(n)/n and sum phi(n)/n^2, the coprime counting function, four
 pair sums over gcd(x, y) = r, and the truncated divisor sum
 sum_{r | delta, r <= H} 1/r against sigma(delta)/delta.
 
-Coprime counts run the Moebius sum over the products of prime subsets
-of Y, all read off one factorization.  The pair sums take integer X, Y
-and r only, so every strict bound y < x + Y/r is an integer floor.
+The one-Y coprime count runs the Moebius sum over the products of prime
+subsets of Y, read off one factorization.  The pair sums need a count
+for every y up to M, so `coprime_counts` gets them all at once from one
+sieved mu table (`arith.mobius_sieve`), in about 2 sqrt(M) numpy calls;
+the sum of r/(x y) reads its mu from the same sieve, and the totient
+ratio sums divide the sieved phi table in numpy.  No evaluator
+factorizes per term.  Each term is one int/int quotient, and while both
+integers are below 2^53 (n^2 in sum phi(n)/n^2 passes it past
+n = 9.4 * 10^7) numpy rounds it as Python does; math.fsum makes the
+order of terms irrelevant, so the values are those of per-term loops.
+The pair sums take integer X, Y and r only, X and Y below
+PAIR_SUM_LIMIT = 2^53, so every strict bound y < x + Y/r is an integer
+floor that fits int64.
 
 Every evaluator is exact up to floating-point rounding; sums are
 accumulated with math.fsum, and the tests compare against independent
@@ -22,13 +32,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import divisors, factorize, mobius, sieve, sigma, tau
+import numpy as np
+
+from .arith import divisors, factorize, mobius_sieve, sieve, sigma, tau
 from .hyperbola import AsymptoticReport
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
 
 # The epsilon of the gcd-power bound K^(A+1+eps) L^eps.
 GCD_POWER_EPS = 0.05
+
+# xy_sum's X and Y stay below 2^53: every bound then fits int64, and every
+# count and y' converts to float64 exactly, so count / y' rounds once.
+PAIR_SUM_LIMIT = 1 << 53
 
 
 def gcd_power_sum(K: int, L: int, A: float, B: float) -> float:
@@ -56,16 +72,16 @@ def phi_ratio_sum(X: int) -> float:
     """Exact sum of phi(n)/n over 1 <= n <= X."""
     if X < 1:
         raise ValueError(f"phi_ratio_sum() requires X >= 1, got {X}")
-    phi = sieve(X)
-    return math.fsum(int(phi[n]) / n for n in range(1, X + 1))
+    n = np.arange(1, X + 1, dtype=np.int64)
+    return math.fsum((sieve(X)[1:] / n).tolist())
 
 
 def phi_over_square_sum(X: int) -> float:
     """Exact sum of phi(n)/n^2 over 1 <= n <= X."""
     if X < 1:
         raise ValueError(f"phi_over_square_sum() requires X >= 1, got {X}")
-    phi = sieve(X)
-    return math.fsum(int(phi[n]) / (n * n) for n in range(1, X + 1))
+    n = np.arange(1, X + 1, dtype=np.int64)
+    return math.fsum((sieve(X)[1:] / (n * n)).tolist())
 
 
 def phi_ratio_report(X: int) -> AsymptoticReport:
@@ -114,48 +130,71 @@ def coprime_count_report(X, Y: int) -> AsymptoticReport:
     return AsymptoticReport(exact, main, float(tau(Y)))
 
 
+def coprime_counts(bounds: np.ndarray) -> np.ndarray:
+    """Every count #{0 < x <= bounds[y] integer: gcd(x, y) = 1} for
+    1 <= y <= M = len(bounds) - 1 at once, as an int64 array indexed by y
+    (entry 0 is 0).  The bounds are integers; one <= 0 counts nothing.
+
+    The Moebius sum over d | y splits at s = isqrt(M), as in Dirichlet's
+    hyperbola method: a squarefree d <= s reaches all its multiples
+    y = d k with one strided slice, and the squarefree d > s meet y = d k
+    only at k <= M // (s + 1), so each such k gathers all of them at
+    once.  That is about 2 sqrt(M) numpy calls on O(M) memory.
+    """
+    b = np.maximum(np.asarray(bounds, dtype=np.int64), 0)
+    M = b.size - 1
+    mu = mobius_sieve(M)
+    s = math.isqrt(M)
+    counts = np.zeros(M + 1, dtype=np.int64)
+    for d in np.flatnonzero(mu[: s + 1]).tolist():
+        counts[d::d] += int(mu[d]) * (b[d::d] // d)
+    large = np.flatnonzero(mu[s + 1 :]) + (s + 1)
+    sign = mu[large].astype(np.int64)
+    for k in range(1, M // (s + 1) + 1):
+        n = int(np.searchsorted(large, M // k, side="right"))
+        y = large[:n] * k
+        counts[y] += sign[:n] * (b[y] // large[:n])
+    return counts
+
+
 def _xy_sum_exact(variant: int, X: int, Y: int, r: int) -> float:
-    """Exact value of the variant's pair sum, O(X/r * tau) via coprime counts."""
+    """Exact value of the variant's pair sum: variant 1 sums the sieved mu,
+    variants 2-4 one batch of coprime counts."""
     Xp = X // r  # x = r x', x' <= X/r
 
     if variant == 1:
         # sum r/(x y) over 0 < x, y <= X with gcd(x, y) = r
+        # as mu(d) h(d)^2 over squarefree d, h(d) = sum_{m <= Xp/d} 1/(d m);
+        # the d sharing n = Xp // d fill one n-column array of 1/(d m)
+        mu = mobius_sieve(Xp)
         terms = []
-        for d in range(1, Xp + 1):
-            mu = mobius(d)
-            if mu == 0:
-                continue
-            h = math.fsum(1.0 / (d * m) for m in range(1, Xp // d + 1))
-            terms.append(mu * h * h)
+        d = 1
+        while d <= Xp:
+            n = Xp // d
+            last = Xp // n
+            ds = np.flatnonzero(mu[d : last + 1]) + d
+            recip = 1.0 / np.outer(ds, np.arange(1, n + 1))
+            h = np.array([math.fsum(row) for row in recip.tolist()])
+            terms += (mu[ds] * h * h).tolist()
+            d = last + 1
         return math.fsum(terms) / r
 
     if variant == 2:
         # sum r/x over 0 < x <= X, 0 < y < x + Y, gcd(x, y) = r
-        terms = []
-        for xp in range(1, Xp + 1):
-            bound = (xp * r + Y - 1) // r  # y' < x' + Y/r
-            terms.append(coprime_count(bound, xp) / xp)
-        return math.fsum(terms)
-
-    if variant == 3:
+        y = np.arange(Xp + 1, dtype=np.int64)
+        bounds = y + (Y - 1) // r  # y' < x' + Y/r
+    elif variant == 3:
         # sum r/y over x + Y < y <= X, 0 < x, gcd(x, y) = r
-        terms = []
-        for yp in range(1, Xp + 1):
-            bound = (yp * r - Y - 1) // r  # x' < y' - Y/r
-            if bound < 1:
-                continue
-            terms.append(coprime_count(bound, yp) / yp)
-        return math.fsum(terms)
-
-    if variant == 4:
+        y = np.arange(Xp + 1, dtype=np.int64)
+        bounds = y + (-Y - 1) // r  # x' < y' - Y/r
+    elif variant == 4:
         # sum r/y over 0 < x <= X, 0 < y <= Y, gcd(x, y) = r
-        Yp = Y // r
-        terms = []
-        for yp in range(1, Yp + 1):
-            terms.append(coprime_count(Xp, yp) / yp)
-        return math.fsum(terms)
-
-    raise ValueError(f"xy_sum() variant must be 1..4, got {variant}")
+        y = np.arange(Y // r + 1, dtype=np.int64)
+        bounds = np.full(y.size, Xp, dtype=np.int64)
+    else:
+        raise ValueError(f"xy_sum() variant must be 1..4, got {variant}")
+    # count / y' is one correctly rounded quotient, as in Python
+    return math.fsum((coprime_counts(bounds)[1:] / y[1:]).tolist())
 
 
 def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
@@ -176,6 +215,8 @@ def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
         raise ValueError("xy_sum() requires integer X, Y and r")
     if r < 1:
         raise ValueError(f"xy_sum() requires r >= 1, got {r}")
+    if max(X, Y) >= PAIR_SUM_LIMIT:
+        raise ValueError("xy_sum() requires X and Y below 2^53")
     if variant in (1, 2, 3) and not r <= X:
         raise ValueError(f"xy_sum() variant {variant} requires r <= X")
     if variant in (2, 3, 4) and Y < 0:

@@ -12,6 +12,7 @@ from matcount.arith import (
     divisors,
     factorize,
     mobius,
+    mobius_sieve,
     phi,
     sieve,
     sigma,
@@ -105,3 +106,23 @@ def test_sieve_tables_read_only():
     t = sieve(50)
     with pytest.raises(ValueError):
         t[3] = 0
+    with pytest.raises(ValueError):
+        mobius_sieve(50)[3] = 0
+
+
+def test_mobius_sieve_matches_pointwise():
+    mu = mobius_sieve(10**4)
+    assert mu.dtype == np.int8 and mu[0] == 0
+    assert mu[1:].tolist() == [mobius(n) for n in range(1, 10**4 + 1)]
+    # every limit, including those just below and at a prime square
+    for limit in range(1, 60):
+        assert mobius_sieve(limit).tolist() == mu[: limit + 1].tolist(), limit
+
+
+def test_mobius_sieve_domain(monkeypatch):
+    with pytest.raises(ValueError):
+        mobius_sieve(0)
+    monkeypatch.setattr(arith, "CELL_BUDGET", 100)
+    assert mobius_sieve(99).size == 100
+    with pytest.raises(BudgetError):
+        mobius_sieve(100)

@@ -8,6 +8,7 @@ import pytest
 from matcount.asymptotics import (
     COEFF_12,
     COEFF_96,
+    DELTA0_K,
     ErrorFit,
     MainTermKind,
     discriminate_shifted,
@@ -25,7 +26,46 @@ def test_main_term_values():
     # sigma(6)/6 = 2, and the law is even in delta
     assert report(10, 6).main == pytest.approx(2 * COEFF_96 * 100)
     assert report(10, -6).main == report(10, 6).main
-    assert report(50, 0).main == pytest.approx(COEFF_96 * 2500 * math.log(50))
+    assert report(50, 0).main == pytest.approx(COEFF_96 * 2500 * (math.log(50) + DELTA0_K))
+
+
+def _euler_maclaurin_tail(N, f, integral, odd_derivatives):
+    """sum_{n >= N} f(n) by Euler-Maclaurin: the integral from N, f(N)/2,
+    and -B_2k/(2k)! f^(2k-1)(N) for the given odd derivatives (k = 1..3)."""
+    weights = (1 / 12, -1 / 720, 1 / 30240)  # B_2/2!, B_4/4!, B_6/6!
+    return math.fsum(
+        [integral, f(N) / 2] + [-w * df for w, df in zip(weights, odd_derivatives)]
+    )
+
+
+def test_delta0_constant_by_euler_maclaurin():
+    """DELTA0_K = 2 gamma - 1/2 - zeta'(2)/zeta(2), each constant summed
+    to N = 100 and closed with its Euler-Maclaurin tail."""
+    N, L = 100, math.log(100)
+    # gamma = lim sum_{n <= M} 1/n - ln M; the tail of 1/n from N, minus ln N
+    gamma = math.fsum(
+        [1 / n for n in range(1, N)]
+        + [-L, _euler_maclaurin_tail(N, lambda x: 1 / x, 0.0,
+                                     (-1 / N**2, -6 / N**4, -120 / N**6))]
+    )
+    # -zeta'(2) = sum ln n / n^2; the derivatives of ln x / x^2 at N
+    log_sum = math.fsum(
+        [math.log(n) / n**2 for n in range(1, N)]
+        + [_euler_maclaurin_tail(
+            N, lambda x: math.log(x) / x**2, (L + 1) / N,
+            ((1 - 2 * L) / N**3, (26 - 24 * L) / N**5, (1044 - 720 * L) / N**7),
+        )]
+    )
+    assert gamma == pytest.approx(0.5772156649015329, abs=1e-13)
+    zeta2 = math.pi**2 / 6
+    assert DELTA0_K == pytest.approx(2 * gamma - 0.5 + log_sum / zeta2, abs=1e-12)
+
+
+def test_delta0_report_within_its_bound():
+    """With the H^2 constant the delta = 0 error falls under the nominal
+    H^0.1 H^(5/3) envelope; without it the ratio is about 60 at H = 1000."""
+    for H in (1000, 4000):
+        assert report(H, 0).normalized < 1, H
 
 
 def test_report_small_and_support():

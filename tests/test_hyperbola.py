@@ -3,9 +3,11 @@ band subtraction, and the estimator diagnostics."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matcount import hyperbola
 from matcount.hyperbola import (
     CurveQuery,
     Hyperbolic,
@@ -218,3 +220,52 @@ def test_residue_tables_match_per_u(qX, K, U, V, Y, rows, extra, cap):
     )
     assert count_under_curve(curve) == expect
     assert main_term_curve(curve) == reference_main_curve(curve)
+
+
+def test_curve_blocks_match_per_u(monkeypatch):
+    """Blocks of a few u give the same count and the same main-term bits
+    as the per-u sums: the running total carries over from block to block."""
+    monkeypatch.setattr(hyperbola, "U_BLOCK", 5)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        q, X, U = (int(v) for v in rng.integers(1, 40, 3))
+        K = int(rng.integers(-50, 51))
+        A = int(rng.integers(0, 30 * (U + 1)))
+        cap = None if rng.integers(2) else int(rng.integers(0, 40))
+        curve = CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A, cap=cap))
+        assert count_under_curve(curve) == naive_curve(
+            K, q, U, X, lambda u: A / u if cap is None else min(A / u, cap))
+        assert main_term_curve(curve) == reference_main_curve(curve)
+
+
+def test_huge_cap_is_no_cap():
+    for cap in (2**62, 2**80):
+        capped = CurveQuery(K=3, q=7, U=2, X=30, bound=Hyperbolic(500, cap=cap))
+        free = CurveQuery(K=3, q=7, U=2, X=30, bound=Hyperbolic(500))
+        assert count_under_curve(capped) == count_under_curve(free)
+        assert main_term_curve(capped) == main_term_curve(free)
+
+
+LIMIT = 2**62
+
+
+def test_queries_just_below_the_int64_limit():
+    """q, A and U + X at 2^62 - 1 still count exactly: with A // u = 1 on
+    (2^62 - 4, 2^62 - 1], only u = K (mod q) carries a point."""
+    curve = CurveQuery(K=LIMIT - 2, q=LIMIT - 1, U=LIMIT - 4, X=3, bound=Hyperbolic(LIMIT - 1))
+    assert count_under_curve(curve) == 1
+    assert main_term_curve(curve) == pytest.approx(reference_main_curve(curve), rel=1e-12)
+    box = HyperbolaQuery(K=LIMIT - 2, q=LIMIT - 1, U=LIMIT - 4, V=0, X=3, Y=1)
+    assert count_box(box) == 1
+
+
+@pytest.mark.parametrize("field", ["q", "A", "U + X"])
+def test_queries_at_the_int64_limit_raise(field):
+    q = LIMIT if field == "q" else 7
+    A = LIMIT if field == "A" else 100
+    U = LIMIT - 3 if field == "U + X" else 0
+    with pytest.raises(ValueError, match=r"2\^62"):
+        CurveQuery(K=1, q=q, U=U, X=3, bound=Hyperbolic(A))
+    if field != "A":
+        with pytest.raises(ValueError, match=r"2\^62"):
+            HyperbolaQuery(K=1, q=q, U=U, V=0, X=3, Y=1)

@@ -1,17 +1,22 @@
 """Summation identities against independent naive double loops, plus the
 envelope and divisor-tail inequalities."""
 
+import cProfile
 import math
+import pstats
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount.arith import tau
+from matcount.arith import mobius, tau
+from matcount.cli import lemma_grid_rows
 from matcount.lemmas import (
     SIX_OVER_PI2,
     coprime_count,
     coprime_count_report,
+    coprime_counts,
     divisor_tail,
     gcd_power_report,
     gcd_power_sum,
@@ -138,6 +143,83 @@ def test_coprime_count_error_constant():
         assert exact == sum(1 for x in range(1, X + 1) if math.gcd(x, Y) == 1)
         assert abs(exact - X * phi(Y) / Y) <= tau(Y)
         assert coprime_count_report(X, Y).normalized <= 1 + 1e-12
+
+
+@given(
+    st.integers(1, 3000).flatmap(
+        lambda M: st.tuples(st.just(M), st.integers(-5, 5), st.integers(-M, 2 * M))
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_coprime_counts_match_the_scalar_count(case, seed):
+    """The batch counts equal coprime_count at every y <= M, for bounds
+    that follow y (as in variants 2 and 3), random bounds, and bounds <= 0."""
+    M, shift, spread = case
+    rng = np.random.default_rng(seed)
+    y = np.arange(M + 1)
+    for bounds in (y + shift, rng.integers(-3, max(spread, 0) + 1, M + 1), np.full(M + 1, spread)):
+        counts = coprime_counts(bounds)
+        assert counts[0] == 0
+        assert counts[1:].tolist() == [coprime_count(int(bounds[n]), n) for n in range(1, M + 1)]
+
+
+def test_coprime_counts_smallest_tables():
+    assert coprime_counts(np.array([0, 5])).tolist() == [0, 5]
+    assert coprime_counts(np.array([9, 0])).tolist() == [0, 0]
+    assert coprime_counts(np.array([0, -4, 7])).tolist() == [0, 0, 4]
+
+
+def per_x_reference(variant, X, Y, r):
+    """The per-x' loop the batch counts replace: one scalar coprime count
+    per x' (or y'), each term a Python int/int quotient, fsum-added.
+    Variant 1's per-d loop is inline in the test below."""
+    Xp = X // r
+    if variant == 2:
+        return math.fsum(coprime_count((xp * r + Y - 1) // r, xp) / xp for xp in range(1, Xp + 1))
+    if variant == 3:
+        return math.fsum(coprime_count((yp * r - Y - 1) // r, yp) / yp for yp in range(1, Xp + 1))
+    return math.fsum(coprime_count(Xp, yp) / yp for yp in range(1, Y // r + 1))
+
+
+def test_xy_sum_is_bit_identical_to_the_per_x_loop():
+    rng = SplitMix64(2024)
+    for _ in range(200):
+        X = rng.randint(1, 1500)
+        r = rng.randint(1, min(X, 12))
+        for variant in (2, 3, 4):
+            Y = rng.randint(r, X) if variant == 4 else rng.randint(0, X)
+            assert xy_sum(variant, X, Y, r).exact == per_x_reference(variant, X, Y, r), (
+                variant, X, Y, r)
+    for X, r in ((1, 1), (600, 2), (997, 1), (5000, 7)):
+        Xp, d_terms = X // r, []
+        for d in range(1, Xp + 1):
+            h = math.fsum(1.0 / (d * m) for m in range(1, Xp // d + 1))
+            d_terms.append(mobius(d) * h * h)
+        assert xy_sum(1, X, 0, r).exact == math.fsum(d_terms) / r, (X, r)
+
+
+def test_lemma_grid_factorizes_only_the_coprime_rows():
+    """The grid reads mu from one sieve per evaluator: factorize runs only
+    for coprime_count_report's Y = 360, three times per X (the count, phi
+    and tau), where the per-call Moebius sums made 69,927 calls."""
+    profile = cProfile.Profile()
+    profile.runcall(lemma_grid_rows)
+    calls = sum(
+        stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+        if name == "factorize" and path.endswith("arith.py")
+    )
+    assert calls <= 9
+
+
+def test_xy_sum_domain_edge():
+    """Below 2^53 every bound fits int64 and every count is exact in
+    float64; at 2^53 the evaluator refuses."""
+    assert xy_sum(2, 7, 2**53 - 1, 1).exact == per_x_reference(2, 7, 2**53 - 1, 1)
+    with pytest.raises(ValueError, match="2\\^53"):
+        xy_sum(2, 7, 2**53, 1)
+    with pytest.raises(ValueError, match="2\\^53"):
+        xy_sum(4, 2**53, 1, 1)
 
 
 def test_xy_sum_matches_naive_grid():

@@ -60,18 +60,18 @@ def report(
 
     delta = 0 uses the H^2 (log H + DELTA0_K) law, delta != 0 the
     divisor-ratio law; bound is the nominal H^eps * max(H^(5/3), |delta|)
-    envelope.
+    envelope.  The exact count comes first, so an H outside its domain
+    or budget is refused before H meets a float.
     """
     if H < 1:
         raise ValueError(f"report() requires H >= 1, got {H}")
+    exact = fast_count(H, delta, table=table)
     D = abs(delta)
     if D == 0:
         main = COEFF_96 * H * H * (math.log(H) + DELTA0_K)
     else:
         main = COEFF_96 * (sigma(D) / D) * H * H
-    return AsymptoticReport(
-        fast_count(H, delta, table=table), main, error_envelope(H, delta, epsilon)
-    )
+    return AsymptoticReport(exact, main, error_envelope(H, delta, epsilon))
 
 
 @dataclass

@@ -11,7 +11,8 @@ with --no-timing).  The sweep emits one row per distinct (delta, H)
 point, sorted, and builds one tau table per H and shares it
 across that H's deltas, so its wall_time_ms column is each row's own
 report time, without the table build.  tau likewise emits one row per
-distinct (delta, N) and holds one tau table at a time.
+distinct (delta, N) and holds one tau table at a time; its first two
+moments need none.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 3 internal invariant violation.
 """
@@ -52,7 +53,7 @@ from .lemmas import (
     xy_sum,
 )
 from .rng import SplitMix64
-from .tau_tables import TauTable, build_tau_table, shifted_sum, tau_moment
+from .tau_tables import TauTable, build_tau_table, shifted_sum, square_sum, tau_moment
 
 
 def _fmt(x) -> str:
@@ -98,8 +99,8 @@ def _positive_int(text: str) -> int:
 
 
 # tau's largest --k: tau_N(n) <= 1600 for every N the cell budget admits,
-# so each k-th moment stays below 2e8 * 1600^64 < 10^214, a float that
-# prints in full.
+# so each k-th moment read from a table stays below 2e8 * 1600^64 < 10^214,
+# a float that prints in full.  k = 1 and 2 read no table.
 MAX_MOMENT_ORDER = 64
 
 
@@ -285,7 +286,13 @@ def _cmd_sweep(args) -> int:
 
 def _tau_values(N: int, k: int, deltas: list[int]):
     """N's shifted sums at deltas, or its k-th moment when there are no
-    deltas, all read from one tau table, which is dropped on return."""
+    deltas.  The first two moments read no table: sum tau_N(n) = N^2, and
+    the sum of squares is square_sum(N).  Otherwise they are all read
+    from one tau table, which is dropped on return."""
+    if not deltas and k == 1:
+        return N * N
+    if not deltas and k == 2:
+        return square_sum(N)
     table = build_tau_table(N)
     if deltas:
         return {delta: shifted_sum(table, delta) for delta in deltas}

@@ -13,14 +13,17 @@ it reads no table at all:
     #D_2(H, 0) = (4H+1)^2 + 8 * sum_{n <= H^2} tau_H(n)^2,
 
 and the sum of squares counts the solutions of ab = cd in [1, H]^4,
-which ``tau_tables.square_sum`` gives in O(H) as
 
     sum_{m=1}^{H} (2 phi(m) - [m = 1]) floor(H/m)^2:
 
 with g = gcd(a, c), a = gu, c = gv and gcd(u, v) = 1, ab = cd forces
 b = vk and d = uk with g, k <= H / max(u, v), and exactly 2 phi(m)
-coprime pairs have max(u, v) = m >= 2, one pair m = 1.  The two counters
-must agree exactly; the tests enforce this exhaustively at small heights.
+coprime pairs have max(u, v) = m >= 2, one pair m = 1.
+``tau_tables.square_sum`` sums it over the O(sqrt H) blocks of constant
+floor(H/m), from the summatory totient, in O(H^(2/3)) time and memory,
+so delta = 0 has no uint16 limit, only the byte budget of square_sum.
+The two counters must agree exactly; the tests enforce this
+exhaustively at small heights.
 
 Also provides sign-class counts (prescribed signs of a, c, d with all
 four entries nonzero), the zero-entry count via inclusion-exclusion, and
@@ -141,7 +144,8 @@ def fast_count(H: int, delta: int, table: TauTable | None = None) -> int:
     is one reduction of the tau_H table: c2, shifted_sum and
     self_convolution; the sum of squares is square_sum(H), which reads
     no table, so at delta = 0 a given table is only checked and none is
-    built.
+    built, and H is bounded by square_sum's byte budget instead of
+    H^2 < 2^31.
     """
     if H < 1:
         raise ValueError(f"fast_count() requires H >= 1, got {H}")

@@ -26,6 +26,19 @@ solutions, m = max(u, v).  For m >= 2 exactly 2 phi(m) coprime pairs
 have max(u, v) = m, namely (u, m) and (m, u) for 1 <= u < m with
 gcd(u, m) = 1; for m = 1 there is the one pair (1, 1).
 
+floor(N/m) takes O(sqrt N) values, so the sum runs over the blocks of m
+where it is constant, each weighted by a difference of the summatory
+totient Phi(x) = phi(1) + ... + phi(x).  Every Phi it reads is at some
+x = N // k, and counting the pairs 1 <= u <= v <= x by gcd gives
+
+    Phi(x) = x(x+1)/2 - sum_{d=2}^{x} Phi(x // d),
+
+whose right side reads Phi only at values x // d = N // (kd) again.
+Phi comes from a phi sieve up to about N^(2/3) / 2 and, above it, from
+this recursion memoised on the values N // k (Deleglise and Rivat,
+Experiment. Math. 5, 1996), so ``square_sum`` takes O(N^(2/3)) time and
+memory.
+
 The signed counter c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} obeys the
 brute-force-derived law
 
@@ -65,6 +78,13 @@ _WINDOW_CELLS = 1 << 21
 
 # The sieve's increment, a uint16 scalar so np.add needs no cast.
 _TWO = np.uint16(2)
+
+# Bytes square_sum may hold: while the prefix sum is taken, its phi sieve
+# and the summatory totient are two int64 arrays of L + 1 cells, about
+# 8 N^(2/3) bytes; the memo above L adds a Python int and its list slot
+# per entry.  128 MiB admits N up to 62,389,816,424.
+SQUARE_SUM_BUDGET = 1 << 27
+_MEMO_ENTRY_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -166,21 +186,86 @@ def _dot(x: np.ndarray, y: np.ndarray) -> int:
     return int(np.einsum("i,i->", x, y, dtype=np.int64))
 
 
-def square_sum(N: int) -> int:
-    """Exact sum of tau_N(n)^2 over 1 <= n <= N^2 in O(N), from the
-    totient identity in the module docstring; it builds no table.
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 1, by Newton's method in integers, so it is
+    exact for any n (a float cube root overflows past 10^308)."""
+    x = 1 << -(-n.bit_length() // 3)  # at least n^(1/3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
-    Its domain is that of the tables, N^2 < 2^31.  Each term
-    (2 phi(m) - [m = 1]) * floor(N/m)^2 is at most 2 N^2, so the int64
-    dot stays below 2 N^3 < 2^63.
+
+def _square_sum_plan(N: int) -> tuple[int, int, int]:
+    """(L, K, bytes) for square_sum(N): phi is sieved up to L, about
+    N^(2/3) / 2 and never below sqrt(N), where the tail of the Phi
+    recursion reads; Phi(N // k) is memoised for the k <= K with
+    N // k > L; bytes is the most that the sieve, its prefix sum, the
+    memo and the recursion's int64 scratch, at most four arrays of
+    sqrt(N) cells, hold at once."""
+    L = max(isqrt(N), _icbrt(N * N) // 2)
+    K = N // (L + 1)
+    return L, K, 16 * (L + 1) + _MEMO_ENTRY_BYTES * (K + 1) + 32 * (isqrt(N) + 1)
+
+
+def square_sum(N: int) -> int:
+    """Exact sum of tau_N(n)^2 over 1 <= n <= N^2 by the block route of
+    the module docstring, in O(N^(2/3)); it builds no tau table, so the
+    uint16 limit of the tables does not apply.
+
+    It refuses, before it allocates, an N whose phi sieve and Phi memo
+    would exceed SQUARE_SUM_BUDGET bytes.  The budget keeps N below
+    2^36, where every int64 sum of Phi values stays under N^(5/3) < 2^63;
+    the blocks are summed in Python ints.
     """
     if N < 1:
         raise ValueError(f"square_sum() requires N >= 1, got {N}")
-    _check_limit(N)
-    weights = 2 * sieve(N)[1:]
-    weights[0] -= 1
-    q = N // np.arange(1, N + 1, dtype=np.int64)
-    return int(np.dot(weights, q * q))
+    L, K, need = _square_sum_plan(N)
+    if need > SQUARE_SUM_BUDGET:
+        raise BudgetError(
+            f"square_sum(N={N}) needs {need} bytes, budget is {SQUARE_SUM_BUDGET}"
+        )
+    small = np.cumsum(sieve(L))  # small[x] = Phi(x) for x <= L
+    big = _large_totient_sums(N, small, K)
+    # m runs over the blocks [m, top] of constant q = floor(N/m); the
+    # weight 2 phi(m) - [m = 1] sums to 2 Phi(top) - 2 Phi(m - 1), and the
+    # -[m = 1] term, once q = N, gives the -N^2
+    total, m, prev = 0, 1, 0
+    while m <= N:
+        q = N // m
+        top = N // q
+        cur = big[q] if q <= K else int(small[top])
+        total += q * q * (cur - prev)
+        m, prev = top + 1, cur
+    return 2 * total - N * N
+
+
+def _large_totient_sums(N: int, small: np.ndarray, K: int) -> list[int]:
+    """big[k] = Phi(N // k) for 1 <= k <= K, from the recursion of the
+    module docstring, given small[x] = Phi(x) for every x up to
+    max(isqrt(N), N // (K + 1)).
+
+    Largest k first, so big[k * d] is known when big[k] reads it.  With
+    x = N // k and s = isqrt(x), the terms d <= s with k * d <= K read the
+    memo in Python ints; the other d <= s read small at x // d, and the
+    d > s are grouped by v = x // d <= s, x // v - x // (v + 1) of them
+    each; both read small in int64.
+    """
+    big = [0] * (K + 1)
+    for k in range(K, 0, -1):
+        x = N // k
+        s = isqrt(x)
+        known = min(K // k, s)
+        d = np.arange(known + 1, s + 1, dtype=np.int64)
+        v = np.arange(1, x // (s + 1) + 1, dtype=np.int64)
+        big[k] = (
+            x * (x + 1) // 2
+            - sum(big[k * j] for j in range(2, known + 1))
+            - int(small[x // d].sum())
+            - int(small[v] @ (x // v - x // (v + 1)))
+        )
+    return big
 
 
 def tau_moment(table: TauTable, k: int) -> int:

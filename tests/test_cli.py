@@ -26,9 +26,12 @@ from matcount.cli import build_parser, main
 from matcount.errors import InvariantError
 from matcount.exact import naive_count
 from matcount.lemmas import phi_ratio_report
-from matcount.tau_tables import build_tau_table
+from matcount.tau_tables import build_tau_table, tau_moment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# An H whose H^2 and H^(5/3) overflow a float.
+_HUGE_H = str(10**400)
 
 
 def run(argv, capsys):
@@ -132,7 +135,7 @@ def test_tau_shifted_discrimination(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--N", "10,40,20,30", "--k", "2"], ["--N", "10,40,20,30", "--delta=1,3"]]
+    "argv", [["--N", "10,40,20,30", "--k", "3"], ["--N", "10,40,20,30", "--delta=1,3"]]
 )
 def test_tau_holds_one_table_at_a_time(argv, monkeypatch, capsys):
     sizes, built, alive = [], [], []
@@ -298,8 +301,8 @@ def test_exit_codes(capsys, tmp_path):
     assert run([], capsys)[0] == 1
     assert run(["count", "--H", "x", "--delta", "1"], capsys)[0] == 1
     assert run(["fit", str(tmp_path / "missing.csv")], capsys)[0] == 1
-    # budget violations surface as exit 2
-    assert run(["tau", "--N", "100000", "--k", "1"], capsys)[0] == 2
+    # budget violations surface as exit 2; --k 3 needs a whole table
+    assert run(["tau", "--N", "100000", "--k", "3"], capsys)[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -329,6 +332,8 @@ def test_exit_codes(capsys, tmp_path):
         # shifted mode checks its deltas and N count before any table build
         ["tau", "--N", "6000,7000", "--delta=0"],
         ["tau", "--N", "7000", "--delta", "1"],
+        # past the uint16 limit, refused before H meets a float
+        ["count", "--H", _HUGE_H, "--delta", "6"],
     ],
 )
 def test_bad_values_exit_1_with_one_line(argv, monkeypatch, capsys):
@@ -430,7 +435,7 @@ def test_memory_error_exits_2():
         )
 
     t0 = time.perf_counter()
-    big = child("tau", "--N", "14000", "--k", "2")  # a 374 MiB whole table
+    big = child("tau", "--N", "14000", "--k", "3")  # a 374 MiB whole table
     assert time.perf_counter() - t0 < 5
     assert (big.returncode, big.stdout) == (2, "")
     assert big.stderr.startswith("budget exceeded: ") and big.stderr.count("\n") == 1
@@ -467,17 +472,67 @@ def test_sweep_at_zero_builds_no_table(monkeypatch, capsys):
 
 
 def test_count_past_the_uint16_limit_exits_1_before_allocating(capsys):
-    # delta = 0 reads no table, but square_sum keeps the tables' domain
-    for delta in ("6", "0"):
-        tracemalloc.start()
-        try:
-            code, out, err = run(["count", "--H", "46341", "--delta", delta], capsys)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (code, out) == (1, "")
-        assert err == "error: build_tau_table(N=46341): N^2 >= 2^31 overflows uint16 cells\n"
-        assert peak < 1 << 20
+    tracemalloc.start()
+    try:
+        code, out, err = run(["count", "--H", "46341", "--delta", "6"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: build_tau_table(N=46341): N^2 >= 2^31 overflows uint16 cells\n"
+    assert peak < 1 << 20
+    # delta = 0 reads no table, so the uint16 limit does not apply; the
+    # value is (4H + 1)^2 + 8 square_sum(H), and square_sum(46341) is held
+    # to the O(H) totient formula in test_tau_tables
+    code, out, err = run(["count", "--H", "46341", "--delta", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("exact = 249996419009\n")
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_tau_first_moments_read_no_table(k, monkeypatch, capsys):
+    argv = ["tau", "--N", "10,20,40", "--k", k]
+    with monkeypatch.context() as m:
+        # the table route: every moment read from a whole table
+        m.setattr(cli, "_tau_values", lambda N, k, deltas: tau_moment(build_tau_table(N), k))
+        want = [run(argv + fmt, capsys) for fmt in ([], ["--format", "json"])]
+    for module in (cli, exact, tau_tables):
+        monkeypatch.setattr(module, "build_tau_table", None)
+    assert [run(argv + fmt, capsys) for fmt in ([], ["--format", "json"])] == want
+
+
+def test_delta0_and_first_moments_run_past_the_table_limits(capsys):
+    code, out, err = run(["tau", "--N", "14143,100000", "--k", "2"], capsys)
+    assert code == 0 and err.startswith("fit: ")
+    assert out.splitlines()[1:] == [
+        f"{N},2,{tau_tables.square_sum(N)}" for N in (14143, 100000)
+    ]
+    code, out, err = run(["sweep", "--H", "46341", "--delta", "0", "--no-timing"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("46341,0,249996419009,")
+
+
+@pytest.mark.parametrize(
+    "argv, longest",
+    [
+        (["count", "--H", str(10**30), "--delta", "0"], 120),
+        (["count", "--H", _HUGE_H, "--delta", "0"], 1000),
+        (["sweep", "--H", _HUGE_H, "--delta", "0"], 1000),
+    ],
+)
+def test_delta0_budget_exits_2_with_one_line(argv, longest, monkeypatch, capsys):
+    # refused before the phi sieve, and before H meets a float
+    monkeypatch.setattr(tau_tables, "sieve", None)
+    tracemalloc.start()
+    try:
+        code, out, err = run(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"budget exceeded: square_sum(N={argv[2]}) needs ")
+    assert err.count("\n") == 1 and len(err) < longest
+    assert peak < 1 << 20
 
 
 def test_jobs_pool_is_clamped(monkeypatch, capsys):

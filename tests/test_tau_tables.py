@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matcount import exact, tau_tables
-from matcount.arith import divisors, tau
+from matcount.arith import divisors, sieve, tau
 from matcount.errors import BudgetError
 from matcount.exact import fast_count, naive_count
 from matcount.tau_tables import (
@@ -83,8 +83,15 @@ def test_reductions_match_enumeration():
             assert self_convolution(t, D) == want, (N, D)
 
 
+def square_sum_by_totients(N):
+    """sum_{m <= N} (2 phi(m) - [m = 1]) floor(N/m)^2 term by term in
+    Python ints: the O(N) form of the totient identity."""
+    phi = sieve(N).tolist()
+    return sum(2 * phi[m] * (N // m) ** 2 for m in range(1, N + 1)) - N * N
+
+
 def test_square_sum_equals_the_table_routes():
-    for N in range(1, 81):
+    for N in range(1, 301):
         t = build_tau_table(N)
         assert square_sum(N) == shifted_sum(t, 0) == tau_moment(t, 2), N
 
@@ -96,11 +103,67 @@ def test_square_sum_equals_the_table_routes_sampled(N):
     assert square_sum(N) == shifted_sum(t, 0) == tau_moment(t, 2)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 10, 100, 1234, 46340, 10**6])
+def test_square_sum_equals_the_totient_formula(N):
+    assert square_sum(N) == square_sum_by_totients(N)
+
+
+@given(st.integers(1, 2 * 10**5))
+@settings(max_examples=10, deadline=None)
+def test_square_sum_equals_the_totient_formula_sampled(N):
+    assert square_sum(N) == square_sum_by_totients(N)
+
+
 def test_square_sum_domain():
     with pytest.raises(ValueError, match="N >= 1"):
         square_sum(0)
-    with pytest.raises(ValueError, match="2\\^31"):
-        square_sum(46341)
+    # no table is read, so the tables' N^2 < 2^31 does not apply
+    assert square_sum(46341) == square_sum_by_totients(46341)
+
+
+# The largest N whose phi sieve and Phi memo fit SQUARE_SUM_BUDGET; the
+# README and the CI job quote it.
+LARGEST_SQUARE_SUM_N = 62_389_816_424
+
+
+def test_square_sum_budget(monkeypatch):
+    budget = tau_tables.SQUARE_SUM_BUDGET
+    assert tau_tables._square_sum_plan(LARGEST_SQUARE_SUM_N)[2] <= budget
+    assert tau_tables._square_sum_plan(LARGEST_SQUARE_SUM_N + 1)[2] > budget
+    # below it every int64 sum of Phi values is under N^(5/3) < 2^63
+    assert LARGEST_SQUARE_SUM_N ** 5 < 2 ** (3 * 63)
+    # the largest N reaches the sieve; one more is refused before it, with
+    # one line that names N
+    class Sieved(Exception):
+        pass
+
+    def sieve_stub(limit):
+        raise Sieved
+
+    monkeypatch.setattr(tau_tables, "sieve", sieve_stub)
+    with pytest.raises(Sieved):
+        square_sum(LARGEST_SQUARE_SUM_N)
+    for N in (LARGEST_SQUARE_SUM_N + 1, 10**30, 10**400):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=f"^square_sum\\(N={N}\\) needs \\d+ bytes, "
+                               f"budget is {budget}$"):
+                square_sum(N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    # the function reads the module constant when it runs
+    monkeypatch.setattr(tau_tables, "SQUARE_SUM_BUDGET", 1000)
+    with pytest.raises(BudgetError):
+        square_sum(10**6)
+
+
+def test_integer_cube_root():
+    for n in [*range(1, 2000), 10**18 - 1, 10**18, 10**18 + 1, 2**189 - 1, 2**189]:
+        r = tau_tables._icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3, n
+    assert tau_tables._icbrt(10**600) == 10**200
 
 
 def test_fast_count_at_zero_builds_no_table(monkeypatch):

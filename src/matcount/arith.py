@@ -113,8 +113,12 @@ def _primes_up_to(limit: int) -> np.ndarray:
 def sieve(limit: int) -> np.ndarray:
     """Read-only int64 table of phi(n) for 0 <= n <= ``limit`` (phi[0] = 0).
 
-    Agrees with the pointwise phi for every n <= limit.  Rejects limits
-    whose table would exceed CELL_BUDGET cells.
+    Only the primes p <= sqrt(limit) are sieved: each scales its
+    multiples by 1 - 1/p, and every power of p is divided out of their
+    cofactor.  What is left of n's cofactor is 1 or n's one prime factor
+    q above sqrt(limit) (two would exceed the limit), and n is scaled by
+    1 - 1/q last.  Agrees with the pointwise phi for every n <= limit.
+    Rejects limits whose table would exceed CELL_BUDGET cells.
     """
     if limit < 1:
         raise ValueError(f"sieve() requires limit >= 1, got {limit}")
@@ -123,8 +127,18 @@ def sieve(limit: int) -> np.ndarray:
             f"sieve(limit={limit}) needs {limit + 1} cells, budget is {CELL_BUDGET}"
         )
     table = np.arange(limit + 1, dtype=np.int64)
-    for p in _primes_up_to(limit):
+    rest = np.arange(limit + 1, dtype=np.int32)  # the budget keeps limit below 2^31
+    for p in _primes_up_to(math.isqrt(limit)).tolist():
         table[p::p] -= table[p::p] // p
+        power = p
+        while power <= limit:
+            rest[power::power] //= p
+            power *= p
+    large = rest > 1
+    # table[n] is a multiple of q = rest[n]; scale it by (q - 1) / q in place
+    np.floor_divide(table, rest, out=table, where=large)
+    rest -= 1
+    np.multiply(table, rest, out=table, where=large)
     table.flags.writeable = False
     return table
 

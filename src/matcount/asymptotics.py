@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import sigma
 from .hyperbola import AsymptoticReport
-from .tau_tables import TauTable, shifted_sum
+from .tau_tables import TauTable, TauWindows, shifted_sum
 from .exact import fast_count
 
 COEFF_96 = 96.0 / math.pi**2
@@ -54,7 +54,7 @@ def report(
     H: int,
     delta: int,
     epsilon: float = 0.1,
-    table: TauTable | None = None,
+    table: TauTable | TauWindows | None = None,
 ) -> AsymptoticReport:
     """Exact count vs. the determinant-count main term.
 

@@ -7,12 +7,17 @@ names a JSON object of flag values, which is parsed by the same parser
 as the command line, and explicit flags win.  All randomness flows from
 --seed through a splitmix-style 64-bit generator, so identical (config,
 seed) pairs produce byte-identical output (suppress the timing column
-with --no-timing).  The sweep emits one row per distinct (delta, H)
-point, sorted, and builds one tau table per H and shares it
-across that H's deltas, so its wall_time_ms column is each row's own
-report time, without the table build.  tau likewise emits one row per
-distinct (delta, N) and holds one tau table at a time; its first two
-moments need none.
+with --no-timing).  One rule decides how tau_N is read: a whole tau
+table is built only for an N that two or more reductions share, and
+every single-pass read streams tau_N one window at a time.  The sweep
+emits one row per distinct (delta, H) point, sorted; it builds one
+table for an H with two or more deltas 0 < |delta| <= 2H^2 and shares
+it across them, so its wall_time_ms column is each row's own report
+time, without the table build, while a row that streams includes its
+pass.  tau likewise emits one row per distinct (delta, N); it builds a
+table per N, one at a time, only for two or more deltas, and streams a
+single delta or a moment of order k >= 3; its first two moments read
+no tau_N at all.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 3 internal invariant violation.
 """
@@ -53,7 +58,14 @@ from .lemmas import (
     xy_sum,
 )
 from .rng import SplitMix64
-from .tau_tables import TauTable, build_tau_table, shifted_sum, square_sum, tau_moment
+from .tau_tables import (
+    TauTable,
+    TauWindows,
+    build_tau_table,
+    shifted_sum,
+    square_sum,
+    tau_moment,
+)
 
 
 def _fmt(x) -> str:
@@ -98,9 +110,9 @@ def _positive_int(text: str) -> int:
     return n
 
 
-# tau's largest --k: tau_N(n) <= 1600 for every N the cell budget admits,
-# so each k-th moment read from a table stays below 2e8 * 1600^64 < 10^214,
-# a float that prints in full.  k = 1 and 2 read no table.
+# tau's largest --k: tau_N(n) <= 1600 for every N the uint16 cells admit,
+# so each k-th moment of tau_N stays below 2^31 * 1600^64 < 10^215, a
+# float that prints in full.  k = 1 and 2 read no tau_N.
 MAX_MOMENT_ORDER = 64
 
 
@@ -214,10 +226,12 @@ def _cmd_count(args) -> int:
 
 
 def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> list[dict]:
-    """Rows of one H, all read from one tau table, which is dropped on
-    return.  Only 0 < |delta| <= 2H^2 needs the table: delta = 0 is
-    counted without one, and |delta| > 2H^2 counts 0."""
-    table = build_tau_table(H) if any(0 < abs(d) <= 2 * H * H for d in deltas) else None
+    """Rows of one H.  Only 0 < |delta| <= 2H^2 reads tau_H: delta = 0 is
+    counted without it, and |delta| > 2H^2 counts 0.  Two or more such
+    deltas share one tau table, which is dropped on return; a single one
+    streams tau_H."""
+    shared = sum(0 < abs(d) <= 2 * H * H for d in deltas) >= 2
+    table = build_tau_table(H) if shared else None
     return [_sweep_row(H, delta, table, epsilon, timing) for delta in deltas]
 
 
@@ -286,14 +300,15 @@ def _cmd_sweep(args) -> int:
 
 def _tau_values(N: int, k: int, deltas: list[int]):
     """N's shifted sums at deltas, or its k-th moment when there are no
-    deltas.  The first two moments read no table: sum tau_N(n) = N^2, and
-    the sum of squares is square_sum(N).  Otherwise they are all read
-    from one tau table, which is dropped on return."""
+    deltas.  The first two moments read no tau_N: sum tau_N(n) = N^2, and
+    the sum of squares is square_sum(N).  Two or more deltas share one
+    tau table, which is dropped on return; one delta or a higher moment
+    streams tau_N."""
     if not deltas and k == 1:
         return N * N
     if not deltas and k == 2:
         return square_sum(N)
-    table = build_tau_table(N)
+    table = build_tau_table(N) if len(deltas) >= 2 else TauWindows(N)
     if deltas:
         return {delta: shifted_sum(table, delta) for delta in deltas}
     return tau_moment(table, k)

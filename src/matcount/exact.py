@@ -6,22 +6,16 @@ every matrix in the box, while ``fast_count`` evaluates the product
 convolution sum(m) c2(m) * c2(m - delta) from tau_H, assembled from the
 reductions ``c2``, ``shifted_sum`` and ``self_convolution`` of
 ``tau_tables``, the one module that reads tau_H's cells.  Given no
-table, it reads tau_H one window at a time, so its memory stays bounded
-at any H whose uint16 cells cannot overflow (H^2 < 2^31).  At delta = 0
-it reads no table at all:
+table, it streams tau_H one window at a time, so its memory stays
+bounded at any H whose uint16 cells cannot overflow (H^2 < 2^31).  At
+delta = 0 it reads no table at all:
 
     #D_2(H, 0) = (4H+1)^2 + 8 * sum_{n <= H^2} tau_H(n)^2,
 
-and the sum of squares counts the solutions of ab = cd in [1, H]^4,
-
-    sum_{m=1}^{H} (2 phi(m) - [m = 1]) floor(H/m)^2:
-
-with g = gcd(a, c), a = gu, c = gv and gcd(u, v) = 1, ab = cd forces
-b = vk and d = uk with g, k <= H / max(u, v), and exactly 2 phi(m)
-coprime pairs have max(u, v) = m >= 2, one pair m = 1.
-``tau_tables.square_sum`` sums it over the O(sqrt H) blocks of constant
-floor(H/m), from the summatory totient, in O(H^(2/3)) time and memory,
-so delta = 0 has no uint16 limit, only the byte budget of square_sum.
+and ``tau_tables.square_sum`` gives the sum of squares from the
+totient identity proved in that module's docstring, in O(H^(2/3)) time
+and memory, so delta = 0 has no uint16 limit, only the byte budget of
+square_sum.
 The two counters must agree exactly; the tests enforce this
 exhaustively at small heights.
 
@@ -119,21 +113,19 @@ def naive_count(H: int, delta: int) -> int:
     return int(hist[idx])
 
 
-def _tau_table(H: int, table: TauTable | None) -> TauTable | TauWindows:
-    """The given tau table, refused unless it is the whole tau_H table;
-    when none is given, a new whole table if it fits in one window, else
-    tau_H read one window at a time."""
+def _tau_table(H: int, table: TauTable | TauWindows | None) -> TauTable | TauWindows:
+    """The given source of tau_H, refused unless it is for N = H; when
+    none is given, tau_H streamed: one whole table, which the reductions
+    of this read share, when it fits one window, else TauWindows(H)."""
     if table is None:
         windows = TauWindows(H)
-        return build_tau_table(H) if H * H + 1 <= windows.window else windows
+        return build_tau_table(H) if windows.one_table else windows
     if table.N != H:
         raise ValueError(f"tau table is for N={table.N}, expected H={H}")
-    if table.counts.size != H * H + 1:
-        raise ValueError(f"tau table is a window of tau_{H}, expected the whole table")
     return table
 
 
-def fast_count(H: int, delta: int, table: TauTable | None = None) -> int:
+def fast_count(H: int, delta: int, table: TauTable | TauWindows | None = None) -> int:
     """Exact #D_2(H, delta) as sum(m) c2(m) * c2(m - delta).
 
     With t = tau_H and D = |delta| > 0 the signed sum collapses to
@@ -194,7 +186,7 @@ def sign_class_count(H: int, delta: int, sign_class: SignClass) -> int:
     return total
 
 
-def zero_entry_count(H: int, delta: int, table: TauTable | None = None) -> int:
+def zero_entry_count(H: int, delta: int, table: TauTable | TauWindows | None = None) -> int:
     """Exact count of matrices in D_2(H, delta) with at least one zero entry.
 
     Inclusion-exclusion over the four events {entry == 0}; each term
@@ -213,7 +205,7 @@ def zero_entry_count(H: int, delta: int, table: TauTable | None = None) -> int:
 def decompose(
     H: int,
     delta: int,
-    table: TauTable | None = None,
+    table: TauTable | TauWindows | None = None,
 ) -> DecompositionReport:
     """Full sign decomposition of #D_2(H, delta) with exact identity checks."""
     table = _tau_table(H, table)

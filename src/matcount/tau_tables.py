@@ -1,16 +1,22 @@
 """The restricted divisor function tau_N and its tables.
 
 tau_N(n) counts ordered factorizations n = a*b with 1 <= a, b <= N;
-equivalently, divisors d of n with n/N <= d <= N.  ``build_tau_table``
-is the only source of tau_N's cells: an O(N^2) sieve over a window
-(lo, hi] of [1, N^2] into a read-only uint16 table; the whole table is
-the window (0, N^2].  The exact moments read a whole table.  The
-shifted sums, the self-convolution and the signed product counter c2
-read either a whole table, as one window, or ``TauWindows(N)``, which
-sieves windows of _WINDOW_CELLS cells as it reads them, so their memory
-does not grow with N.  Every reduction accumulates in int64 without a table-sized
-copy and adds up exact Python-int partial sums, one per window; no
-other module reads the table's cells.
+equivalently, divisors d of n with n/N <= d <= N.  One private O(N^2)
+sieve over a window (lo, hi] of [1, N^2] is the only source of tau_N's
+cells, and it reaches the reductions through two sources:
+``build_tau_table(N)``, the whole read-only uint16 table, and
+``TauWindows(N)``, which sieves windows of _WINDOW_CELLS cells as a
+reduction reads them, so its memory does not grow with N.  Every
+reduction (the moments, the shifted sums, the self-convolution and the
+signed product counter c2) reads either source one window at a time, a
+whole table being one window, accumulates in int64 without a
+table-sized copy and adds up exact Python-int partial sums, one per
+window; no other module reads tau_N's cells.
+
+The rule for choosing a source: a whole table is built only for an N
+that two or more reductions share, so that they sieve it once.  A
+single-pass read streams ``TauWindows(N)``; when all of tau_N fits one
+window it may be that one window, a whole table.
 
 The sum of squares needs no table.  ``square_sum(N)`` counts the
 solutions of ab = cd in [1, N]^4, which is sum_{n <= N^2} tau_N(n)^2,
@@ -59,8 +65,8 @@ import numpy as np
 from .arith import sieve
 from .errors import BudgetError
 
-# Table cells allowed per build (not bytes); a window of TauWindows is at
-# most 2 * _WINDOW_CELLS + 1 cells, far below it.
+# Cells allowed in a whole table (not bytes).  TauWindows needs no budget:
+# a reduction holds at most 2 * _WINDOW_CELLS + 1 of its cells at once.
 CELL_BUDGET = 200_000_000
 
 # tau_N(n) <= tau(n) <= 1600 < 2^16 for every n < 2^31 (the maximum, 1600,
@@ -89,12 +95,11 @@ _MEMO_ENTRY_BYTES = 48
 
 @dataclass(frozen=True)
 class TauTable:
-    """counts[n - lo] = tau_N(n) for lo < n <= hi (index 0 unused), read-only
-    uint16 cells.  The whole table has lo = 0 and hi = N^2."""
+    """counts[n] = tau_N(n) for 0 < n <= N^2 (index 0 unused), read-only
+    uint16 cells: the whole table."""
 
     N: int
     counts: np.ndarray
-    lo: int = 0
 
     @property
     def limit(self) -> int:
@@ -107,7 +112,7 @@ class TauTable:
 
     def cells(self, lo: int, hi: int) -> np.ndarray:
         """tau_N(n) for lo < n <= hi, a view of this table."""
-        return self.counts[lo - self.lo + 1 : hi - self.lo + 1]
+        return self.counts[lo + 1 : hi + 1]
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,15 @@ class TauWindows:
     def window(self) -> int:
         return _WINDOW_CELLS
 
+    @property
+    def one_table(self) -> bool:
+        """Whether all of tau_N fits one window and the cell budget, so
+        that the reductions of one read may share it as a whole table."""
+        return self.limit + 1 <= min(_WINDOW_CELLS, CELL_BUDGET)
+
     def cells(self, lo: int, hi: int) -> np.ndarray:
         """tau_N(n) for lo < n <= hi, sieved now."""
-        return build_tau_table(self.N, lo, hi).counts[1:]
+        return _sieve(self.N, lo, hi)[1:]
 
 
 def _check_limit(N: int) -> None:
@@ -139,9 +150,22 @@ def _check_limit(N: int) -> None:
         raise ValueError(f"build_tau_table(N={N}): N^2 >= 2^31 overflows uint16 cells")
 
 
-def build_tau_table(N: int, lo: int = 0, hi: int | None = None) -> TauTable:
-    """Sieve tau_N over the window (lo, hi]; the default is the whole
-    table, (0, N^2].
+def build_tau_table(N: int) -> TauTable:
+    """The whole tau_N table, for reductions that share it; refused past
+    CELL_BUDGET cells and past the uint16 limit."""
+    if N < 1:
+        raise ValueError(f"build_tau_table() requires N >= 1, got {N}")
+    if N * N + 1 > CELL_BUDGET:
+        raise BudgetError(
+            f"build_tau_table(N={N}) needs {N * N + 1} cells, budget is {CELL_BUDGET}"
+        )
+    _check_limit(N)
+    return TauTable(N=N, counts=_sieve(N, 0, N * N))
+
+
+def _sieve(N: int, lo: int, hi: int) -> np.ndarray:
+    """counts[n - lo] = tau_N(n) for 0 <= lo < n <= hi <= N^2 (index 0
+    unused), read-only uint16 cells; the callers bound the window.
 
     A product a*b with a < b counts for both orders, so row a adds 2 at
     the multiples a*b, a < b <= N, that fall in the window, as one
@@ -150,16 +174,6 @@ def build_tau_table(N: int, lo: int = 0, hi: int | None = None) -> TauTable:
     sqrt(hi) reach the window; their slice bounds are computed at once
     in int64, so the loop does one in-place add per row.
     """
-    if N < 1:
-        raise ValueError(f"build_tau_table() requires N >= 1, got {N}")
-    hi = N * N if hi is None else hi
-    if hi - lo + 1 > CELL_BUDGET:
-        raise BudgetError(
-            f"build_tau_table(N={N}) needs {hi - lo + 1} cells, budget is {CELL_BUDGET}"
-        )
-    _check_limit(N)
-    if not 0 <= lo < hi <= N * N:
-        raise ValueError(f"build_tau_table(N={N}) needs 0 <= lo < hi <= N^2, got ({lo}, {hi}]")
     counts = np.zeros(hi - lo + 1, dtype=np.uint16)
     rows = range(lo // N + 1, isqrt(hi) + 1)
     a = np.arange(rows.start, rows.stop, dtype=np.int64)
@@ -173,7 +187,7 @@ def build_tau_table(N: int, lo: int = 0, hi: int | None = None) -> TauTable:
     roots = np.arange(isqrt(lo) + 1, isqrt(hi) + 1)
     counts[roots * roots - lo] += 1
     counts.flags.writeable = False
-    return TauTable(N=N, counts=counts, lo=lo)
+    return counts
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> int:
@@ -268,19 +282,27 @@ def _large_totient_sums(N: int, small: np.ndarray, K: int) -> list[int]:
     return big
 
 
-def tau_moment(table: TauTable, k: int) -> int:
+def tau_moment(table: TauTable | TauWindows, k: int) -> int:
     """Exact sum of tau_N(n)^k over 1 <= n <= N^2.
 
-    Goes through a value histogram, built one block at a time, so the
-    k-th powers are taken with Python integers; exact for any k, no
-    overflow.
+    One exact partial sum per window of n; a whole table is one window.
     """
     if k < 1:
         raise ValueError(f"tau_moment() requires k >= 1, got {k}")
-    counts = table.counts
-    freq = np.zeros(int(counts.max()) + 1, dtype=np.int64)
-    for lo in range(1, counts.size, _MOMENT_BLOCK):
-        freq += np.bincount(counts[lo : lo + _MOMENT_BLOCK], minlength=freq.size)
+    step = table.window
+    return sum(
+        _moment_window(table.cells(lo, min(lo + step, table.limit)), k)
+        for lo in range(0, table.limit, step)
+    )
+
+
+def _moment_window(cells: np.ndarray, k: int) -> int:
+    """sum v^k over the cells v of one window, through a value histogram
+    built _MOMENT_BLOCK cells at a time, so the k-th powers are taken in
+    Python ints: exact for any k."""
+    freq = np.zeros(int(cells.max()) + 1, dtype=np.int64)
+    for lo in range(0, cells.size, _MOMENT_BLOCK):
+        freq += np.bincount(cells[lo : lo + _MOMENT_BLOCK], minlength=freq.size)
     return sum(int(f) * v**k for v, f in enumerate(freq) if f)
 
 

@@ -86,6 +86,26 @@ def test_sieve_matches_pointwise():
         assert t[n] == phi(n)
 
 
+def sieve_by_every_prime(limit):
+    """The phi sieve that scales the multiples of every prime up to the
+    limit by 1 - 1/p, one strided update per prime."""
+    table = np.arange(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            table[p::p] -= table[p::p] // p
+    return table
+
+
+def test_sieve_matches_the_every_prime_loop():
+    # every limit below 200, and the limits around a prime square, where
+    # one more prime joins the sieved ones
+    limits = [*range(1, 200)]
+    for p in (2, 3, 5, 7, 11, 13, 101, 211):
+        limits += [p * p - 1, p * p, p * p + 1]
+    for limit in limits:
+        assert sieve(limit).tolist() == sieve_by_every_prime(limit).tolist(), limit
+
+
 def test_sieve_prime_rows():
     t = sieve(100)
     for p in (2, 3, 5, 7, 97):

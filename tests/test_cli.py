@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import casework, cli, exact, tau_tables
+from matcount import casework, cli, tau_tables
 from matcount.casework import RegionG, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
 from matcount.errors import InvariantError
@@ -77,9 +77,9 @@ def test_sweep_deterministic_and_jobs_equal(tmp_path):
 def test_sweep_builds_each_table_once(monkeypatch, tmp_path):
     built = []
 
-    def counting_build(N, *args, **kwargs):
+    def counting_build(N):
         built.append(N)
-        return build_tau_table(N, *args, **kwargs)
+        return build_tau_table(N)
 
     monkeypatch.setattr(cli, "build_tau_table", counting_build)
     args = ["sweep", "--H", "10,30,20", "--delta", "0,1,-7,1", "--no-timing"]
@@ -135,7 +135,7 @@ def test_tau_shifted_discrimination(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--N", "10,40,20,30", "--k", "3"], ["--N", "10,40,20,30", "--delta=1,3"]]
+    "argv", [["--N", "10,40,20,30", "--delta=2,7"], ["--N", "10,40,20,30", "--delta=1,3"]]
 )
 def test_tau_holds_one_table_at_a_time(argv, monkeypatch, capsys):
     sizes, built, alive = [], [], []
@@ -301,8 +301,8 @@ def test_exit_codes(capsys, tmp_path):
     assert run([], capsys)[0] == 1
     assert run(["count", "--H", "x", "--delta", "1"], capsys)[0] == 1
     assert run(["fit", str(tmp_path / "missing.csv")], capsys)[0] == 1
-    # budget violations surface as exit 2; --k 3 needs a whole table
-    assert run(["tau", "--N", "100000", "--k", "3"], capsys)[0] == 2
+    # budget violations surface as exit 2; two deltas share a whole table
+    assert run(["sweep", "--H", "20000", "--delta", "1,6"], capsys)[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -338,7 +338,7 @@ def test_exit_codes(capsys, tmp_path):
 )
 def test_bad_values_exit_1_with_one_line(argv, monkeypatch, capsys):
     if tuple(argv) in _REFUSED_BEFORE_ANY_TABLE:
-        monkeypatch.setattr(cli, "build_tau_table", None)
+        monkeypatch.setattr(tau_tables, "_sieve", None)
     t0 = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - t0 < 1
@@ -381,9 +381,8 @@ _REFUSED_BEFORE_ANY_TABLE = {
     ],
 )
 def test_sizes_are_checked_by_the_parser(argv, flag, bad, monkeypatch, capsys):
-    # refused before any table is built
-    monkeypatch.setattr(cli, "build_tau_table", None)
-    monkeypatch.setattr(exact, "build_tau_table", None)
+    # refused before any tau_N cell is sieved
+    monkeypatch.setattr(tau_tables, "_sieve", None)
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
     assert err == f"error: argument --{flag}: expected positive integers, got {bad}\n"
@@ -394,8 +393,8 @@ def test_tau_moment_order_bound(monkeypatch, capsys):
     code, out, err = run(["tau", "--N", "10,20", "--k", "64", "--format", "json"], capsys)
     assert code == 0 and err.startswith("fit: ")
     assert all(0 < float(row["moment"]) < math.inf for row in json.loads(out)["rows"])
-    # one past it is refused by the parser, before any table is built
-    monkeypatch.setattr(cli, "build_tau_table", None)
+    # one past it is refused by the parser, before any tau_N cell is sieved
+    monkeypatch.setattr(tau_tables, "_sieve", None)
     code, out, err = run(["tau", "--N", "10,20", "--k", "65"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: argument --k: expected an integer in 1..64, got '65'\n"
@@ -435,7 +434,7 @@ def test_memory_error_exits_2():
         )
 
     t0 = time.perf_counter()
-    big = child("tau", "--N", "14000", "--k", "3")  # a 374 MiB whole table
+    big = child("sweep", "--H", "14000", "--delta", "1,6")  # a 374 MiB shared table
     assert time.perf_counter() - t0 < 5
     assert (big.returncode, big.stdout) == (2, "")
     assert big.stderr.startswith("budget exceeded: ") and big.stderr.count("\n") == 1
@@ -452,8 +451,7 @@ def test_count_at_zero_reads_no_table(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("count at delta = 0 sieved tau_H")
 
-    monkeypatch.setattr(tau_tables, "build_tau_table", refuse)
-    monkeypatch.setattr(exact, "build_tau_table", refuse)
+    monkeypatch.setattr(tau_tables, "_sieve", refuse)
     t0 = time.perf_counter()
     code, out, err = run(["count", "--H", "46340", "--delta", "0"], capsys)
     assert time.perf_counter() - t0 < 2
@@ -462,13 +460,52 @@ def test_count_at_zero_reads_no_table(monkeypatch, capsys):
 
 
 def test_sweep_at_zero_builds_no_table(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "build_tau_table", None)
+    monkeypatch.setattr(tau_tables, "_sieve", None)
     code, out, err = run(["sweep", "--H", "5,10,20000", "--delta", "0", "--no-timing"], capsys)
     assert (code, err) == (0, "")
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [int(r["H"]) for r in rows] == [5, 10, 20000]
     for r in rows[:2]:
         assert int(r["exact"]) == naive_count(int(r["H"]), 0)
+
+
+# Single-pass reads at N = 30 and 40 and their stdout and stderr, the
+# values of the whole-table routes.
+_STREAMED = {
+    ("sweep", "--H", "40", "--delta", "6", "--no-timing"): (
+        "H,delta,exact,main,error,normalized_error,bound\n"
+        "40,6,31600,31125.8676149,474.132385074,0.700799261729,676.55948139\n",
+        "",
+    ),
+    ("tau", "--N", "30,40", "--delta", "6"): (
+        "N,delta,value\n30,6,2042\n40,6,3618\n",
+        "delta=6: slope=-0.0265532322671 vs log-candidate 2.43170840742 "
+        "-> shifted_nolog_candidate\n",
+    ),
+    ("tau", "--N", "30,40", "--k", "3"): (
+        "N,k,moment\n30,3,17916\n40,3,37072\n",
+        "fit: moment/N^2 = 11.3435408245*ln N + -18.6749546844\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_STREAMED))
+def test_single_pass_reads_stream_past_the_cell_budget(argv, monkeypatch, capsys):
+    want = (0, *_STREAMED[argv])
+    assert run(list(argv), capsys) == want
+    # no whole table of N = 40 fits the budget, and none is needed
+    monkeypatch.setattr(tau_tables, "CELL_BUDGET", 40 * 40)
+    assert run(list(argv), capsys) == want
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--H", "40", "--delta", "1,6"], ["tau", "--N", "30,40", "--delta", "1,6"]]
+)
+def test_shared_tables_keep_the_cell_budget(argv, monkeypatch, capsys):
+    monkeypatch.setattr(tau_tables, "CELL_BUDGET", 40 * 40)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: build_tau_table(N=40) needs 1601 cells, budget is 1600\n"
 
 
 def test_count_past_the_uint16_limit_exits_1_before_allocating(capsys):
@@ -489,6 +526,27 @@ def test_count_past_the_uint16_limit_exits_1_before_allocating(capsys):
     assert out.startswith("exact = 249996419009\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--H", "46341", "--delta", "6"],
+        ["tau", "--N", "10,46341", "--delta", "6"],
+        ["tau", "--N", "10,46341", "--k", "3"],
+    ],
+)
+def test_single_pass_reads_past_the_uint16_limit_exit_1(argv, capsys):
+    # streamed like count, so refused by the same guard before allocating
+    tracemalloc.start()
+    try:
+        code, out, err = run(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: build_tau_table(N=46341): N^2 >= 2^31 overflows uint16 cells\n"
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_tau_first_moments_read_no_table(k, monkeypatch, capsys):
     argv = ["tau", "--N", "10,20,40", "--k", k]
@@ -496,8 +554,7 @@ def test_tau_first_moments_read_no_table(k, monkeypatch, capsys):
         # the table route: every moment read from a whole table
         m.setattr(cli, "_tau_values", lambda N, k, deltas: tau_moment(build_tau_table(N), k))
         want = [run(argv + fmt, capsys) for fmt in ([], ["--format", "json"])]
-    for module in (cli, exact, tau_tables):
-        monkeypatch.setattr(module, "build_tau_table", None)
+    monkeypatch.setattr(tau_tables, "_sieve", None)
     assert [run(argv + fmt, capsys) for fmt in ([], ["--format", "json"])] == want
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matcount import exact
+from matcount.asymptotics import report
 from matcount.errors import BudgetError
 from matcount.exact import (
     ALL_SIGN_CLASSES,
@@ -17,7 +18,7 @@ from matcount.exact import (
     zero_entry_count,
 )
 from matcount.rng import SplitMix64
-from matcount.tau_tables import build_tau_table
+from matcount.tau_tables import TauWindows, build_tau_table
 
 
 def enumerate_count(H, delta):
@@ -66,10 +67,26 @@ def test_naive_rejects():
 
 
 def test_fast_equals_naive_exhaustive():
+    # from either source of tau_H: the whole table or its windows
     for H in range(1, 9):
-        table = build_tau_table(H)
-        for delta in range(-2 * H * H, 2 * H * H + 1):
-            assert fast_count(H, delta, table=table) == naive_count(H, delta), (H, delta)
+        for table in (build_tau_table(H), TauWindows(H)):
+            for delta in range(-2 * H * H, 2 * H * H + 1):
+                want = naive_count(H, delta)
+                assert fast_count(H, delta, table=table) == want, (H, delta, table)
+
+
+def test_every_reader_takes_either_source():
+    H = 40
+    table, windows = build_tau_table(H), TauWindows(H)
+    for delta in (0, 7, -7, 1601):
+        assert fast_count(H, delta, table=windows) == fast_count(H, delta, table=table)
+        assert report(H, delta, table=windows) == report(H, delta, table=table)
+        assert zero_entry_count(H, delta, table=windows) == zero_entry_count(
+            H, delta, table=table
+        )
+    for delta in (0, 5, -12):
+        rep = decompose(8, delta, table=TauWindows(8))
+        assert rep.assembly_ok and rep.total == naive_count(8, delta), delta
 
 
 def test_fast_equals_naive_random_larger():
@@ -92,8 +109,8 @@ def test_fast_symmetry_and_support(H, delta):
 def test_fast_rejects_mismatched_table():
     with pytest.raises(ValueError):
         fast_count(3, 1, table=build_tau_table(4))
-    with pytest.raises(ValueError, match="window"):
-        fast_count(3, 1, table=build_tau_table(3, 2, 9))
+    with pytest.raises(ValueError, match="N=4"):
+        fast_count(3, 1, table=TauWindows(4))
 
 
 def naive_sign_class(H, delta, sc):

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import exact, tau_tables
+from matcount import tau_tables
 from matcount.arith import divisors, sieve, tau
 from matcount.errors import BudgetError
 from matcount.exact import fast_count, naive_count
 from matcount.tau_tables import (
+    TauWindows,
     build_tau_table,
     c2,
     self_convolution,
@@ -167,8 +168,7 @@ def test_integer_cube_root():
 
 
 def test_fast_count_at_zero_builds_no_table(monkeypatch):
-    monkeypatch.setattr(exact, "build_tau_table", None)
-    monkeypatch.setattr(tau_tables, "build_tau_table", None)
+    monkeypatch.setattr(tau_tables, "_sieve", None)
     for H in range(1, 13):
         assert fast_count(H, 0) == naive_count(H, 0), H
 
@@ -176,8 +176,8 @@ def test_fast_count_at_zero_builds_no_table(monkeypatch):
 def test_fast_count_at_zero_still_checks_a_given_table():
     with pytest.raises(ValueError, match="N=4"):
         fast_count(3, 0, table=build_tau_table(4))
-    with pytest.raises(ValueError, match="window"):
-        fast_count(3, 0, table=build_tau_table(3, 2, 9))
+    with pytest.raises(ValueError, match="N=4"):
+        fast_count(3, 0, table=TauWindows(4))
 
 
 def tau_by_factorization(N, lo, hi):
@@ -215,8 +215,8 @@ def test_window_kernel_at_the_largest_N():
     # top window holds the largest products, the middle one about 0.2 N rows
     N, cells = 46340, 4096
     for hi in (N * N, N * N // 2):
-        window = build_tau_table(N, hi - cells, hi)
-        assert window.counts[1:].tolist() == tau_by_factorization(N, hi - cells, hi), hi
+        window = TauWindows(N).cells(hi - cells, hi)
+        assert window.tolist() == tau_by_factorization(N, hi - cells, hi), hi
 
 
 def test_uint16_cells_and_overflow_guard(monkeypatch):
@@ -224,12 +224,14 @@ def test_uint16_cells_and_overflow_guard(monkeypatch):
     assert t.counts.dtype == np.uint16
     assert not t.counts.flags.writeable
     # 46341^2 >= 2^31: refused before the 4 GB table is allocated, even
-    # under a cell budget that admits it
+    # under a cell budget that admits it, and before any window
     monkeypatch.setattr(tau_tables, "CELL_BUDGET", 1 << 40)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="2\\^31"):
             build_tau_table(46341)
+        with pytest.raises(ValueError, match="2\\^31"):
+            TauWindows(46341)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -262,17 +264,18 @@ def test_window_is_a_slice_of_the_whole_table(data):
     N = data.draw(st.integers(1, 300))
     lo = data.draw(st.integers(0, N * N - 1))
     hi = data.draw(st.integers(lo + 1, N * N))
-    window = build_tau_table(N, lo, hi)
-    # cell n sits at index n - lo, as in the whole table (lo = 0)
-    assert window.lo == lo and window.counts[0] == 0
-    assert np.array_equal(window.counts[1:], build_tau_table(N).counts[lo + 1 : hi + 1])
-    assert not window.counts.flags.writeable
+    window = TauWindows(N).cells(lo, hi)
+    assert np.array_equal(window, build_tau_table(N).counts[lo + 1 : hi + 1])
+    assert not window.flags.writeable
 
 
-def test_window_bounds_are_checked():
-    for lo, hi in ((-1, 4), (3, 3), (5, 4), (0, 17)):
-        with pytest.raises(ValueError, match="0 <= lo < hi <= N\\^2"):
-            build_tau_table(4, lo, hi)
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_windowed_moments_equal_the_whole_table(cells, monkeypatch):
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", cells)
+    for N in (1, 2, 3, 4, 7, 12, 25, 39, 40):
+        t, windows = build_tau_table(N), TauWindows(N)
+        for k in range(1, 5):
+            assert tau_moment(windows, k) == tau_moment(t, k), (cells, N, k)
 
 
 @pytest.mark.parametrize("cells", [1, 7, 64])

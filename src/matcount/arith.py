@@ -147,11 +147,11 @@ def mobius_sieve(limit: int) -> np.ndarray:
     """Read-only int8 table of mu(n) for 0 <= n <= ``limit`` (mu[0] = 0).
 
     Only the primes p <= sqrt(limit) are sieved: each flips the sign of
-    its multiples, zeroes the multiples of p^2 and multiplies p into
-    their running product.  An n whose product falls short of n has one
-    more prime factor, above sqrt(limit) (two would exceed the limit),
-    and gets one more sign flip.  Rejects limits whose table would exceed
-    CELL_BUDGET cells.
+    its multiples, zeroes the multiples of p^2 and divides p out of their
+    int32 cofactor once (a square factor has already zeroed mu).  An n
+    whose cofactor stays above 1 has one more prime factor, above
+    sqrt(limit) (two would exceed the limit), and gets one more sign flip.
+    Rejects limits whose table would exceed CELL_BUDGET cells.
     """
     if limit < 1:
         raise ValueError(f"mobius_sieve() requires limit >= 1, got {limit}")
@@ -161,11 +161,11 @@ def mobius_sieve(limit: int) -> np.ndarray:
         )
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    small = np.ones(limit + 1, dtype=np.int64)  # product of the primes <= sqrt(limit) of n
+    rest = np.arange(limit + 1, dtype=np.int32)  # the budget keeps limit below 2^31
     for p in _primes_up_to(math.isqrt(limit)).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-        small[p::p] *= p
-    mu[small != np.arange(limit + 1)] *= -1
+        rest[p::p] //= p
+    mu[rest > 1] *= -1
     mu.flags.writeable = False
     return mu

@@ -81,7 +81,6 @@ class ErrorFit:
     exponent: float
     log_constant: float
     r_squared: float
-    points: list[tuple[int, float]]
     degenerate: bool = False
 
 
@@ -97,7 +96,7 @@ def fit_error_exponent(rows: list[tuple[int, float, float]]) -> ErrorFit:
             )
     points = [(H, abs(exact - main)) for H, exact, main in rows if exact != main]
     if not points:
-        return ErrorFit(0.0, -math.inf, 1.0, [], degenerate=True)
+        return ErrorFit(0.0, -math.inf, 1.0, degenerate=True)
     if len({H for H, _ in points}) < 3:
         raise ValueError("fit_error_exponent() needs >= 3 distinct H with nonzero error")
     x = np.log([H for H, _ in points])
@@ -106,7 +105,7 @@ def fit_error_exponent(rows: list[tuple[int, float, float]]) -> ErrorFit:
     resid = y - (slope * x + intercept)
     tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if tss == 0 else max(0.0, 1.0 - float(np.sum(resid**2)) / tss)
-    return ErrorFit(float(slope), float(intercept), r2, points)
+    return ErrorFit(float(slope), float(intercept), r2)
 
 
 def fit_linear_in_logN(rows: list[tuple[int, float]]) -> tuple[float, float]:
@@ -126,7 +125,6 @@ class ShiftedDiscrimination:
 
     delta: int
     slope: float
-    intercept: float
     predicted_log_slope: float
     selected: MainTermKind
     values: dict[int, int]
@@ -147,7 +145,7 @@ def shifted_verdict(delta: int, values: dict[int, int]) -> ShiftedDiscrimination
     if delta < 1:
         raise ValueError(f"shifted_verdict() requires delta >= 1, got {delta}")
     values = dict(sorted(values.items()))
-    a, b = fit_linear_in_logN([(N, float(v)) for N, v in values.items()])
+    a, _ = fit_linear_in_logN([(N, float(v)) for N, v in values.items()])
     predicted = COEFF_12 * sigma(delta) / delta
     selected = (
         MainTermKind.SHIFTED_NOLOG_CANDIDATE
@@ -157,7 +155,6 @@ def shifted_verdict(delta: int, values: dict[int, int]) -> ShiftedDiscrimination
     return ShiftedDiscrimination(
         delta=delta,
         slope=a,
-        intercept=b,
         predicted_log_slope=predicted,
         selected=selected,
         values=values,

@@ -69,14 +69,8 @@ from .tau_tables import (
 
 
 def _fmt(x) -> str:
-    """Deterministic cell format: integers verbatim, reals at 12 digits."""
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return "%.12g" % x
-    return str(x)
+    """Deterministic cell format: reals at 12 digits, anything else verbatim."""
+    return "%.12g" % x if isinstance(x, float) else str(x)
 
 
 def _int_list(text: str) -> list[int]:

@@ -11,17 +11,21 @@ module passes it integer endpoints only.
 
 The solutions v of u*v = K (mod q), and the gcd weight of u, depend on
 u only through u mod q, so each query tabulates them once over the first
-min(X, q) integers of (U, U+X]: a box sums the table weighted by how
-often each residue occurs.  A curve evaluates all u of (U, U+X] as int64
-arrays, one block of U_BLOCK at a time: the row limit min(A // u, cap),
-the gather from the table and the stride count.  Its float main term is
-still added in u order (np.cumsum adds sequentially, np.sum would not),
-so it does not depend on the blocks or the table.
+min(X, q) integers of (U, U+X] as int64 arrays: the weights from one
+np.gcd with q, each solvable entry's v0 from one exact Python pow.  A
+box sums the table in Python ints, weighted by how often each residue
+occurs.  A curve evaluates all u of (U, U+X] as int64 arrays, one
+block of U_BLOCK at a time: the row limit min(A // u, cap), the gather
+from the table and the stride count.  Its float main term is still
+added in u order (np.cumsum adds sequentially, np.sum would not), so it
+does not depend on the blocks or the table.
 
 The array path needs int64 room, so both queries refuse q, A or U + X
-at or above INT64_LIMIT = 2^62 with ValueError rather than wrap.  Each
-curve quotient A / u is the correctly rounded float64 of two integers
-below 2^53; above that, A is rounded to float64 first.
+at or above INT64_LIMIT = 2^62 with ValueError rather than wrap.  The
+tables read K and U only mod q and a box counts in Python ints, so K, V
+and Y are unbounded.  Each curve quotient A / u is the correctly
+rounded float64 of two integers below 2^53; above that, A is rounded to
+float64 first.
 
 K = 0 needs no special case: every gcd(u, q) divides 0, so each u
 carries its full gcd weight, and the bounds' D = gcd(0, q) is q.
@@ -111,67 +115,61 @@ class AsymptoticReport:
         return 0.0 if self.error == 0 else math.inf
 
 
-def _int_range(lo: int, length: int) -> range:
-    """Integers in the half-open interval (lo, lo + length]."""
-    return range(lo + 1, lo + length + 1)
+def _weights(U: int, X: int, q: int, K: int) -> np.ndarray:
+    """gcd(u, q) where it divides K, else 0, for the first min(X, q)
+    integers u of (U, U+X]; any u of the range has its entry at index
+    (u - U - 1) % q.  u runs from (U + 1) % q and K is taken mod q, so
+    neither has to fit int64."""
+    g = np.gcd(np.arange(min(X, q), dtype=np.int64) + (U + 1) % q, q)
+    return np.where(K % q % g == 0, g, 0)
 
 
-def _residue_class(u: int, q: int, K: int) -> tuple[int, int] | None:
-    """Solutions v of u*v = K (mod q) as (v0, modulus), or None if none."""
-    g = math.gcd(u, q)
-    if K % g:
-        return None
-    m = q // g
-    if m == 1:
-        return 0, 1
-    v0 = ((K // g) * pow((u // g) % m, -1, m)) % m
-    return v0, m
+def _classes(U: int, X: int, q: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights w of _weights and, where w > 0, the solutions
+    v = v0 (mod m) of u*v = K (mod q) with m = q // w; v0 = 0, m = q where
+    there are none.  One exact Python pow per solvable entry."""
+    w = _weights(U, X, q, K)
+    m = q // np.maximum(w, 1)
+    v0 = np.zeros_like(m)
+    K, u0 = K % q, (U + 1) % q
+    i = np.flatnonzero(w)
+    v0[i] = [
+        K // g * pow((u0 + j) // g, -1, n) % n
+        for j, g, n in zip(i.tolist(), w[i].tolist(), m[i].tolist())
+    ]
+    return w, m, v0
 
 
-def _count_ap(v0: int, m: int, lo: int, length: int) -> int:
-    """Integers v = v0 (mod m) in (lo, lo + length]."""
+def _count_ap(v0, m, lo, length):
+    """Integers v = v0 (mod m) in (lo, lo + length], for ints or arrays."""
     return (lo + length - v0) // m - (lo - v0) // m
 
 
-def _gcd_weight(u: int, q: int, K: int) -> int:
-    """gcd(u, q) if it divides K (always, for K = 0), else 0."""
-    g = math.gcd(u, q)
-    return g if K % g == 0 else 0
-
-
-def _residue_table(f, U: int, X: int, q: int, K: int) -> list:
-    """f(u, q, K) for the first min(X, q) integers u of (U, U+X]; f depends
-    on u only through u mod q, so any u of the range has its entry at index
-    (u - U - 1) % q."""
-    return [f(u, q, K) for u in _int_range(U, min(X, q))]
-
-
-def _class_sizes(X: int, q: int) -> list[int]:
-    """How many integers of a length-X range share each index of its
-    residue table: X // q + (i < X % q) at index i."""
+def _class_total(values: list[int], X: int, q: int) -> int:
+    """Sum of a residue table's entries over a length-X range, where
+    index i recurs X // q + (i < X % q) times."""
     full, extra = divmod(X, q)
-    return [full + (i < extra) for i in range(min(X, q))]
+    return full * sum(values) + sum(values[:extra])
 
 
 def count_box(query: HyperbolaQuery) -> int:
     """Exact number of lattice points of the hyperbola in the box
     (U, U+X] x (V, V+Y]; one stride count per entry of the per-residue
-    table, so O(min(X, q)) work."""
+    table, in Python ints since V + Y is unbounded, so O(min(X, q)) work."""
     U, X, q = query.U, query.X, query.q
-    total = 0
-    for rc, n in zip(_residue_table(_residue_class, U, X, q, query.K), _class_sizes(X, q)):
-        if rc is not None:
-            v0, m = rc
-            total += n * _count_ap(v0, m, query.V, query.Y)
-    return total
+    w, m, v0 = _classes(U, X, q, query.K)
+    counts = [
+        _count_ap(a, b, query.V, query.Y) if g else 0
+        for a, b, g in zip(v0.tolist(), m.tolist(), w.tolist())
+    ]
+    return _class_total(counts, X, q)
 
 
 def main_term_box(query: HyperbolaQuery) -> float:
     """Main term (Y/q) * sum over r | K of r * #{u in range: gcd(u, q) = r},
     evaluated exactly over the per-residue table of gcd weights."""
     U, X, q = query.U, query.X, query.q
-    weights = _residue_table(_gcd_weight, U, X, q, query.K)
-    s = sum(w * n for w, n in zip(weights, _class_sizes(X, q)))
+    s = _class_total(_weights(U, X, q, query.K).tolist(), X, q)
     return float(query.Y) * s / q
 
 
@@ -197,16 +195,12 @@ def count_under_curve(query: CurveQuery) -> int:
     per-residue table."""
     U, X, q = query.U, query.X, query.q
     A, cap = query.bound.A, query.bound.cap
-    classes = _residue_table(_residue_class, U, X, q, query.K)
-    solvable = np.array([rc is not None for rc in classes], dtype=bool)
-    v0 = np.array([rc[0] if rc else 0 for rc in classes], dtype=np.int64)
-    m = np.array([rc[1] if rc else 1 for rc in classes], dtype=np.int64)
+    w, m, v0 = _classes(U, X, q, query.K)
     cap = A if cap is None else min(cap, A)  # A // u <= A, so a larger cap never binds
     total = 0
     for u, i in _u_blocks(U, X, q):
-        limit = np.minimum(A // u, cap)
-        counts = (limit - v0[i]) // m[i] - (-v0[i]) // m[i]
-        total += sum(counts[solvable[i]].tolist())  # Python ints: no int64 sum
+        counts = _count_ap(v0[i], m[i], 0, np.minimum(A // u, cap))
+        total += sum(counts[w[i] > 0].tolist())  # Python ints: no int64 sum
     return total
 
 
@@ -215,7 +209,7 @@ def main_term_curve(query: CurveQuery) -> float:
     the boundary correction X * delta_q(K) / 2, with f(u) = min(A / u, cap)."""
     U, X, q = query.U, query.X, query.q
     A, cap = query.bound.A, query.bound.cap
-    weights = np.array(_residue_table(_gcd_weight, U, X, q, query.K), dtype=np.int64)
+    weights = _weights(U, X, q, query.K)
     s = 0.0
     for u, i in _u_blocks(U, X, q):
         f = A / u if cap is None else np.minimum(A / u, min(cap, A))  # A / u <= A

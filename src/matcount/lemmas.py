@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import divisors, factorize, mobius_sieve, sieve, sigma, tau
+from .arith import divisors, factorize, mobius_sieve, phi, sieve, sigma, tau
 from .hyperbola import AsymptoticReport
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
@@ -123,8 +123,6 @@ def coprime_count(X, Y: int) -> int:
 def coprime_count_report(X, Y: int) -> AsymptoticReport:
     """Exact count vs. X * phi(Y) / Y with envelope tau(Y); the Moebius
     proof gives the error constant 1."""
-    from .arith import phi
-
     exact = float(coprime_count(X, Y))
     main = float(X) * phi(Y) / Y
     return AsymptoticReport(exact, main, float(tau(Y)))

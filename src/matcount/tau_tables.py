@@ -147,7 +147,7 @@ class TauWindows:
 
 def _check_limit(N: int) -> None:
     if N * N >= _MAX_LIMIT:
-        raise ValueError(f"build_tau_table(N={N}): N^2 >= 2^31 overflows uint16 cells")
+        raise ValueError(f"tau_N with N={N}: N^2 >= 2^31 overflows uint16 cells")
 
 
 def build_tau_table(N: int) -> TauTable:

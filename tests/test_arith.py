@@ -1,6 +1,7 @@
 """Elementary multiplicative functions against brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ def test_mobius_sieve_matches_pointwise():
     # every limit, including those just below and at a prime square
     for limit in range(1, 60):
         assert mobius_sieve(limit).tolist() == mu[: limit + 1].tolist(), limit
+    # the int8 table, an int32 cofactor and one bool mask: about 7 bytes a
+    # cell, where an int64 running product and its arange took 18
+    limit = 10**5
+    tracemalloc.start()
+    try:
+        mobius_sieve(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (limit + 1)
 
 
 def test_mobius_sieve_domain(monkeypatch):

@@ -516,7 +516,7 @@ def test_count_past_the_uint16_limit_exits_1_before_allocating(capsys):
     finally:
         tracemalloc.stop()
     assert (code, out) == (1, "")
-    assert err == "error: build_tau_table(N=46341): N^2 >= 2^31 overflows uint16 cells\n"
+    assert err == "error: tau_N with N=46341: N^2 >= 2^31 overflows uint16 cells\n"
     assert peak < 1 << 20
     # delta = 0 reads no table, so the uint16 limit does not apply; the
     # value is (4H + 1)^2 + 8 square_sum(H), and square_sum(46341) is held
@@ -543,7 +543,7 @@ def test_single_pass_reads_past_the_uint16_limit_exit_1(argv, capsys):
     finally:
         tracemalloc.stop()
     assert (code, out) == (1, "")
-    assert err == "error: build_tau_table(N=46341): N^2 >= 2^31 overflows uint16 cells\n"
+    assert err == "error: tau_N with N=46341: N^2 >= 2^31 overflows uint16 cells\n"
     assert peak < 1 << 20
 
 

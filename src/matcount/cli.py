@@ -2,7 +2,9 @@
 and lemma regressions, hyperbola diagnostics, and fixture generation.
 
 Subcommands: count, sweep, tau, hyperbola, lemmas, casework, fit,
-fixtures.  Each subcommand declares only the flags it reads; --config
+fixtures.  Each subcommand declares only the flags it reads, except that
+sweep and hyperbola still accept --jobs: it is validated as a positive
+integer and has no effect, since every command runs serially; --config
 names a JSON object of flag values, which is parsed by the same parser
 as the command line, and explicit flags win.  All randomness flows from
 --seed through a splitmix-style 64-bit generator, so identical (config,
@@ -29,10 +31,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, casework
 from .asymptotics import (
@@ -179,23 +179,6 @@ def _emit(
         sys.stdout.write(text)
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_jobs(fn, items: list, jobs: int):
-    """Ordered map, optionally threaded; output order never depends on
-    completion order.  The pool has no more threads than items or CPUs."""
-    workers = min(jobs, len(items), _available_cpus())
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _single_point(args) -> tuple[int, int]:
     """The one (H, delta) point that count and casework take."""
     if args.H is None or args.delta is None:
@@ -253,21 +236,18 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep requires --H and --delta lists")
     timing = not args.no_timing
     deltas = sorted(set(args.delta))
-    # largest H first, so the slowest group never starts last
-    groups = _map_jobs(
-        lambda H: _sweep_group(H, deltas, args.epsilon, timing),
-        sorted(set(args.H), reverse=True),
-        args.jobs,
-    )
-    by_point = {(row["delta"], row["H"]): row for group in groups for row in group}
-    rows = [by_point[point] for point in sorted({(d, H) for d in args.delta for H in args.H})]
+    # one H at a time, so at most one shared table is alive
+    rows = [
+        row for H in sorted(set(args.H)) for row in _sweep_group(H, deltas, args.epsilon, timing)
+    ]
+    rows.sort(key=lambda r: (r["delta"], r["H"]))
     columns = ["H", "delta", "exact", "main", "error", "normalized_error", "bound"]
     if timing:
         columns.append("wall_time_ms")
     extra = None
     if args.fit:
         fits = {}
-        for delta in sorted(set(args.delta)):
+        for delta in deltas:
             sub = [
                 (r["H"], float(r["exact"]), r["main"])
                 for r in rows
@@ -401,9 +381,11 @@ def _cmd_hyperbola(args) -> int:
             f"hyperbola(N={args.N}) makes {args.N} query pairs, "
             f"budget is {HYPERBOLA_QUERY_BUDGET}"
         )
-    queries = random_hyperbola_queries(args.seed, args.N)
-    nested = _map_jobs(lambda p: _hyperbola_rows(p, args.epsilon), queries, args.jobs)
-    rows = [row for pair in nested for row in pair]
+    rows = [
+        row
+        for pair in random_hyperbola_queries(args.seed, args.N)
+        for row in _hyperbola_rows(pair, args.epsilon)
+    ]
     worst = {
         kind: max((r["normalized"] for r in rows if r["kind"] == kind), default=0.0)
         for kind in ("box", "curve")
@@ -540,7 +522,8 @@ _EPSILON = dict(type=_unit_float, default=0.1)
 _JOBS = dict(type=_positive_int, default=1)
 _EMIT = {"output": dict(), "format": dict(choices=("csv", "json"), default="csv")}
 
-# Each subcommand's flags, exactly those its _cmd_* function reads.
+# Each subcommand's flags, exactly those its _cmd_* function reads, plus
+# the --jobs that sweep and hyperbola accept and ignore.
 _COMMANDS = {
     "count": (_cmd_count, {"H": _SIZES, "delta": _INTS, "epsilon": _EPSILON}),
     "sweep": (_cmd_sweep, {

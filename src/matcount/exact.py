@@ -135,18 +135,18 @@ def fast_count(H: int, delta: int, table: TauTable | TauWindows | None = None) -
     and for delta = 0 to (4H+1)^2 + 8*sum t(k)^2.  Each term for D > 0
     is one reduction of the tau_H table: c2, shifted_sum and
     self_convolution; the sum of squares is square_sum(H), which reads
-    no table, so at delta = 0 a given table is only checked and none is
-    built, and H is bounded by square_sum's byte budget instead of
-    H^2 < 2^31.
+    no table, so at delta = 0 and at |delta| > 2H^2 a given table is only
+    checked and none is built, and at delta = 0 H is bounded by
+    square_sum's byte budget instead of H^2 < 2^31.
     """
     if H < 1:
         raise ValueError(f"fast_count() requires H >= 1, got {H}")
+    if table is not None:
+        _tau_table(H, table)
     D = abs(delta)
     if D > 2 * H * H:
         return 0
     if D == 0:
-        if table is not None:
-            _tau_table(H, table)
         return (4 * H + 1) ** 2 + 8 * square_sum(H)
     table = _tau_table(H, table)
     return (

@@ -1,4 +1,4 @@
-"""Command-line surface: output schemas, determinism, parallel equality,
+"""Command-line surface: output schemas, determinism, --jobs equality,
 config files, exit codes and an argv fuzz."""
 
 import contextlib
@@ -135,7 +135,12 @@ def test_tau_shifted_discrimination(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--N", "10,40,20,30", "--delta=2,7"], ["--N", "10,40,20,30", "--delta=1,3"]]
+    "argv",
+    [
+        ["tau", "--N", "10,40,20,30", "--delta=2,7"],
+        ["tau", "--N", "10,40,20,30", "--delta=1,3"],
+        ["sweep", "--H", "10,40,20,30", "--delta", "1,7", "--no-timing", "--jobs", "2"],
+    ],
 )
 def test_tau_holds_one_table_at_a_time(argv, monkeypatch, capsys):
     sizes, built, alive = [], [], []
@@ -148,9 +153,10 @@ def test_tau_holds_one_table_at_a_time(argv, monkeypatch, capsys):
         return table
 
     monkeypatch.setattr(cli, "build_tau_table", tracking_build)
-    assert run(["tau", *argv], capsys)[0] == 0
-    # largest N first, and every earlier table is gone before the next build
-    assert sizes == [40, 30, 20, 10]
+    assert run(argv, capsys)[0] == 0
+    # every earlier table is gone before the next build; tau builds the
+    # largest N first, sweep goes up in H
+    assert sizes == ([40, 30, 20, 10] if argv[0] == "tau" else [10, 20, 30, 40])
     assert alive == [0, 0, 0, 0]
 
 
@@ -590,44 +596,6 @@ def test_delta0_budget_exits_2_with_one_line(argv, longest, monkeypatch, capsys)
     assert err.startswith(f"budget exceeded: square_sum(N={argv[2]}) needs ")
     assert err.count("\n") == 1 and len(err) < longest
     assert peak < 1 << 20
-
-
-def test_jobs_pool_is_clamped(monkeypatch, capsys):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for ThreadPoolExecutor: records the pool size and maps
-        in the calling thread, so no thread is started."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
-    items = list(range(10))
-    assert cli._map_jobs(str, items, 500) == [str(i) for i in items]
-    assert cli._map_jobs(str, items[:3], 500) == ["0", "1", "2"]
-    assert cli._map_jobs(str, items, 2) == [str(i) for i in items]
-    assert sizes == [4, 3, 2]
-    # one CPU, one item or one job: no pool at all
-    assert cli._map_jobs(str, items[:1], 500) == ["0"]
-    assert cli._map_jobs(str, items, 1) == [str(i) for i in items]
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
-    assert cli._map_jobs(str, items, 500) == [str(i) for i in items]
-    assert sizes == [4, 3, 2]
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 64)
-    code, out, _ = run(["hyperbola", "--N", "5", "--jobs", "500"], capsys)
-    assert code == 0 and sizes[-1] == 5
-    assert out == run(["hyperbola", "--N", "5"], capsys)[1]
 
 
 def test_config_goes_through_the_parser(tmp_path, capsys):

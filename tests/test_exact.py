@@ -111,6 +111,10 @@ def test_fast_rejects_mismatched_table():
         fast_count(3, 1, table=build_tau_table(4))
     with pytest.raises(ValueError, match="N=4"):
         fast_count(3, 1, table=TauWindows(4))
+    # checked before the |delta| > 2H^2 shortcut returns 0
+    for delta in (19, -19):
+        with pytest.raises(ValueError, match="N=4"):
+            fast_count(3, delta, table=TauWindows(4))
 
 
 def naive_sign_class(H, delta, sc):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import sigma
 from .hyperbola import AsymptoticReport
-from .tau_tables import TauTable, TauWindows, shifted_sum
+from .tau_tables import DeltaSums, TauTable, TauWindows, shifted_sum
 from .exact import fast_count
 
 COEFF_96 = 96.0 / math.pi**2
@@ -54,14 +54,16 @@ def report(
     H: int,
     delta: int,
     epsilon: float = 0.1,
-    table: TauTable | TauWindows | None = None,
+    table: TauTable | TauWindows | DeltaSums | None = None,
 ) -> AsymptoticReport:
     """Exact count vs. the determinant-count main term.
 
     delta = 0 uses the H^2 (log H + DELTA0_K) law, delta != 0 the
     divisor-ratio law; bound is the nominal H^eps * max(H^(5/3), |delta|)
-    envelope.  The exact count comes first, so an H outside its domain
-    or budget is refused before H meets a float.
+    envelope.  The exact count comes first, from fast_count with table,
+    a source of tau_H or the DeltaSums of a pass over many deltas of H
+    (exact.delta_pass), so an H outside its domain or budget is refused
+    before H meets a float.
     """
     if H < 1:
         raise ValueError(f"report() requires H >= 1, got {H}")

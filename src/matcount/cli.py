@@ -9,17 +9,15 @@ names a JSON object of flag values, which is parsed by the same parser
 as the command line, and explicit flags win.  All randomness flows from
 --seed through a splitmix-style 64-bit generator, so identical (config,
 seed) pairs produce byte-identical output (suppress the timing column
-with --no-timing).  One rule decides how tau_N is read: a whole tau
-table is built only for an N that two or more reductions share, and
-every single-pass read streams tau_N one window at a time.  The sweep
-emits one row per distinct (delta, H) point, sorted; it builds one
-table for an H with two or more deltas 0 < |delta| <= 2H^2 and shares
-it across them, so its wall_time_ms column is each row's own report
-time, without the table build, while a row that streams includes its
-pass.  tau likewise emits one row per distinct (delta, N); it builds a
-table per N, one at a time, only for two or more deltas, and streams a
-single delta or a moment of order k >= 3; its first two moments read
-no tau_N at all.
+with --no-timing).  Every command streams tau_N one window at a time,
+and one pass over tau_N serves every delta of an N.  The sweep emits
+one row per distinct (delta, H) point, sorted; the deltas
+0 < |delta| <= 2H^2 of an H share one pass, so when there are two or
+more of them their rows' wall_time_ms is each row's own report time,
+without the pass, while a lone such delta includes its pass.  tau
+likewise emits one row per distinct (delta, N); it reads one pass per
+N, one N at a time, for all of its deltas, or streams a moment of
+order k >= 3; its first two moments read no tau_N at all.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 3 internal invariant violation.
 """
@@ -42,7 +40,7 @@ from .asymptotics import (
     shifted_verdict,
 )
 from .errors import BudgetError, InvariantError, UsageError
-from .exact import naive_count, sign_class_count, SignClass
+from .exact import delta_pass, naive_count, sign_class_count, SignClass
 from .hyperbola import (
     CurveQuery,
     Hyperbolic,
@@ -58,14 +56,7 @@ from .lemmas import (
     xy_sum,
 )
 from .rng import SplitMix64
-from .tau_tables import (
-    TauTable,
-    TauWindows,
-    build_tau_table,
-    shifted_sum,
-    square_sum,
-    tau_moment,
-)
+from .tau_tables import DeltaSums, TauWindows, shifted_sums, square_sum, tau_moment
 
 
 def _fmt(x) -> str:
@@ -205,18 +196,19 @@ def _cmd_count(args) -> int:
 def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> list[dict]:
     """Rows of one H.  Only 0 < |delta| <= 2H^2 reads tau_H: delta = 0 is
     counted without it, and |delta| > 2H^2 counts 0.  Two or more such
-    deltas share one tau table, which is dropped on return; a single one
-    streams tau_H."""
-    shared = sum(0 < abs(d) <= 2 * H * H for d in deltas) >= 2
-    table = build_tau_table(H) if shared else None
-    return [_sweep_row(H, delta, table, epsilon, timing) for delta in deltas]
+    deltas share one pass over tau_H, read before their rows, so that
+    each row times only its own report; a lone one reads its pass inside
+    its row."""
+    reads = [d for d in deltas if 0 < abs(d) <= 2 * H * H]
+    sums = delta_pass(H, reads) if len(reads) >= 2 else None
+    return [_sweep_row(H, delta, sums, epsilon, timing) for delta in deltas]
 
 
 def _sweep_row(
-    H: int, delta: int, table: TauTable | None, epsilon: float, timing: bool
+    H: int, delta: int, sums: DeltaSums | None, epsilon: float, timing: bool
 ) -> dict:
     t0 = time.perf_counter()
-    rep = report(H, delta, epsilon=epsilon, table=table)
+    rep = report(H, delta, epsilon=epsilon, table=sums)
     row = {
         "H": H,
         "delta": delta,
@@ -236,7 +228,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep requires --H and --delta lists")
     timing = not args.no_timing
     deltas = sorted(set(args.delta))
-    # one H at a time, so at most one shared table is alive
+    # one H at a time, so at most one pass is alive
     rows = [
         row for H in sorted(set(args.H)) for row in _sweep_group(H, deltas, args.epsilon, timing)
     ]
@@ -273,19 +265,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _tau_values(N: int, k: int, deltas: list[int]):
-    """N's shifted sums at deltas, or its k-th moment when there are no
-    deltas.  The first two moments read no tau_N: sum tau_N(n) = N^2, and
-    the sum of squares is square_sum(N).  Two or more deltas share one
-    tau table, which is dropped on return; one delta or a higher moment
-    streams tau_N."""
-    if not deltas and k == 1:
-        return N * N
-    if not deltas and k == 2:
-        return square_sum(N)
-    table = build_tau_table(N) if len(deltas) >= 2 else TauWindows(N)
+    """N's shifted sums at deltas, all from one pass over tau_N, or its
+    k-th moment when there are no deltas.  The first two moments read no
+    tau_N: sum tau_N(n) = N^2, and the sum of squares is square_sum(N);
+    a higher moment streams tau_N."""
     if deltas:
-        return {delta: shifted_sum(table, delta) for delta in deltas}
-    return tau_moment(table, k)
+        return shifted_sums(TauWindows(N), deltas)
+    if k == 1:
+        return N * N
+    if k == 2:
+        return square_sum(N)
+    return tau_moment(TauWindows(N), k)
 
 
 def _cmd_tau(args) -> int:
@@ -298,8 +288,8 @@ def _cmd_tau(args) -> int:
         raise UsageError(f"tau requires every --delta >= 1, got {min(deltas)}")
     if deltas and len(Ns) < 2:
         raise UsageError("tau --delta requires at least two distinct --N values")
-    # largest N first, so the largest build sets the peak: each table is
-    # dropped before the next one is built
+    # largest N first, so that a too large N is refused before the others
+    # are read
     values = {N: _tau_values(N, k, deltas) for N in reversed(Ns)}
     extra: dict = {}
     if deltas:

@@ -7,8 +7,10 @@ convolution sum(m) c2(m) * c2(m - delta) from tau_H, assembled from the
 reductions ``c2``, ``shifted_sum`` and ``self_convolution`` of
 ``tau_tables``, the one module that reads tau_H's cells.  Given no
 table, it streams tau_H one window at a time, so its memory stays
-bounded at any H whose uint16 cells cannot overflow (H^2 < 2^31).  At
-delta = 0 it reads no table at all:
+bounded at any H whose uint16 cells cannot overflow (H^2 < 2^31);
+``delta_pass`` reads those reductions for many deltas of one H in a
+single pass, and ``fast_count`` takes its result in place of a table.
+At delta = 0 it reads no table at all:
 
     #D_2(H, 0) = (4H+1)^2 + 8 * sum_{n <= H^2} tau_H(n)^2,
 
@@ -35,14 +37,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import tau_tables
 from .errors import BudgetError
 from .tau_tables import (
+    DeltaSums,
     TauTable,
     TauWindows,
     build_tau_table,
     c2,
-    self_convolution,
-    shifted_sum,
+    delta_sums,
     square_sum,
 )
 
@@ -113,19 +116,33 @@ def naive_count(H: int, delta: int) -> int:
     return int(hist[idx])
 
 
-def _tau_table(H: int, table: TauTable | TauWindows | None) -> TauTable | TauWindows:
+def _tau_table(H: int, table: TauTable | TauWindows | DeltaSums | None):
     """The given source of tau_H, refused unless it is for N = H; when
-    none is given, tau_H streamed: one whole table, which the reductions
-    of this read share, when it fits one window, else TauWindows(H)."""
+    none is given, tau_H streamed: TauWindows(H), or the whole table when
+    all of it fits one window and tau_tables.CELL_BUDGET, read when
+    called."""
     if table is None:
         windows = TauWindows(H)
-        return build_tau_table(H) if windows.one_table else windows
+        whole = windows.limit < min(windows.window, tau_tables.CELL_BUDGET)
+        return build_tau_table(H) if whole else windows
     if table.N != H:
         raise ValueError(f"tau table is for N={table.N}, expected H={H}")
     return table
 
 
-def fast_count(H: int, delta: int, table: TauTable | TauWindows | None = None) -> int:
+def delta_pass(H: int, deltas: list[int]) -> DeltaSums:
+    """The reductions of tau_H that fast_count assembles, for every delta
+    in deltas with 0 < |delta| <= 2H^2, read in one pass over tau_H
+    (tau_tables.delta_sums); fast_count takes the result as its table."""
+    if H < 1:
+        raise ValueError(f"delta_pass() requires H >= 1, got {H}")
+    Ds = sorted({abs(d) for d in deltas if 0 < abs(d) <= 2 * H * H})
+    return delta_sums(_tau_table(H, None), Ds) if Ds else DeltaSums(H, {})
+
+
+def fast_count(
+    H: int, delta: int, table: TauTable | TauWindows | DeltaSums | None = None
+) -> int:
     """Exact #D_2(H, delta) as sum(m) c2(m) * c2(m - delta).
 
     With t = tau_H and D = |delta| > 0 the signed sum collapses to
@@ -133,11 +150,12 @@ def fast_count(H: int, delta: int, table: TauTable | TauWindows | None = None) -
         2*(4H+1)*c2(D) + 8*sum_{k>=1} t(k)t(k+D) + 4*sum_{0<m<D} t(m)t(D-m),
 
     and for delta = 0 to (4H+1)^2 + 8*sum t(k)^2.  Each term for D > 0
-    is one reduction of the tau_H table: c2, shifted_sum and
-    self_convolution; the sum of squares is square_sum(H), which reads
-    no table, so at delta = 0 and at |delta| > 2H^2 a given table is only
-    checked and none is built, and at delta = 0 H is bounded by
-    square_sum's byte budget instead of H^2 < 2^31.
+    is one reduction of tau_H, c2, shifted_sum and self_convolution, read
+    from table, or taken from it when it is the DeltaSums of a pass that
+    covers D; the sum of squares is square_sum(H), which reads no table,
+    so at delta = 0 and at |delta| > 2H^2 a given table is only checked
+    and none is built, and at delta = 0 H is bounded by square_sum's byte
+    budget instead of H^2 < 2^31.
     """
     if H < 1:
         raise ValueError(f"fast_count() requires H >= 1, got {H}")
@@ -148,12 +166,10 @@ def fast_count(H: int, delta: int, table: TauTable | TauWindows | None = None) -
         return 0
     if D == 0:
         return (4 * H + 1) ** 2 + 8 * square_sum(H)
-    table = _tau_table(H, table)
-    return (
-        2 * (4 * H + 1) * c2(table, D)
-        + 8 * shifted_sum(table, D)
-        + 4 * self_convolution(table, D)
-    )
+    if not isinstance(table, DeltaSums):
+        table = delta_sums(_tau_table(H, table), [D])
+    c, shifted, mirror = table.terms[D]
+    return 2 * (4 * H + 1) * c + 8 * shifted + 4 * mirror
 
 
 def sign_class_count(H: int, delta: int, sign_class: SignClass) -> int:

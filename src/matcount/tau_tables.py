@@ -13,10 +13,13 @@ whole table being one window, accumulates in int64 without a
 table-sized copy and adds up exact Python-int partial sums, one per
 window; no other module reads tau_N's cells.
 
-The rule for choosing a source: a whole table is built only for an N
-that two or more reductions share, so that they sieve it once.  A
-single-pass read streams ``TauWindows(N)``; when all of tau_N fits one
-window it may be that one window, a whole table.
+The rule for choosing a source: every read streams ``TauWindows(N)``,
+except that when all of tau_N fits one window that window may be the
+whole table.  One pass serves every delta of an N: ``shifted_sums`` and
+``delta_sums`` sieve each window once, with max(D) extra cells for the
+deltas D that fit a window, and dot it once per delta; c2 and
+self_convolution read the pass's first window for those deltas, and a
+delta past a window streams its own shifted and mirror windows.
 
 The sum of squares needs no table.  ``square_sum(N)`` counts the
 solutions of ab = cd in [1, N]^4, which is sum_{n <= N^2} tau_N(n)^2,
@@ -65,8 +68,10 @@ import numpy as np
 from .arith import sieve
 from .errors import BudgetError
 
-# Cells allowed in a whole table (not bytes).  TauWindows needs no budget:
-# a reduction holds at most 2 * _WINDOW_CELLS + 1 of its cells at once.
+# Cells allowed in a whole table (not bytes).  It guards only library
+# callers of build_tau_table: no command builds a table past one window.
+# TauWindows needs no budget: a pass holds at most 3 * _WINDOW_CELLS of
+# its cells at once.
 CELL_BUDGET = 200_000_000
 
 # tau_N(n) <= tau(n) <= 1600 < 2^16 for every n < 2^31 (the maximum, 1600,
@@ -79,7 +84,7 @@ _MAX_LIMIT = 1 << 31
 _MOMENT_BLOCK = 1 << 16
 
 # Cells per window when a reduction reads tau_N without a kept table:
-# 4 MB of uint16 cells, and at most two windows' worth alive at once.
+# 4 MB of uint16 cells, and at most three windows' worth alive at once.
 _WINDOW_CELLS = 1 << 21
 
 # The sieve's increment, a uint16 scalar so np.add needs no cast.
@@ -133,12 +138,6 @@ class TauWindows:
     @property
     def window(self) -> int:
         return _WINDOW_CELLS
-
-    @property
-    def one_table(self) -> bool:
-        """Whether all of tau_N fits one window and the cell budget, so
-        that the reductions of one read may share it as a whole table."""
-        return self.limit + 1 <= min(_WINDOW_CELLS, CELL_BUDGET)
 
     def cells(self, lo: int, hi: int) -> np.ndarray:
         """tau_N(n) for lo < n <= hi, sieved now."""
@@ -308,50 +307,127 @@ def _moment_window(cells: np.ndarray, k: int) -> int:
 
 def shifted_sum(table: TauTable | TauWindows, delta: int) -> int:
     """Exact sum of tau_N(n) * tau_N(n + delta) over 1 <= n <= N^2;
-    delta = 0 gives the sum of tau_N(n)^2.
+    delta = 0 gives the sum of tau_N(n)^2.  The one-delta case of
+    shifted_sums."""
+    return shifted_sums(table, [delta])[delta]
 
-    One exact partial sum per window of n; a whole table is one window.
+
+def shifted_sums(table: TauTable | TauWindows, deltas: list[int]) -> dict[int, int]:
+    """shifted_sum(table, D) for every D in deltas, from one pass over
+    tau_N (_pass)."""
+    return _pass(table, deltas)
+
+
+@dataclass(frozen=True)
+class DeltaSums:
+    """The reductions of tau_N that fast_count assembles, read in one
+    pass: terms[D] = (c2(D), shifted_sum(D), self_convolution(D)) for
+    each D of the pass."""
+
+    N: int
+    terms: dict[int, tuple[int, int, int]]
+
+
+def delta_sums(table: TauTable | TauWindows, deltas: list[int]) -> DeltaSums:
+    """c2, shifted_sum and self_convolution of tau_N at every D >= 0 in
+    deltas, from one pass (_pass).  A D that fits a window reads c2 and
+    self_convolution in the pass's first window; a D past it streams
+    them on its own."""
+    near = {}
+
+    def read_head(head: _Head) -> None:
+        for D in deltas:
+            if D <= table.window:
+                near[D] = c2(head, D), self_convolution(head, D)
+
+    shifted = _pass(table, deltas, read_head)
+    terms = {}
+    for D in deltas:
+        c, mirror = near[D] if D in near else (c2(table, D), self_convolution(table, D))
+        terms[D] = c, shifted[D], mirror
+    return DeltaSums(table.N, terms)
+
+
+@dataclass(frozen=True)
+class _Head:
+    """The first window of a pass, tau_N(n) for 0 < n <= first.size, read
+    as a whole table: c2 and self_convolution at a D that fits a window
+    read no cell past it."""
+
+    N: int
+    first: np.ndarray
+
+    @property
+    def limit(self) -> int:
+        return self.N * self.N
+
+    @property
+    def window(self) -> int:
+        return self.limit
+
+    def cells(self, lo: int, hi: int) -> np.ndarray:
+        return self.first[lo:hi]
+
+
+def _pass(table: TauTable | TauWindows, deltas: list[int], head=None) -> dict[int, int]:
+    """sum tau_N(n) * tau_N(n + D) over 1 <= n <= N^2 for every D >= 0 in
+    deltas, reading tau_N once for all of them.
+
+    Each window (lo, lo + window] is sieved once with max(D) extra cells,
+    over the D that fit a window, and dotted once per delta; a D past a
+    window sieves its shift (lo + D, lo + window + D] apart.  A window is
+    dropped before the next one is sieved, so at most three windows'
+    cells are alive.  head, if given, is called with the first window
+    (a _Head) while it is alive.  A whole table is one window.
     """
-    if delta < 0:
-        raise ValueError(f"shifted_sum() requires delta >= 0, got {delta}")
-    top = table.limit - delta  # terms with n + delta > N^2 vanish
+    if not deltas:
+        return {}
+    if min(deltas) < 0:
+        raise ValueError(f"shifted_sum() requires delta >= 0, got {min(deltas)}")
     step = table.window
-    return sum(
-        _shifted_window(table, lo, min(lo + step, top), delta)
-        for lo in range(0, top, step)
-    )
+    extra = max((D for D in deltas if D <= step), default=0)
+    top = table.limit - min(deltas)  # no n past top has a term
+    sums = dict.fromkeys(deltas, 0)
+    for lo in range(0, top, step):
+        cells = table.cells(lo, min(lo + step + extra, table.limit))
+        if head and lo == 0:
+            head(_Head(table.N, cells))
+        for D in deltas:
+            n = min(step, table.limit - D - lo)  # terms with n + D > N^2 vanish
+            if n > 0:
+                sums[D] += _dot(
+                    cells[:n], cells[D : D + n] if D <= extra else table.cells(lo + D, lo + D + n)
+                )
+        del cells  # before the next window is sieved
+    return sums
 
 
-def _shifted_window(table: TauTable | TauWindows, lo: int, hi: int, delta: int) -> int:
-    """sum tau_N(n) * tau_N(n + delta) over lo < n <= hi: the window and
-    its delta extra cells when delta fits the window, else the window and
-    its shift (lo + delta, hi + delta]."""
-    if delta <= hi - lo:
-        c = table.cells(lo, hi + delta)
-        return _dot(c[: hi - lo], c[delta:])
-    return _dot(table.cells(lo, hi), table.cells(lo + delta, hi + delta))
-
-
-def self_convolution(table: TauTable | TauWindows, D: int) -> int:
+def self_convolution(table: TauTable | TauWindows | _Head, D: int) -> int:
     """Exact sum of tau_N(m) * tau_N(D - m) over 0 < m < D.
 
-    One exact partial sum per window of m, each paired with its mirror
-    window of D - m; a whole table is one window.
+    The pairs m and D - m give equal terms, so only m < D/2 is read and
+    doubled, and tau_N(D/2)^2 is added when D is even.  One exact partial
+    sum per window of m, each paired with its mirror window of D - m; a
+    whole table is one window.
     """
     hi = min(D - 1, table.limit)
     lo = D - hi  # mirror index >= 1; both factors need support <= N^2
+    mid = (D - 1) // 2  # the largest m < D/2
     step = table.window
-    return sum(
-        _mirror_window(table, a, min(a + step, hi), D) for a in range(lo - 1, hi, step)
+    total = 2 * sum(
+        _mirror_window(table, a, min(a + step, mid), D) for a in range(lo - 1, mid, step)
     )
+    if D % 2 == 0 and 2 <= D <= 2 * table.limit:
+        total += int(table.cells(D // 2 - 1, D // 2)[0]) ** 2
+    return total
 
 
-def _mirror_window(table: TauTable | TauWindows, lo: int, hi: int, D: int) -> int:
+def _mirror_window(table: TauTable | TauWindows | _Head, lo: int, hi: int, D: int) -> int:
     """sum tau_N(m) * tau_N(D - m) over lo < m <= hi."""
     return _dot(table.cells(lo, hi), table.cells(D - hi - 1, D - lo - 1)[::-1])
 
 
-def c2(table: TauTable | TauWindows, m: int) -> int:
+def c2(table: TauTable | TauWindows | _Head, m: int) -> int:
     """c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} for H = table.N."""
     H = table.N
     if m == 0:

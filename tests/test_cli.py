@@ -24,9 +24,9 @@ from matcount import casework, cli, tau_tables
 from matcount.casework import RegionG, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
 from matcount.errors import InvariantError
-from matcount.exact import naive_count
+from matcount.exact import fast_count, naive_count
 from matcount.lemmas import phi_ratio_report
-from matcount.tau_tables import build_tau_table, tau_moment
+from matcount.tau_tables import TauWindows, build_tau_table, shifted_sum, tau_moment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -74,21 +74,74 @@ def test_sweep_deterministic_and_jobs_equal(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_sweep_builds_each_table_once(monkeypatch, tmp_path):
-    built = []
+# Heights and deltas for the one-pass tests, with _WINDOW_CELLS = 64 so
+# that H = 40 spans 25 windows: 0, 1, the overhang edge (64, the largest
+# delta that fits a window), past one window, and past H^2 and 2H^2 of
+# each H, with both signs.
+_PASS_WINDOW = 64
+_PASS_H = (1, 2, 7, 40)
+_PASS_D = sorted(
+    {0, 1, 2, 17, _PASS_WINDOW, _PASS_WINDOW + 1, 3 * _PASS_WINDOW + 5}
+    | {D for H in _PASS_H for D in (H * H, H * H + 1, 2 * H * H, 2 * H * H + 1)}
+)
 
-    def counting_build(N):
-        built.append(N)
-        return build_tau_table(N)
 
-    monkeypatch.setattr(cli, "build_tau_table", counting_build)
-    args = ["sweep", "--H", "10,30,20", "--delta", "0,1,-7,1", "--no-timing"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--output", str(a)]) == 0
-    assert sorted(built) == [10, 20, 30]
-    assert main(args + ["--jobs", "2", "--output", str(b)]) == 0
-    assert sorted(built) == [10, 10, 20, 20, 30, 30]
-    assert a.read_bytes() == b.read_bytes()
+def test_sweep_rows_equal_the_per_delta_counts(monkeypatch, capsys):
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
+    deltas = sorted({s * D for D in _PASS_D for s in (1, -1)})
+    argv = ["sweep", "--H", ",".join(map(str, _PASS_H)), f"--delta={','.join(map(str, deltas))}",
+            "--no-timing"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(_PASS_H) * len(deltas)
+    for r in rows:
+        H, delta, exact = int(r["H"]), int(r["delta"]), int(r["exact"])
+        assert exact == fast_count(H, delta, TauWindows(H)), (H, delta)
+        if H <= 12:
+            assert exact == naive_count(H, delta), (H, delta)
+
+
+def test_tau_shifted_sums_equal_the_whole_table(monkeypatch, capsys):
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
+    deltas = [D for D in _PASS_D if D >= 1]
+    argv = ["tau", "--N", ",".join(map(str, _PASS_H)), f"--delta={','.join(map(str, deltas))}"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(_PASS_H) * len(deltas)
+    for r in rows:
+        N, delta = int(r["N"]), int(r["delta"])
+        assert int(r["value"]) == shifted_sum(build_tau_table(N), delta), (N, delta)
+
+
+@pytest.mark.parametrize("command", ["sweep", "tau"])
+def test_one_pass_sieves_each_window_once(command, monkeypatch, capsys):
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
+    sieve, cells, windows, alive = tau_tables._sieve, {}, [], []
+
+    def counting_sieve(N, lo, hi):
+        alive.append(sum(ref() is not None for ref in windows))
+        cells[N] = cells.get(N, 0) + hi - lo
+        counts = sieve(N, lo, hi)
+        windows.append(weakref.ref(counts))
+        return counts
+
+    monkeypatch.setattr(tau_tables, "_sieve", counting_sieve)
+    # deltas inside the overhang: c2 and the self-convolution read the
+    # first window, and each window is sieved once for all of them
+    deltas = [1, 2, 17, _PASS_WINDOW] + ([0, -1, -17, -_PASS_WINDOW] if command == "sweep" else [])
+    flag = "--H" if command == "sweep" else "--N"
+    argv = [command, flag, ",".join(map(str, _PASS_H)), f"--delta={','.join(map(str, deltas))}"]
+    assert run(argv, capsys)[0] == 0
+    for H in _PASS_H:
+        # every window once with max(D) extra cells, cut at H^2: at most
+        # H^2 + windows * max(D) cells, and nothing else
+        bound = sum(min(_PASS_WINDOW + max(deltas), H * H - lo) for lo in range(0, H * H, _PASS_WINDOW))
+        assert cells.get(H, 0) <= bound, (H, cells)
+    assert cells[40] > 40 * 40  # 25 windows, each with its overhang
+    # each window is dropped before the next one is sieved
+    assert alive and max(alive) == 0
 
 
 @pytest.mark.parametrize(
@@ -132,32 +185,6 @@ def test_tau_shifted_discrimination(capsys):
     assert code == 0
     assert out.splitlines()[0] == "N,delta,value"
     assert "shifted_nolog_candidate" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["tau", "--N", "10,40,20,30", "--delta=2,7"],
-        ["tau", "--N", "10,40,20,30", "--delta=1,3"],
-        ["sweep", "--H", "10,40,20,30", "--delta", "1,7", "--no-timing", "--jobs", "2"],
-    ],
-)
-def test_tau_holds_one_table_at_a_time(argv, monkeypatch, capsys):
-    sizes, built, alive = [], [], []
-
-    def tracking_build(N):
-        alive.append(sum(ref() is not None for ref in built))
-        table = build_tau_table(N)
-        sizes.append(N)
-        built.append(weakref.ref(table))
-        return table
-
-    monkeypatch.setattr(cli, "build_tau_table", tracking_build)
-    assert run(argv, capsys)[0] == 0
-    # every earlier table is gone before the next build; tau builds the
-    # largest N first, sweep goes up in H
-    assert sizes == ([40, 30, 20, 10] if argv[0] == "tau" else [10, 20, 30, 40])
-    assert alive == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize(
@@ -307,8 +334,8 @@ def test_exit_codes(capsys, tmp_path):
     assert run([], capsys)[0] == 1
     assert run(["count", "--H", "x", "--delta", "1"], capsys)[0] == 1
     assert run(["fit", str(tmp_path / "missing.csv")], capsys)[0] == 1
-    # budget violations surface as exit 2; two deltas share a whole table
-    assert run(["sweep", "--H", "20000", "--delta", "1,6"], capsys)[0] == 2
+    # budget violations surface as exit 2: square_sum's byte budget
+    assert run(["count", "--H", "62389816425", "--delta", "0"], capsys)[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -427,7 +454,9 @@ def test_hyperbola_budget(monkeypatch, capsys):
 def test_memory_error_exits_2():
     import resource
 
-    limit = 300 * 2**20
+    # below the 247 MB of address space that square_sum takes at the top of
+    # its byte budget, above the 108 MB of a streamed count
+    limit = 200 * 2**20
 
     def child(*argv):
         # the limit is set in the child only, between fork and exec
@@ -440,17 +469,21 @@ def test_memory_error_exits_2():
         )
 
     t0 = time.perf_counter()
-    big = child("sweep", "--H", "14000", "--delta", "1,6")  # a 374 MiB shared table
+    big = child("count", "--H", "62389816424", "--delta", "0")  # its phi sieve fails
     assert time.perf_counter() - t0 < 5
     assert (big.returncode, big.stdout) == (2, "")
     assert big.stderr.startswith("budget exceeded: ") and big.stderr.count("\n") == 1
     small = child("count", "--H", "100", "--delta", "6")
     assert (small.returncode, small.stderr) == (0, "")
     assert small.stdout.startswith("exact = 195184\n")
-    # count reads tau_H one window at a time, so the same H fits
+    # every read of tau_H streams one window at a time, so a large H fits,
+    # and one pass serves all the deltas of a sweep
     windowed = child("count", "--H", "14000", "--delta", "6")
     assert (windowed.returncode, windowed.stderr) == (0, "")
     assert windowed.stdout.startswith("exact = 3813148592\n")
+    swept = child("sweep", "--H", "14000", "--delta", "1,6", "--no-timing")
+    assert (swept.returncode, swept.stderr) == (0, "")
+    assert "\n14000,6,3813148592," in swept.stdout
 
 
 def test_count_at_zero_reads_no_table(monkeypatch, capsys):
@@ -475,8 +508,8 @@ def test_sweep_at_zero_builds_no_table(monkeypatch, capsys):
         assert int(r["exact"]) == naive_count(int(r["H"]), 0)
 
 
-# Single-pass reads at N = 30 and 40 and their stdout and stderr, the
-# values of the whole-table routes.
+# Reads at N = 30 and 40, one pass per N for one delta or for several,
+# and their stdout and stderr: the values of the whole-table routes.
 _STREAMED = {
     ("sweep", "--H", "40", "--delta", "6", "--no-timing"): (
         "H,delta,exact,main,error,normalized_error,bound\n"
@@ -492,6 +525,19 @@ _STREAMED = {
         "N,k,moment\n30,3,17916\n40,3,37072\n",
         "fit: moment/N^2 = 11.3435408245*ln N + -18.6749546844\n",
     ),
+    ("sweep", "--H", "40", "--delta", "1,6", "--no-timing"): (
+        "H,delta,exact,main,error,normalized_error,bound\n"
+        "40,1,15668,15562.9338075,105.066192537,0.155294834271,676.55948139\n"
+        "40,6,31600,31125.8676149,474.132385074,0.700799261729,676.55948139\n",
+        "",
+    ),
+    ("tau", "--N", "30,40", "--delta", "1,6"): (
+        "N,delta,value\n30,1,1050\n40,1,1878\n30,6,2042\n40,6,3618\n",
+        "delta=1: slope=0.0246220881022 vs log-candidate 1.21585420371 "
+        "-> shifted_nolog_candidate\n"
+        "delta=6: slope=-0.0265532322671 vs log-candidate 2.43170840742 "
+        "-> shifted_nolog_candidate\n",
+    ),
 }
 
 
@@ -502,16 +548,6 @@ def test_single_pass_reads_stream_past_the_cell_budget(argv, monkeypatch, capsys
     # no whole table of N = 40 fits the budget, and none is needed
     monkeypatch.setattr(tau_tables, "CELL_BUDGET", 40 * 40)
     assert run(list(argv), capsys) == want
-
-
-@pytest.mark.parametrize(
-    "argv", [["sweep", "--H", "40", "--delta", "1,6"], ["tau", "--N", "30,40", "--delta", "1,6"]]
-)
-def test_shared_tables_keep_the_cell_budget(argv, monkeypatch, capsys):
-    monkeypatch.setattr(tau_tables, "CELL_BUDGET", 40 * 40)
-    code, out, err = run(argv, capsys)
-    assert (code, out) == (2, "")
-    assert err == "budget exceeded: build_tau_table(N=40) needs 1601 cells, budget is 1600\n"
 
 
 def test_count_past_the_uint16_limit_exits_1_before_allocating(capsys):

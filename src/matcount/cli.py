@@ -12,9 +12,9 @@ seed) pairs produce byte-identical output (suppress the timing column
 with --no-timing).  Every command streams tau_N one window at a time,
 and one pass over tau_N serves every delta of an N.  The sweep emits
 one row per distinct (delta, H) point, sorted; the deltas
-0 < |delta| <= 2H^2 of an H share one pass, so when there are two or
-more of them their rows' wall_time_ms is each row's own report time,
-without the pass, while a lone such delta includes its pass.  tau
+0 < |delta| <= 2H^2 of an H share one pass, timed once, and each of
+their rows' wall_time_ms is the pass time plus the row's own report
+time, while the other rows report only their own report time.  tau
 likewise emits one row per distinct (delta, N); it reads one pass per
 N, one N at a time, for all of its deltas, or streams a moment of
 order k >= 3; its first two moments read no tau_N at all.
@@ -194,18 +194,21 @@ def _cmd_count(args) -> int:
 
 
 def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> list[dict]:
-    """Rows of one H.  Only 0 < |delta| <= 2H^2 reads tau_H: delta = 0 is
-    counted without it, and |delta| > 2H^2 counts 0.  Two or more such
-    deltas share one pass over tau_H, read before their rows, so that
-    each row times only its own report; a lone one reads its pass inside
-    its row."""
-    reads = [d for d in deltas if 0 < abs(d) <= 2 * H * H]
-    sums = delta_pass(H, reads) if len(reads) >= 2 else None
-    return [_sweep_row(H, delta, sums, epsilon, timing) for delta in deltas]
+    """Rows of one H.  Its deltas 0 < |delta| <= 2H^2 share one pass over
+    tau_H (delta_pass), timed once; delta = 0 is counted without it, and
+    |delta| > 2H^2 counts 0.  A row that reads the pass reports the pass
+    time plus its own report time; the others report only their own."""
+    t0 = time.perf_counter()
+    sums = delta_pass(H, deltas)
+    pass_ms = (time.perf_counter() - t0) * 1e3
+    return [
+        _sweep_row(H, delta, sums, pass_ms if abs(delta) in sums.terms else 0.0, epsilon, timing)
+        for delta in deltas
+    ]
 
 
 def _sweep_row(
-    H: int, delta: int, sums: DeltaSums | None, epsilon: float, timing: bool
+    H: int, delta: int, sums: DeltaSums, pass_ms: float, epsilon: float, timing: bool
 ) -> dict:
     t0 = time.perf_counter()
     rep = report(H, delta, epsilon=epsilon, table=sums)
@@ -219,7 +222,7 @@ def _sweep_row(
         "bound": rep.bound,
     }
     if timing:
-        row["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
+        row["wall_time_ms"] = pass_ms + (time.perf_counter() - t0) * 1e3
     return row
 
 

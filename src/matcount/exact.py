@@ -8,8 +8,9 @@ reductions ``c2``, ``shifted_sum`` and ``self_convolution`` of
 ``tau_tables``, the one module that reads tau_H's cells.  Given no
 table, it streams tau_H one window at a time, so its memory stays
 bounded at any H whose uint16 cells cannot overflow (H^2 < 2^31);
-``delta_pass`` reads those reductions for many deltas of one H in a
-single pass, and ``fast_count`` takes its result in place of a table.
+``delta_pass`` reads those reductions for many deltas of one H, their
+shifted sums in a single pass, and ``fast_count`` takes its result in
+place of a table.
 At delta = 0 it reads no table at all:
 
     #D_2(H, 0) = (4H+1)^2 + 8 * sum_{n <= H^2} tau_H(n)^2,
@@ -122,6 +123,9 @@ def _tau_table(H: int, table: TauTable | TauWindows | DeltaSums | None):
     all of it fits one window and tau_tables.CELL_BUDGET, read when
     called."""
     if table is None:
+        # The whole-table branch stays only because the bench counts tau
+        # cells through build_tau_table and pins fast_count(5, 3) building
+        # one 26-cell table; TauWindows(H) alone gives the same values.
         windows = TauWindows(H)
         whole = windows.limit < min(windows.window, tau_tables.CELL_BUDGET)
         return build_tau_table(H) if whole else windows
@@ -132,8 +136,9 @@ def _tau_table(H: int, table: TauTable | TauWindows | DeltaSums | None):
 
 def delta_pass(H: int, deltas: list[int]) -> DeltaSums:
     """The reductions of tau_H that fast_count assembles, for every delta
-    in deltas with 0 < |delta| <= 2H^2, read in one pass over tau_H
-    (tau_tables.delta_sums); fast_count takes the result as its table."""
+    in deltas with 0 < |delta| <= 2H^2, their shifted sums read in one
+    pass over tau_H (tau_tables.delta_sums); fast_count takes the result
+    as its table."""
     if H < 1:
         raise ValueError(f"delta_pass() requires H >= 1, got {H}")
     Ds = sorted({abs(d) for d in deltas if 0 < abs(d) <= 2 * H * H})
@@ -166,8 +171,10 @@ def fast_count(
         return 0
     if D == 0:
         return (4 * H + 1) ** 2 + 8 * square_sum(H)
+    if table is None:
+        table = _tau_table(H, None)
     if not isinstance(table, DeltaSums):
-        table = delta_sums(_tau_table(H, table), [D])
+        table = delta_sums(table, [D])
     c, shifted, mirror = table.terms[D]
     return 2 * (4 * H + 1) * c + 8 * shifted + 4 * mirror
 

@@ -15,11 +15,12 @@ window; no other module reads tau_N's cells.
 
 The rule for choosing a source: every read streams ``TauWindows(N)``,
 except that when all of tau_N fits one window that window may be the
-whole table.  One pass serves every delta of an N: ``shifted_sums`` and
-``delta_sums`` sieve each window once, with max(D) extra cells for the
-deltas D that fit a window, and dot it once per delta; c2 and
-self_convolution read the pass's first window for those deltas, and a
-delta past a window streams its own shifted and mirror windows.
+whole table.  One pass serves every delta of an N: ``shifted_sums``
+sieves each window once, with max(D) extra cells for the deltas D that
+fit a window, and dots it once per delta, and a delta past a window
+sieves its own shifted windows in the same pass.  ``delta_sums`` adds c2
+and self_convolution of each delta, read from the same source after the
+pass, so a self-convolution streams its own mirror windows.
 
 The sum of squares needs no table.  ``square_sum(N)`` counts the
 solutions of ab = cd in [1, N]^4, which is sum_{n <= N^2} tau_N(n)^2,
@@ -313,9 +314,33 @@ def shifted_sum(table: TauTable | TauWindows, delta: int) -> int:
 
 
 def shifted_sums(table: TauTable | TauWindows, deltas: list[int]) -> dict[int, int]:
-    """shifted_sum(table, D) for every D in deltas, from one pass over
-    tau_N (_pass)."""
-    return _pass(table, deltas)
+    """sum tau_N(n) * tau_N(n + D) over 1 <= n <= N^2 for every D >= 0 in
+    deltas, reading tau_N once for all of them.
+
+    Each window (lo, lo + window] is sieved once with max(D) extra cells,
+    over the D that fit a window, and dotted once per delta; a D past a
+    window sieves its shift (lo + D, lo + window + D] apart.  A window is
+    dropped before the next one is sieved, so at most three windows'
+    cells are alive.  A whole table is one window.
+    """
+    if not deltas:
+        return {}
+    if min(deltas) < 0:
+        raise ValueError(f"shifted_sum() requires delta >= 0, got {min(deltas)}")
+    step = table.window
+    extra = max((D for D in deltas if D <= step), default=0)
+    top = table.limit - min(deltas)  # no n past top has a term
+    sums = dict.fromkeys(deltas, 0)
+    for lo in range(0, top, step):
+        cells = table.cells(lo, min(lo + step + extra, table.limit))
+        for D in deltas:
+            n = min(step, table.limit - D - lo)  # terms with n + D > N^2 vanish
+            if n > 0:
+                sums[D] += _dot(
+                    cells[:n], cells[D : D + n] if D <= extra else table.cells(lo + D, lo + D + n)
+                )
+        del cells  # before the next window is sieved
+    return sums
 
 
 @dataclass(frozen=True)
@@ -330,79 +355,16 @@ class DeltaSums:
 
 def delta_sums(table: TauTable | TauWindows, deltas: list[int]) -> DeltaSums:
     """c2, shifted_sum and self_convolution of tau_N at every D >= 0 in
-    deltas, from one pass (_pass).  A D that fits a window reads c2 and
-    self_convolution in the pass's first window; a D past it streams
-    them on its own."""
-    near = {}
-
-    def read_head(head: _Head) -> None:
-        for D in deltas:
-            if D <= table.window:
-                near[D] = c2(head, D), self_convolution(head, D)
-
-    shifted = _pass(table, deltas, read_head)
-    terms = {}
-    for D in deltas:
-        c, mirror = near[D] if D in near else (c2(table, D), self_convolution(table, D))
-        terms[D] = c, shifted[D], mirror
-    return DeltaSums(table.N, terms)
+    deltas: the shifted sums from one pass (shifted_sums), then c2 and
+    self_convolution of each D read from table, once no pass window is
+    alive."""
+    shifted = shifted_sums(table, deltas)
+    return DeltaSums(
+        table.N, {D: (c2(table, D), shifted[D], self_convolution(table, D)) for D in deltas}
+    )
 
 
-@dataclass(frozen=True)
-class _Head:
-    """The first window of a pass, tau_N(n) for 0 < n <= first.size, read
-    as a whole table: c2 and self_convolution at a D that fits a window
-    read no cell past it."""
-
-    N: int
-    first: np.ndarray
-
-    @property
-    def limit(self) -> int:
-        return self.N * self.N
-
-    @property
-    def window(self) -> int:
-        return self.limit
-
-    def cells(self, lo: int, hi: int) -> np.ndarray:
-        return self.first[lo:hi]
-
-
-def _pass(table: TauTable | TauWindows, deltas: list[int], head=None) -> dict[int, int]:
-    """sum tau_N(n) * tau_N(n + D) over 1 <= n <= N^2 for every D >= 0 in
-    deltas, reading tau_N once for all of them.
-
-    Each window (lo, lo + window] is sieved once with max(D) extra cells,
-    over the D that fit a window, and dotted once per delta; a D past a
-    window sieves its shift (lo + D, lo + window + D] apart.  A window is
-    dropped before the next one is sieved, so at most three windows'
-    cells are alive.  head, if given, is called with the first window
-    (a _Head) while it is alive.  A whole table is one window.
-    """
-    if not deltas:
-        return {}
-    if min(deltas) < 0:
-        raise ValueError(f"shifted_sum() requires delta >= 0, got {min(deltas)}")
-    step = table.window
-    extra = max((D for D in deltas if D <= step), default=0)
-    top = table.limit - min(deltas)  # no n past top has a term
-    sums = dict.fromkeys(deltas, 0)
-    for lo in range(0, top, step):
-        cells = table.cells(lo, min(lo + step + extra, table.limit))
-        if head and lo == 0:
-            head(_Head(table.N, cells))
-        for D in deltas:
-            n = min(step, table.limit - D - lo)  # terms with n + D > N^2 vanish
-            if n > 0:
-                sums[D] += _dot(
-                    cells[:n], cells[D : D + n] if D <= extra else table.cells(lo + D, lo + D + n)
-                )
-        del cells  # before the next window is sieved
-    return sums
-
-
-def self_convolution(table: TauTable | TauWindows | _Head, D: int) -> int:
+def self_convolution(table: TauTable | TauWindows, D: int) -> int:
     """Exact sum of tau_N(m) * tau_N(D - m) over 0 < m < D.
 
     The pairs m and D - m give equal terms, so only m < D/2 is read and
@@ -422,12 +384,12 @@ def self_convolution(table: TauTable | TauWindows | _Head, D: int) -> int:
     return total
 
 
-def _mirror_window(table: TauTable | TauWindows | _Head, lo: int, hi: int, D: int) -> int:
+def _mirror_window(table: TauTable | TauWindows, lo: int, hi: int, D: int) -> int:
     """sum tau_N(m) * tau_N(D - m) over lo < m <= hi."""
     return _dot(table.cells(lo, hi), table.cells(D - hi - 1, D - lo - 1)[::-1])
 
 
-def c2(table: TauTable | TauWindows | _Head, m: int) -> int:
+def c2(table: TauTable | TauWindows, m: int) -> int:
     """c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} for H = table.N."""
     H = table.N
     if m == 0:

@@ -15,6 +15,7 @@ import time
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -24,7 +25,7 @@ from matcount import casework, cli, tau_tables
 from matcount.casework import RegionG, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
 from matcount.errors import InvariantError
-from matcount.exact import fast_count, naive_count
+from matcount.exact import delta_pass, fast_count, naive_count
 from matcount.lemmas import phi_ratio_report
 from matcount.tau_tables import TauWindows, build_tau_table, shifted_sum, tau_moment
 
@@ -62,6 +63,24 @@ def test_sweep_csv_schema(capsys):
 def test_sweep_timing_column(capsys):
     _, out, _ = run(["sweep", "--H", "5", "--delta", "1"], capsys)
     assert out.splitlines()[0].endswith(",wall_time_ms")
+
+
+def test_sweep_rows_that_read_the_pass_include_its_time(monkeypatch, capsys):
+    # a clock that moves only while a pass is read: one second per pass
+    clock = [0.0]
+
+    def timed_pass(H, deltas):
+        clock[0] += 1.0
+        return delta_pass(H, deltas)
+
+    monkeypatch.setattr(cli, "delta_pass", timed_pass)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    _, out, _ = run(["sweep", "--H", "5,40", "--delta=-6,0,1,2000"], capsys)
+    # delta = 0 and |delta| > 2H^2 read no pass; the others share one per H
+    times = {(int(r["H"]), int(r["delta"])): float(r["wall_time_ms"])
+             for r in csv.DictReader(io.StringIO(out))}
+    assert times == {(5, -6): 1e3, (5, 0): 0, (5, 1): 1e3, (5, 2000): 0,
+                     (40, -6): 1e3, (40, 0): 0, (40, 1): 1e3, (40, 2000): 1e3}
 
 
 def test_sweep_deterministic_and_jobs_equal(tmp_path):
@@ -128,20 +147,24 @@ def test_one_pass_sieves_each_window_once(command, monkeypatch, capsys):
         return counts
 
     monkeypatch.setattr(tau_tables, "_sieve", counting_sieve)
-    # deltas inside the overhang: c2 and the self-convolution read the
-    # first window, and each window is sieved once for all of them
+    # deltas inside the overhang: each window is sieved once for all of them
     deltas = [1, 2, 17, _PASS_WINDOW] + ([0, -1, -17, -_PASS_WINDOW] if command == "sweep" else [])
     flag = "--H" if command == "sweep" else "--N"
     argv = [command, flag, ",".join(map(str, _PASS_H)), f"--delta={','.join(map(str, deltas))}"]
     assert run(argv, capsys)[0] == 0
     for H in _PASS_H:
         # every window once with max(D) extra cells, cut at H^2: at most
-        # H^2 + windows * max(D) cells, and nothing else
+        # H^2 + windows * max(D) cells; sweep also reads c2 and the
+        # self-convolution of each distinct |delta| after the pass, at
+        # most |D| + 2 cells each
         bound = sum(min(_PASS_WINDOW + max(deltas), H * H - lo) for lo in range(0, H * H, _PASS_WINDOW))
+        if command == "sweep":
+            bound += sum(D + 2 for D in {abs(d) for d in deltas if d})
         assert cells.get(H, 0) <= bound, (H, cells)
     assert cells[40] > 40 * 40  # 25 windows, each with its overhang
-    # each window is dropped before the next one is sieved
-    assert alive and max(alive) == 0
+    # each pass window is dropped before the next one is sieved; a mirror
+    # window is alive while its partner is sieved
+    assert alive and max(alive) <= (1 if command == "sweep" else 0)
 
 
 @pytest.mark.parametrize(

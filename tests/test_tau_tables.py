@@ -16,6 +16,7 @@ from matcount.tau_tables import (
     TauWindows,
     build_tau_table,
     c2,
+    delta_sums,
     self_convolution,
     shifted_sum,
     square_sum,
@@ -296,6 +297,18 @@ def test_windowed_fast_count_equals_whole_table(monkeypatch):
               limit - 1, limit, limit + 1, limit + 4321, 2 * limit - 1, 2 * limit):
         for delta in (D, -D):
             assert fast_count(H, delta) == fast_count(H, delta, table=t), delta
+
+
+@pytest.mark.parametrize("source", [build_tau_table, TauWindows])
+def test_delta_sums_equal_the_reductions_one_by_one(source, monkeypatch):
+    N, window = 20, 64
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
+    t = build_tau_table(N)
+    # inside one window, its edge, past it, H^2 and the support edge 2H^2
+    Ds = [1, window - 1, window, window + 1, N * N, 2 * N * N]
+    assert delta_sums(source(N), Ds).terms == {
+        D: (c2(t, D), shifted_sum(t, D), self_convolution(t, D)) for D in Ds
+    }
 
 
 def test_windowed_fast_count_memory_is_bounded(monkeypatch):

@@ -432,7 +432,7 @@ def _cmd_lemmas(args) -> int:
 def _cmd_casework(args) -> int:
     H, delta = _single_point(args)
     if delta < 1:
-        raise UsageError("casework requires H >= 1 and delta >= 1")
+        raise UsageError(f"casework requires --delta >= 1, got {delta}")
     if H * H > casework.CELL_BUDGET:
         raise BudgetError(
             f"casework(H={H}) visits {H * H} cells, budget is {casework.CELL_BUDGET}"

@@ -157,10 +157,11 @@ def fast_count(
     and for delta = 0 to (4H+1)^2 + 8*sum t(k)^2.  Each term for D > 0
     is one reduction of tau_H, c2, shifted_sum and self_convolution, read
     from table, or taken from it when it is the DeltaSums of a pass that
-    covers D; the sum of squares is square_sum(H), which reads no table,
-    so at delta = 0 and at |delta| > 2H^2 a given table is only checked
-    and none is built, and at delta = 0 H is bounded by square_sum's byte
-    budget instead of H^2 < 2^31.
+    covers D (a pass that does not raises ValueError); the sum of squares
+    is square_sum(H), which reads no table, so at delta = 0 and at
+    |delta| > 2H^2 a given table is only checked and none is built, and
+    at delta = 0 H is bounded by square_sum's byte budget instead of
+    H^2 < 2^31.
     """
     if H < 1:
         raise ValueError(f"fast_count() requires H >= 1, got {H}")
@@ -175,6 +176,8 @@ def fast_count(
         table = _tau_table(H, None)
     if not isinstance(table, DeltaSums):
         table = delta_sums(table, [D])
+    elif D not in table.terms:
+        raise ValueError(f"delta pass for N={table.N} does not cover |delta|={D}")
     c, shifted, mirror = table.terms[D]
     return 2 * (4 * H + 1) * c + 8 * shifted + 4 * mirror
 

@@ -4,6 +4,7 @@ agreement between the direct and hyperbola-based region sums."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matcount import casework
 from matcount.casework import (
     RegionG,
     RegionJ,
@@ -126,9 +127,26 @@ def test_hyperbola_equals_direct(H):
 @settings(max_examples=300, deadline=None)
 def test_hyperbola_equals_direct_for_every_delta(point):
     # delta runs past H^2 and 2H^2, where the lower curve and the split
-    # at H take over; each route also checks itself column by column
+    # at H take over
     H, delta = point
     for region in RegionG:
         assert region_sum_G_via_hyperbola(H, delta, region) == region_sum_G(H, delta, region)
     for region in RegionJ:
         assert region_sum_J_via_hyperbola(H, delta, region) == region_sum_J(H, delta, region)
+
+
+def test_hyperbola_route_reads_no_direct_count(monkeypatch):
+    # each route computes only itself; the caller compares them
+    def direct(*args):
+        raise AssertionError("direct counter called")
+
+    for name in ("count_G", "count_G_with_b0", "count_J"):
+        monkeypatch.setattr(casework, name, direct)
+    # frozen from the direct double loop
+    expected = {
+        3: ({"SS": 0, "SL": 66, "LS": 0, "LL": 65}, {"SMALL_A": 63, "LARGE_A": 64}),
+        25: ({"SS": 16, "SL": 77, "LS": 32, "LL": 21}, {"SMALL_A": 31, "LARGE_A": 29}),
+    }
+    for delta, (g, j) in expected.items():
+        assert {r.name: region_sum_G_via_hyperbola(10, delta, r) for r in RegionG} == g
+        assert {r.name: region_sum_J_via_hyperbola(10, delta, r) for r in RegionJ} == j

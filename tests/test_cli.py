@@ -22,9 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matcount import casework, cli, tau_tables
-from matcount.casework import RegionG, region_sum_G_via_hyperbola
+from matcount.casework import RegionG, region_sum_G, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
-from matcount.errors import InvariantError
 from matcount.exact import delta_pass, fast_count, naive_count
 from matcount.lemmas import phi_ratio_report
 from matcount.tau_tables import TauWindows, build_tau_table, shifted_sum, tau_moment
@@ -330,11 +329,17 @@ def test_casework_budget(monkeypatch, capsys):
 def test_invariant_violation_exits_3(monkeypatch, capsys):
     real = casework.count_box
     monkeypatch.setattr(casework, "count_box", lambda query: real(query) + 1)
-    with pytest.raises(InvariantError, match="column mismatch at c=1 "):
-        region_sum_G_via_hyperbola(10, 3, RegionG.SL)
+    assert region_sum_G_via_hyperbola(10, 3, RegionG.SL) != region_sum_G(10, 3, RegionG.SL)
     code, out, err = run(["casework", "--H", "10", "--delta", "3"], capsys)
     assert (code, out) == (3, "")
-    assert err.startswith("invariant violation: ") and err.count("\n") == 1
+    assert err.startswith("invariant violation: G region SL: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("delta", ["0", "-3"])
+def test_casework_names_a_bad_delta(delta, capsys):
+    code, out, err = run(["casework", "--H", "5", f"--delta={delta}"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: casework requires --delta >= 1, got {delta}\n"
 
 
 def test_config_file(tmp_path, capsys):

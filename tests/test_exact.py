@@ -12,6 +12,7 @@ from matcount.exact import (
     SignClass,
     _det_histogram_2x2,
     decompose,
+    delta_pass,
     fast_count,
     naive_count,
     sign_class_count,
@@ -115,6 +116,17 @@ def test_fast_rejects_mismatched_table():
     for delta in (19, -19):
         with pytest.raises(ValueError, match="N=4"):
             fast_count(3, delta, table=TauWindows(4))
+
+
+def test_fast_rejects_a_pass_that_misses_delta():
+    sums = delta_pass(5, [1])
+    for reader in (fast_count, report):
+        with pytest.raises(ValueError, match=r"^delta pass for N=5 does not cover \|delta\|=3$"):
+            reader(5, 3, table=sums)
+        with pytest.raises(ValueError, match=r"\|delta\|=3$"):
+            reader(5, -3, table=sums)
+    # a pass covers the deltas it was given, of either sign
+    assert fast_count(5, -1, table=sums) == fast_count(5, 1) == naive_count(5, 1)
 
 
 def naive_sign_class(H, delta, sc):

@@ -13,6 +13,14 @@ whole table being one window, accumulates in int64 without a
 table-sized copy and adds up exact Python-int partial sums, one per
 window; no other module reads tau_N's cells.
 
+A pass's windows are independent, so ``_pass`` deals them round-robin
+to at most min(jobs, windows, CPUs) workers: this process and
+``os.fork`` children, each holding at most three windows at once.  A
+child sends its exact partial sums back over a pipe, and the parent
+adds them up, so every ``TauWindows(N, jobs)`` gives the same integers
+as ``jobs = 1``.  A pass of one window, such as any whole table, forks
+nothing.
+
 The rule for choosing a source: every read streams ``TauWindows(N)``,
 except that when all of tau_N fits one window that window may be the
 whole table.  One pass serves every delta of an N: ``shifted_sums``
@@ -61,8 +69,12 @@ law is pinned against exhaustive enumeration for H <= 12 in the tests.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable
 
 import numpy as np
 
@@ -116,6 +128,11 @@ class TauTable:
         """Cells a reduction reads at once: all of them."""
         return self.limit
 
+    @property
+    def jobs(self) -> int:
+        """A whole table is one window, read in this process."""
+        return 1
+
     def cells(self, lo: int, hi: int) -> np.ndarray:
         """tau_N(n) for lo < n <= hi, a view of this table."""
         return self.counts[lo + 1 : hi + 1]
@@ -125,9 +142,11 @@ class TauTable:
 class TauWindows:
     """tau_N over [1, N^2] as windows of _WINDOW_CELLS cells, each sieved
     when a reduction reads it and dropped after, so memory stays bounded
-    for any N the uint16 cells admit."""
+    for any N the uint16 cells admit; a pass deals its windows to at most
+    jobs workers (_pass)."""
 
     N: int
+    jobs: int = 1
 
     def __post_init__(self):
         _check_limit(self.N)
@@ -198,6 +217,119 @@ def _dot(x: np.ndarray, y: np.ndarray) -> int:
     2^31 * 1600^2 < 2^63.
     """
     return int(np.einsum("i,i->", x, y, dtype=np.int64))
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: the cap on a pass's workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _deal(starts: range, workers: int) -> list[range]:
+    """starts dealt round-robin into workers shares, each start in exactly
+    one: the early windows of a pass are the heavy ones (at N = 8000,
+    window 0 sieves in 18.7 ms and window 28 in 1.2 ms), so contiguous
+    shares would leave the first worker with most of the work."""
+    return [starts[i::workers] for i in range(workers)]
+
+
+def _window_sums(starts: range, width: int, window: Callable[[int], list[int]]) -> list[int]:
+    """The width sums window(lo)[i] over the starts lo, in this process."""
+    sums = [0] * width
+    for lo in starts:
+        sums = [a + b for a, b in zip(sums, window(lo))]
+    return sums
+
+
+def _pass(
+    table: TauTable | TauWindows,
+    starts: range,
+    width: int,
+    window: Callable[[int], list[int]],
+) -> list[int]:
+    """The width exact sums window(lo)[i] over the window starts lo of one
+    pass, the windows dealt to min(table.jobs, windows, CPUs) workers.
+
+    This process reads the first share; each other share is read by a
+    child made with os.fork, which needs no re-import (a spawned worker
+    would import numpy again, about 0.16 s) and inherits window itself.
+    A child pickles its sums, or the exception it raised, to a pipe and
+    leaves by os._exit, so it prints nothing and runs none of this
+    process's exit handlers; the parent re-raises a child's exception,
+    and a child that ends without a result, killed by the kernel's
+    out-of-memory killer say, raises MemoryError.  Every child is
+    killed, if still running, and reaped on every path out.
+    """
+    workers = min(table.jobs, len(starts), cpu_count())
+    if workers <= 1:
+        return _window_sums(starts, width, window)
+    shares = _deal(starts, workers)
+    children = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _child(write, share, width, window)
+            os.close(write)
+            children.append((pid, read))
+        sums = _window_sums(shares[0], width, window)
+        while children:
+            pid, read = children[0]
+            data = _read_all(read)
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(read)
+            sums = [a + b for a, b in zip(sums, _child_result(data, status))]
+        return sums
+    finally:
+        for pid, read in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
+def _child(write: int, share: range, width: int, window: Callable[[int], list[int]]):
+    """A forked worker: reads its share and sends (True, sums), or
+    (False, the exception raised), then exits; it never returns."""
+    code = 1  # no complete result sent
+    try:
+        try:
+            result = (True, _window_sums(share, width, window))
+        except BaseException as exc:  # the parent re-raises it
+            result = (False, exc)
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _child_result(data: bytes, status: int) -> list[int]:
+    """A child's sums from what it sent and its wait status; its
+    exception is raised here."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise MemoryError(f"a tau_N worker {how} before it sent its sums")
+    ok, value = pickle.loads(data)  # written by the child of this pass
+    if not ok:
+        raise value
+    return value
 
 
 def _icbrt(n: int) -> int:
@@ -290,10 +422,13 @@ def tau_moment(table: TauTable | TauWindows, k: int) -> int:
     if k < 1:
         raise ValueError(f"tau_moment() requires k >= 1, got {k}")
     step = table.window
-    return sum(
-        _moment_window(table.cells(lo, min(lo + step, table.limit)), k)
-        for lo in range(0, table.limit, step)
+    (total,) = _pass(
+        table,
+        range(0, table.limit, step),
+        1,
+        lambda lo: [_moment_window(table.cells(lo, min(lo + step, table.limit)), k)],
     )
+    return total
 
 
 def _moment_window(cells: np.ndarray, k: int) -> int:
@@ -320,27 +455,32 @@ def shifted_sums(table: TauTable | TauWindows, deltas: list[int]) -> dict[int, i
     Each window (lo, lo + window] is sieved once with max(D) extra cells,
     over the D that fit a window, and dotted once per delta; a D past a
     window sieves its shift (lo + D, lo + window + D] apart.  A window is
-    dropped before the next one is sieved, so at most three windows'
-    cells are alive.  A whole table is one window.
+    dropped before its worker sieves the next one, so a worker holds at
+    most three windows' cells.  A whole table is one window.
     """
     if not deltas:
         return {}
     if min(deltas) < 0:
         raise ValueError(f"shifted_sum() requires delta >= 0, got {min(deltas)}")
+    deltas = list(dict.fromkeys(deltas))
     step = table.window
     extra = max((D for D in deltas if D <= step), default=0)
     top = table.limit - min(deltas)  # no n past top has a term
-    sums = dict.fromkeys(deltas, 0)
-    for lo in range(0, top, step):
+
+    def window(lo: int) -> list[int]:
         cells = table.cells(lo, min(lo + step + extra, table.limit))
+        sums = []
         for D in deltas:
             n = min(step, table.limit - D - lo)  # terms with n + D > N^2 vanish
-            if n > 0:
-                sums[D] += _dot(
-                    cells[:n], cells[D : D + n] if D <= extra else table.cells(lo + D, lo + D + n)
-                )
-        del cells  # before the next window is sieved
-    return sums
+            if n <= 0:
+                sums.append(0)
+            elif D <= extra:
+                sums.append(_dot(cells[:n], cells[D : D + n]))
+            else:
+                sums.append(_dot(cells[:n], table.cells(lo + D, lo + D + n)))
+        return sums
+
+    return dict(zip(deltas, _pass(table, range(0, top, step), len(deltas), window)))
 
 
 @dataclass(frozen=True)
@@ -376,9 +516,13 @@ def self_convolution(table: TauTable | TauWindows, D: int) -> int:
     lo = D - hi  # mirror index >= 1; both factors need support <= N^2
     mid = (D - 1) // 2  # the largest m < D/2
     step = table.window
-    total = 2 * sum(
-        _mirror_window(table, a, min(a + step, mid), D) for a in range(lo - 1, mid, step)
+    (half,) = _pass(
+        table,
+        range(lo - 1, mid, step),
+        1,
+        lambda a: [_mirror_window(table, a, min(a + step, mid), D)],
     )
+    total = 2 * half
     if D % 2 == 0 and 2 <= D <= 2 * table.limit:
         total += int(table.cells(D // 2 - 1, D // 2)[0]) ** 2
     return total

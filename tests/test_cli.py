@@ -9,6 +9,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from matcount import casework, cli, tau_tables
 from matcount.casework import RegionG, region_sum_G, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
+from matcount.errors import BudgetError
 from matcount.exact import delta_pass, fast_count, naive_count
 from matcount.lemmas import phi_ratio_report
 from matcount.tau_tables import TauWindows, build_tau_table, shifted_sum, tau_moment
@@ -68,9 +70,9 @@ def test_sweep_rows_that_read_the_pass_include_its_time(monkeypatch, capsys):
     # a clock that moves only while a pass is read: one second per pass
     clock = [0.0]
 
-    def timed_pass(H, deltas):
+    def timed_pass(H, deltas, jobs):
         clock[0] += 1.0
-        return delta_pass(H, deltas)
+        return delta_pass(H, deltas, jobs)
 
     monkeypatch.setattr(cli, "delta_pass", timed_pass)
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -133,6 +135,107 @@ def test_tau_shifted_sums_equal_the_whole_table(monkeypatch, capsys):
         assert int(r["value"]) == shifted_sum(build_tau_table(N), delta), (N, delta)
 
 
+# Commands that read passes over tau_N; with _WINDOW_CELLS = 64, N = 40
+# spans 25 windows, and the deltas reach past one window, past N^2 and
+# past 2N^2.
+_FORKED = [
+    ["count", "--H", "40", "--delta", "6"],
+    ["count", "--H", "40", "--delta=-2000"],
+    ["sweep", "--H", "7,40", "--delta=-65,0,1,64,1601,3200,3201", "--no-timing"],
+    ["tau", "--N", "7,40", "--delta", "1,64,65,1600"],
+    ["tau", "--N", "7,40", "--k", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _FORKED)
+def test_every_jobs_prints_the_same_bytes(argv, monkeypatch, capsys):
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
+    # as many workers as --jobs asks for, whatever this host has
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 4)
+    want = run(argv + ["--jobs", "1"], capsys)
+    assert want[0] == 0
+    for jobs in ("2", "3"):
+        assert run(argv + ["--jobs", jobs], capsys) == want, jobs
+
+
+def test_jobs_is_capped_by_the_windows_and_the_cpus(monkeypatch, capsys):
+    argv = ["count", "--H", "3000", "--delta", "7"]
+    want = run(argv + ["--jobs", "1"], capsys)
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(None)  # in this process, before the child exists
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 3)
+    assert run(argv + ["--jobs", "1000000"], capsys) == want
+    windows = -(-3000 * 3000 // tau_tables._WINDOW_CELLS)
+    assert windows == 5 and len(forks) == min(windows, 3) - 1
+
+
+def _fail_in_workers(monkeypatch, fail):
+    """64-cell windows and three CPUs, and every forked worker calls
+    fail() before it sieves; this process sieves as before."""
+    parent, sieve = os.getpid(), tau_tables._sieve
+
+    def sieve_here(N, lo, hi):
+        if os.getpid() != parent:
+            fail()
+        return sieve(N, lo, hi)
+
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 3)
+    monkeypatch.setattr(tau_tables, "_sieve", sieve_here)
+
+
+def _refuse():
+    raise BudgetError("no cells in a worker")
+
+
+def _bad_value():
+    raise ValueError("a bad value in a worker")
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "fail, code, err",
+    [
+        (_refuse, 2, "budget exceeded: no cells in a worker\n"),
+        (_bad_value, 1, "error: a bad value in a worker\n"),
+        (_killed, 2,
+         "budget exceeded: a tau_N worker was killed by signal 9 before it sent its sums\n"),
+    ],
+)
+@pytest.mark.parametrize("argv", _FORKED)
+def test_a_failing_worker_gives_one_line_and_leaves_no_child(
+    fail, code, err, argv, monkeypatch, capfd
+):
+    _fail_in_workers(monkeypatch, fail)
+    assert main(argv + ["--jobs", "3"]) == code
+    # capfd reads file descriptors, so a worker's traceback would show
+    assert tuple(capfd.readouterr()) == ("", err)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch, capfd):
+    # the workers would run for a minute; this process is interrupted in
+    # its own share
+    _fail_in_workers(monkeypatch, lambda: time.sleep(60))
+    monkeypatch.setattr(tau_tables, "_moment_window", mock.Mock(side_effect=KeyboardInterrupt))
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["tau", "--N", "7,40", "--k", "3", "--jobs", "3"])
+    assert time.perf_counter() - t0 < 10
+    assert tuple(capfd.readouterr()) == ("", "")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("command", ["sweep", "tau"])
 def test_one_pass_sieves_each_window_once(command, monkeypatch, capsys):
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
@@ -149,7 +252,9 @@ def test_one_pass_sieves_each_window_once(command, monkeypatch, capsys):
     # deltas inside the overhang: each window is sieved once for all of them
     deltas = [1, 2, 17, _PASS_WINDOW] + ([0, -1, -17, -_PASS_WINDOW] if command == "sweep" else [])
     flag = "--H" if command == "sweep" else "--N"
-    argv = [command, flag, ",".join(map(str, _PASS_H)), f"--delta={','.join(map(str, deltas))}"]
+    # one worker: a forked worker's sieve calls are not counted here
+    argv = [command, flag, ",".join(map(str, _PASS_H)), f"--delta={','.join(map(str, deltas))}",
+            "--jobs", "1"]
     assert run(argv, capsys)[0] == 0
     for H in _PASS_H:
         # every window once with max(D) extra cells, cut at H^2: at most
@@ -622,7 +727,7 @@ def test_tau_first_moments_read_no_table(k, monkeypatch, capsys):
     argv = ["tau", "--N", "10,20,40", "--k", k]
     with monkeypatch.context() as m:
         # the table route: every moment read from a whole table
-        m.setattr(cli, "_tau_values", lambda N, k, deltas: tau_moment(build_tau_table(N), k))
+        m.setattr(cli, "_tau_values", lambda N, k, deltas, jobs: tau_moment(build_tau_table(N), k))
         want = [run(argv + fmt, capsys) for fmt in ([], ["--format", "json"])]
     monkeypatch.setattr(tau_tables, "_sieve", None)
     assert [run(argv + fmt, capsys) for fmt in ([], ["--format", "json"])] == want

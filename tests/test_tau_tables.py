@@ -19,6 +19,7 @@ from matcount.tau_tables import (
     delta_sums,
     self_convolution,
     shifted_sum,
+    shifted_sums,
     square_sum,
     tau_moment,
 )
@@ -309,6 +310,32 @@ def test_delta_sums_equal_the_reductions_one_by_one(source, monkeypatch):
     assert delta_sums(source(N), Ds).terms == {
         D: (c2(t, D), shifted_sum(t, D), self_convolution(t, D)) for D in Ds
     }
+
+
+def test_forked_passes_equal_the_serial_pass(monkeypatch):
+    window = 64
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
+    # as many workers as jobs asks for, whatever this host has
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 4)
+    for N in range(20, 41):
+        Ds = [1, window - 1, window, window + 1, N * N, 2 * N * N]
+        serial = TauWindows(N, 1)
+        want = (shifted_sums(serial, Ds), delta_sums(serial, Ds).terms,
+                [tau_moment(serial, k) for k in (1, 3)])
+        for jobs in (2, 3, 4):
+            forked = TauWindows(N, jobs)
+            got = (shifted_sums(forked, Ds), delta_sums(forked, Ds).terms,
+                   [tau_moment(forked, k) for k in (1, 3)])
+            assert got == want, (N, jobs)
+
+
+@pytest.mark.parametrize("top, step", [(1, 64), (64, 64), (65, 64), (1600, 64), (3200, 64)])
+def test_deal_hands_each_window_start_to_one_worker(top, step):
+    starts = range(0, top, step)
+    for workers in range(1, len(starts) + 1):
+        shares = tau_tables._deal(starts, workers)
+        assert len(shares) == workers and all(shares)
+        assert sorted(lo for share in shares for lo in share) == list(starts)
 
 
 def test_windowed_fast_count_memory_is_bounded(monkeypatch):

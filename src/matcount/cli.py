@@ -3,17 +3,15 @@ and lemma regressions, hyperbola diagnostics, and fixture generation.
 
 Subcommands: count, sweep, tau, hyperbola, lemmas, casework, fit,
 fixtures.  Each subcommand declares only the flags it reads, except that
-hyperbola still accepts --jobs: it is validated as a positive integer
-and has no effect.  count, sweep and tau read --jobs, by default the
-number of CPUs the process may run on: every pass over tau_N deals its
-windows to at most min(jobs, windows, CPUs) workers forked from the
-command, and adds up their exact sums, so every --jobs prints the same
-bytes (the JSON config echo leaves --jobs out for that reason).  --config
-names a JSON object of flag values, which is parsed by the same parser
-as the command line, and explicit flags win.  All randomness flows from
---seed through a splitmix-style 64-bit generator, so identical (config,
-seed) pairs produce byte-identical output (suppress the timing column
-with --no-timing).  Every command streams tau_N one window at a time,
+sweep and hyperbola still accept --jobs: it is validated as a positive
+integer and has no effect.  Every pass over tau_N (count, sweep, tau)
+deals its windows to one worker per CPU the process may run on, forked
+from the command, and adds up their exact sums, so no output depends on
+the host; --config names a JSON object of flag values, which is parsed
+by the same parser as the command line, and explicit flags win.  All
+randomness flows from --seed through a splitmix-style 64-bit generator,
+so identical (config, seed) pairs produce byte-identical output
+(suppress the timing column with --no-timing).  Every command streams tau_N one window at a time,
 and one pass over tau_N serves every delta of an N.  The sweep emits
 one row per distinct (delta, H) point, sorted; the deltas
 0 < |delta| <= 2H^2 of an H share one pass, timed once, and each of
@@ -60,7 +58,7 @@ from .lemmas import (
     xy_sum,
 )
 from .rng import SplitMix64
-from .tau_tables import DeltaSums, TauWindows, cpu_count, shifted_sums, square_sum, tau_moment
+from .tau_tables import DeltaSums, TauWindows, shifted_sums, square_sum, tau_moment
 
 
 def _fmt(x) -> str:
@@ -155,7 +153,7 @@ def _emit(
             "config": {
                 k: v
                 for k, v in sorted(vars(args).items())
-                if k not in ("func", "config", "jobs") and v is not None
+                if k not in ("func", "config") and v is not None
             },
             "rows": [
                 {c: (row[c] if isinstance(row[c], (int, bool)) else float(_fmt(row[c])))
@@ -185,7 +183,7 @@ def _single_point(args) -> tuple[int, int]:
 
 def _cmd_count(args) -> int:
     H, delta = _single_point(args)
-    rep = report(H, delta, epsilon=args.epsilon, table=delta_pass(H, [delta], args.jobs))
+    rep = report(H, delta, epsilon=args.epsilon)
     for name, value in (
         ("exact", rep.exact),
         ("main", rep.main),
@@ -197,15 +195,13 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _sweep_group(
-    H: int, deltas: list[int], epsilon: float, timing: bool, jobs: int
-) -> list[dict]:
+def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> list[dict]:
     """Rows of one H.  Its deltas 0 < |delta| <= 2H^2 share one pass over
     tau_H (delta_pass), timed once; delta = 0 is counted without it, and
     |delta| > 2H^2 counts 0.  A row that reads the pass reports the pass
     time plus its own report time; the others report only their own."""
     t0 = time.perf_counter()
-    sums = delta_pass(H, deltas, jobs)
+    sums = delta_pass(H, deltas)
     pass_ms = (time.perf_counter() - t0) * 1e3
     return [
         _sweep_row(H, delta, sums, pass_ms if abs(delta) in sums.terms else 0.0, epsilon, timing)
@@ -239,9 +235,7 @@ def _cmd_sweep(args) -> int:
     deltas = sorted(set(args.delta))
     # one H at a time, so at most one pass is alive
     rows = [
-        row
-        for H in sorted(set(args.H))
-        for row in _sweep_group(H, deltas, args.epsilon, timing, args.jobs)
+        row for H in sorted(set(args.H)) for row in _sweep_group(H, deltas, args.epsilon, timing)
     ]
     rows.sort(key=lambda r: (r["delta"], r["H"]))
     columns = ["H", "delta", "exact", "main", "error", "normalized_error", "bound"]
@@ -275,18 +269,18 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _tau_values(N: int, k: int, deltas: list[int], jobs: int):
+def _tau_values(N: int, k: int, deltas: list[int]):
     """N's shifted sums at deltas, all from one pass over tau_N, or its
     k-th moment when there are no deltas.  The first two moments read no
     tau_N: sum tau_N(n) = N^2, and the sum of squares is square_sum(N);
-    a higher moment streams tau_N.  A pass reads with up to jobs workers."""
+    a higher moment streams tau_N."""
     if deltas:
-        return shifted_sums(TauWindows(N, jobs), deltas)
+        return shifted_sums(TauWindows(N), deltas)
     if k == 1:
         return N * N
     if k == 2:
         return square_sum(N)
-    return tau_moment(TauWindows(N, jobs), k)
+    return tau_moment(TauWindows(N), k)
 
 
 def _cmd_tau(args) -> int:
@@ -301,7 +295,7 @@ def _cmd_tau(args) -> int:
         raise UsageError("tau --delta requires at least two distinct --N values")
     # largest N first, so that a too large N is refused before the others
     # are read
-    values = {N: _tau_values(N, k, deltas, args.jobs) for N in reversed(Ns)}
+    values = {N: _tau_values(N, k, deltas) for N in reversed(Ns)}
     extra: dict = {}
     if deltas:
         # shifted-convolution mode: sums tau_N(n) tau_N(n+delta) and the
@@ -520,20 +514,19 @@ def _cmd_fixtures(args) -> int:
 _INTS = dict(type=_int_list)
 _SIZES = dict(type=_positive_int_list)
 _EPSILON = dict(type=_unit_float, default=0.1)
-_JOBS = dict(type=_positive_int, default=cpu_count())
+_JOBS = dict(type=_positive_int, default=1)
 _EMIT = {"output": dict(), "format": dict(choices=("csv", "json"), default="csv")}
 
 # Each subcommand's flags, exactly those its _cmd_* function reads, plus
-# the --jobs that hyperbola accepts and ignores.
+# the --jobs that sweep and hyperbola accept and ignore.
 _COMMANDS = {
-    "count": (_cmd_count, {"H": _SIZES, "delta": _INTS, "epsilon": _EPSILON, "jobs": _JOBS}),
+    "count": (_cmd_count, {"H": _SIZES, "delta": _INTS, "epsilon": _EPSILON}),
     "sweep": (_cmd_sweep, {
         "H": _SIZES, "delta": _INTS, "epsilon": _EPSILON, "jobs": _JOBS,
         "no-timing": dict(action="store_true"), "fit": dict(action="store_true"), **_EMIT,
     }),
     "tau": (_cmd_tau, {
-        "N": _SIZES, "k": dict(type=_moment_order, default=2), "delta": _INTS, "jobs": _JOBS,
-        **_EMIT,
+        "N": _SIZES, "k": dict(type=_moment_order, default=2), "delta": _INTS, **_EMIT,
     }),
     "hyperbola": (_cmd_hyperbola, {
         "N": dict(type=_positive_int, default=500), "seed": dict(type=int, default=0),

@@ -119,34 +119,30 @@ def naive_count(H: int, delta: int) -> int:
 
 def _tau_table(H: int, table: TauTable | TauWindows | DeltaSums | None):
     """The given source of tau_H, refused unless it is for N = H; when
-    none is given, tau_H streamed by this process alone (_stream)."""
+    none is given, tau_H streamed: TauWindows(H), or the whole table when
+    all of it fits one window and tau_tables.CELL_BUDGET, read when
+    called."""
     if table is None:
-        return _stream(H)
+        # The whole-table branch stays only because the bench counts tau
+        # cells through build_tau_table and pins fast_count(5, 3) building
+        # one 26-cell table; TauWindows(H) alone gives the same values.
+        windows = TauWindows(H)
+        whole = windows.limit < min(windows.window, tau_tables.CELL_BUDGET)
+        return build_tau_table(H) if whole else windows
     if table.N != H:
         raise ValueError(f"tau table is for N={table.N}, expected H={H}")
     return table
 
 
-def _stream(H: int, jobs: int = 1) -> TauTable | TauWindows:
-    """tau_H streamed: TauWindows(H, jobs), or the whole table when all of
-    it fits one window and tau_tables.CELL_BUDGET, read when called."""
-    # The whole-table branch stays only because the bench counts tau
-    # cells through build_tau_table and pins fast_count(5, 3) building
-    # one 26-cell table; TauWindows(H) alone gives the same values.
-    windows = TauWindows(H, jobs)
-    whole = windows.limit < min(windows.window, tau_tables.CELL_BUDGET)
-    return build_tau_table(H) if whole else windows
-
-
-def delta_pass(H: int, deltas: list[int], jobs: int = 1) -> DeltaSums:
+def delta_pass(H: int, deltas: list[int]) -> DeltaSums:
     """The reductions of tau_H that fast_count assembles, for every delta
     in deltas with 0 < |delta| <= 2H^2, their shifted sums read in one
-    pass over tau_H (tau_tables.delta_sums) by up to jobs workers;
-    fast_count takes the result as its table."""
+    pass over tau_H (tau_tables.delta_sums); fast_count takes the result
+    as its table."""
     if H < 1:
         raise ValueError(f"delta_pass() requires H >= 1, got {H}")
     Ds = sorted({abs(d) for d in deltas if 0 < abs(d) <= 2 * H * H})
-    return delta_sums(_stream(H, jobs), Ds) if Ds else DeltaSums(H, {})
+    return delta_sums(_tau_table(H, None), Ds) if Ds else DeltaSums(H, {})
 
 
 def fast_count(

@@ -14,12 +14,11 @@ table-sized copy and adds up exact Python-int partial sums, one per
 window; no other module reads tau_N's cells.
 
 A pass's windows are independent, so ``_pass`` deals them round-robin
-to at most min(jobs, windows, CPUs) workers: this process and
-``os.fork`` children, each holding at most three windows at once.  A
-child sends its exact partial sums back over a pipe, and the parent
-adds them up, so every ``TauWindows(N, jobs)`` gives the same integers
-as ``jobs = 1``.  A pass of one window, such as any whole table, forks
-nothing.
+to at most min(windows, CPUs) workers: this process and ``os.fork``
+children, each holding at most three windows at once.  A child sends
+its exact partial sums back over a pipe, and the parent adds them up,
+so the integers do not depend on how many CPUs the process may run on.
+A pass of one window, such as any whole table, forks nothing.
 
 The rule for choosing a source: every read streams ``TauWindows(N)``,
 except that when all of tau_N fits one window that window may be the
@@ -72,9 +71,11 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import warnings
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -128,11 +129,6 @@ class TauTable:
         """Cells a reduction reads at once: all of them."""
         return self.limit
 
-    @property
-    def jobs(self) -> int:
-        """A whole table is one window, read in this process."""
-        return 1
-
     def cells(self, lo: int, hi: int) -> np.ndarray:
         """tau_N(n) for lo < n <= hi, a view of this table."""
         return self.counts[lo + 1 : hi + 1]
@@ -142,11 +138,10 @@ class TauTable:
 class TauWindows:
     """tau_N over [1, N^2] as windows of _WINDOW_CELLS cells, each sieved
     when a reduction reads it and dropped after, so memory stays bounded
-    for any N the uint16 cells admit; a pass deals its windows to at most
-    jobs workers (_pass)."""
+    for any N the uint16 cells admit; a pass deals its windows to one
+    worker per CPU (_pass)."""
 
     N: int
-    jobs: int = 1
 
     def __post_init__(self):
         _check_limit(self.N)
@@ -234,53 +229,46 @@ def _deal(starts: range, workers: int) -> list[range]:
     return [starts[i::workers] for i in range(workers)]
 
 
-def _window_sums(starts: range, width: int, window: Callable[[int], list[int]]) -> list[int]:
-    """The width sums window(lo)[i] over the starts lo, in this process."""
+def _window_sums(
+    starts: Iterable[int], width: int, window: Callable[[int], list[int]], parent: int = 0
+) -> list[int]:
+    """The width sums window(lo)[i] over the starts lo, in this process.
+    A worker forked by process parent exits before each window once
+    parent is gone: nobody would read its sums."""
     sums = [0] * width
     for lo in starts:
+        if parent and os.getppid() != parent:
+            os._exit(1)
         sums = [a + b for a, b in zip(sums, window(lo))]
     return sums
 
 
-def _pass(
-    table: TauTable | TauWindows,
-    starts: range,
-    width: int,
-    window: Callable[[int], list[int]],
-) -> list[int]:
+def _pass(starts: range, width: int, window: Callable[[int], list[int]]) -> list[int]:
     """The width exact sums window(lo)[i] over the window starts lo of one
-    pass, the windows dealt to min(table.jobs, windows, CPUs) workers.
+    pass, the windows dealt to min(windows, CPUs) workers.
 
     This process reads the first share; each other share is read by a
-    child made with os.fork, which needs no re-import (a spawned worker
-    would import numpy again, about 0.16 s) and inherits window itself.
-    A child pickles its sums, or the exception it raised, to a pipe and
-    leaves by os._exit, so it prints nothing and runs none of this
-    process's exit handlers; the parent re-raises a child's exception,
-    and a child that ends without a result, killed by the kernel's
-    out-of-memory killer say, raises MemoryError.  Every child is
-    killed, if still running, and reaped on every path out.
+    child made with os.fork (_fork).  The parent re-raises a child's
+    exception, and a child that ends without a result, killed by the
+    kernel's out-of-memory killer say, raises MemoryError.  A share that
+    could not be forked (no free pid, no file descriptor) is read here
+    too.  Every child is killed, if still running, and reaped on every
+    path out.
     """
-    workers = min(table.jobs, len(starts), cpu_count())
+    workers = min(len(starts), cpu_count())
     if workers <= 1:
         return _window_sums(starts, width, window)
     shares = _deal(starts, workers)
+    here = [shares[0]]  # the shares this process reads
     children = []  # (pid, read end of its pipe), not yet reaped
     try:
-        for share in shares[1:]:
-            read, write = os.pipe()
+        for i, share in enumerate(shares[1:], 1):
             try:
-                pid = os.fork()
+                children.append(_fork(share, width, window))
             except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                os.close(read)
-                _child(write, share, width, window)
-            os.close(write)
-            children.append((pid, read))
-        sums = _window_sums(shares[0], width, window)
+                here += shares[i:]
+                break
+        sums = _window_sums(chain.from_iterable(here), width, window)
         while children:
             pid, read = children[0]
             data = _read_all(read)
@@ -296,13 +284,43 @@ def _pass(
             os.close(read)
 
 
-def _child(write: int, share: range, width: int, window: Callable[[int], list[int]]):
+def _fork(share: range, width: int, window: Callable[[int], list[int]]) -> tuple[int, int]:
+    """A child that reads share, and the read end of the pipe its result
+    comes back on.  os.fork needs no re-import (a spawned worker would
+    import numpy again, about 0.16 s), and the child inherits window
+    itself."""
+    parent = os.getpid()
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that a process with threads (numpy's
+            # BLAS pool) forks; the child calls no BLAS and no lock.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        os.close(read)
+        _child(parent, write, share, width, window)
+    os.close(write)
+    return pid, read
+
+
+def _child(parent: int, write: int, share: range, width: int, window: Callable[[int], list[int]]):
     """A forked worker: reads its share and sends (True, sums), or
-    (False, the exception raised), then exits; it never returns."""
+    (False, the exception raised), then exits by os._exit; it never
+    returns, prints nothing (its stdout and stderr are /dev/null, so it
+    holds no pipe of the command's open either) and runs none of the
+    parent's exit handlers."""
     code = 1  # no complete result sent
     try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
         try:
-            result = (True, _window_sums(share, width, window))
+            result = (True, _window_sums(share, width, window, parent))
         except BaseException as exc:  # the parent re-raises it
             result = (False, exc)
         with open(write, "wb") as pipe:
@@ -423,7 +441,6 @@ def tau_moment(table: TauTable | TauWindows, k: int) -> int:
         raise ValueError(f"tau_moment() requires k >= 1, got {k}")
     step = table.window
     (total,) = _pass(
-        table,
         range(0, table.limit, step),
         1,
         lambda lo: [_moment_window(table.cells(lo, min(lo + step, table.limit)), k)],
@@ -480,7 +497,7 @@ def shifted_sums(table: TauTable | TauWindows, deltas: list[int]) -> dict[int, i
                 sums.append(_dot(cells[:n], table.cells(lo + D, lo + D + n)))
         return sums
 
-    return dict(zip(deltas, _pass(table, range(0, top, step), len(deltas), window)))
+    return dict(zip(deltas, _pass(range(0, top, step), len(deltas), window)))
 
 
 @dataclass(frozen=True)
@@ -517,7 +534,6 @@ def self_convolution(table: TauTable | TauWindows, D: int) -> int:
     mid = (D - 1) // 2  # the largest m < D/2
     step = table.window
     (half,) = _pass(
-        table,
         range(lo - 1, mid, step),
         1,
         lambda a: [_mirror_window(table, a, min(a + step, mid), D)],

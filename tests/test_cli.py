@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -70,9 +71,9 @@ def test_sweep_rows_that_read_the_pass_include_its_time(monkeypatch, capsys):
     # a clock that moves only while a pass is read: one second per pass
     clock = [0.0]
 
-    def timed_pass(H, deltas, jobs):
+    def timed_pass(H, deltas):
         clock[0] += 1.0
-        return delta_pass(H, deltas, jobs)
+        return delta_pass(H, deltas)
 
     monkeypatch.setattr(cli, "delta_pass", timed_pass)
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -148,30 +149,80 @@ _FORKED = [
 
 
 @pytest.mark.parametrize("argv", _FORKED)
-def test_every_jobs_prints_the_same_bytes(argv, monkeypatch, capsys):
+def test_every_worker_count_prints_the_same_bytes(argv, monkeypatch, capsys):
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
-    # as many workers as --jobs asks for, whatever this host has
-    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 4)
-    want = run(argv + ["--jobs", "1"], capsys)
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 1)
+    want = run(argv, capsys)
     assert want[0] == 0
-    for jobs in ("2", "3"):
-        assert run(argv + ["--jobs", jobs], capsys) == want, jobs
+    for cpus in (2, 3, 4):
+        monkeypatch.setattr(tau_tables, "cpu_count", lambda: cpus)
+        assert run(argv, capsys) == want, cpus
 
 
-def test_jobs_is_capped_by_the_windows_and_the_cpus(monkeypatch, capsys):
-    argv = ["count", "--H", "3000", "--delta", "7"]
-    want = run(argv + ["--jobs", "1"], capsys)
+def _counting_forks(monkeypatch, fail_after=None):
+    """os.fork, counted in this process before the child exists; from
+    call fail_after + 1 on it fails as when no pid is free."""
     forks, fork = [], os.fork
 
     def counting_fork():
-        forks.append(None)  # in this process, before the child exists
+        forks.append(None)
+        if fail_after is not None and len(forks) > fail_after:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 3)
-    assert run(argv + ["--jobs", "1000000"], capsys) == want
+    return forks
+
+
+@pytest.mark.parametrize("cpus, children", [(3, 2), (1_000_000, 4)])
+def test_workers_are_capped_by_the_windows_and_the_cpus(cpus, children, monkeypatch, capsys):
+    argv = ["count", "--H", "3000", "--delta", "7"]
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 1)
+    want = run(argv, capsys)
+    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: cpus)
+    assert run(argv, capsys) == want
     windows = -(-3000 * 3000 // tau_tables._WINDOW_CELLS)
-    assert windows == 5 and len(forks) == min(windows, 3) - 1
+    assert windows == 5 and len(forks) == min(windows, cpus) - 1 == children
+
+
+@pytest.mark.parametrize("fail_after", [0, 1])
+@pytest.mark.parametrize("argv", _FORKED)
+def test_a_failed_fork_reads_its_share_in_the_command(fail_after, argv, monkeypatch, capsys):
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 1)
+    want = run(argv, capsys)
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 3)
+    forks = _counting_forks(monkeypatch, fail_after)
+    assert run(argv, capsys) == want
+    assert forks  # a fork was tried, and every pass still added up
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_fork_warning_made_an_error_loses_no_child(monkeypatch, capsys):
+    # Python 3.12+ warns in the parent, after the child exists, when a
+    # process with threads forks; under -W error that warning would raise
+    # before the child's pid is kept
+    argv = ["tau", "--N", "7,40", "--k", "3"]
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 1)
+    want = run(argv, capsys)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork()", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv, capsys) == want
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _fail_in_workers(monkeypatch, fail):
@@ -201,6 +252,12 @@ def _killed():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _traceback():
+    # a worker's stderr is /dev/null, so even a print reaches nobody
+    print("a worker's traceback", file=sys.__stderr__, flush=True)
+    raise BudgetError("no cells in a worker")
+
+
 @pytest.mark.parametrize(
     "fail, code, err",
     [
@@ -208,6 +265,7 @@ def _killed():
         (_bad_value, 1, "error: a bad value in a worker\n"),
         (_killed, 2,
          "budget exceeded: a tau_N worker was killed by signal 9 before it sent its sums\n"),
+        (_traceback, 2, "budget exceeded: no cells in a worker\n"),
     ],
 )
 @pytest.mark.parametrize("argv", _FORKED)
@@ -215,7 +273,7 @@ def test_a_failing_worker_gives_one_line_and_leaves_no_child(
     fail, code, err, argv, monkeypatch, capfd
 ):
     _fail_in_workers(monkeypatch, fail)
-    assert main(argv + ["--jobs", "3"]) == code
+    assert main(argv) == code
     # capfd reads file descriptors, so a worker's traceback would show
     assert tuple(capfd.readouterr()) == ("", err)
     with pytest.raises(ChildProcessError):
@@ -229,11 +287,70 @@ def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch, capfd):
     monkeypatch.setattr(tau_tables, "_moment_window", mock.Mock(side_effect=KeyboardInterrupt))
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        main(["tau", "--N", "7,40", "--k", "3", "--jobs", "3"])
+        main(["tau", "--N", "7,40", "--k", "3"])
     assert time.perf_counter() - t0 < 10
     assert tuple(capfd.readouterr()) == ("", "")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# A count whose three workers each write their pid to a file and then
+# take 50 ms per 64-cell window: about two hours of work, unless a worker
+# stops once its parent is gone.
+_SLOW_WORKERS = """
+import os, sys, time
+from matcount import cli, tau_tables
+parent, sieve = os.getpid(), tau_tables._sieve
+def slow_sieve(N, lo, hi):
+    if os.getpid() != parent:
+        path = os.path.join(sys.argv[1], str(os.getpid()))
+        if not os.path.exists(path):
+            with open(path, "w"):
+                pass
+        time.sleep(0.05)
+    return sieve(N, lo, hi)
+tau_tables._WINDOW_CELLS = 64
+tau_tables.cpu_count = lambda: 4
+tau_tables._sieve = slow_sieve
+sys.exit(cli.main(["count", "--H", "3000", "--delta", "7"]))
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process: not gone and not a zombie left for
+    an init that does not reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_a_killed_command_leaves_no_worker_behind(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_WORKERS, str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while len(os.listdir(tmp_path)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        workers = [int(name) for name in os.listdir(tmp_path)]
+        assert len(workers) == 3
+    finally:
+        proc.kill()
+    # the workers hold neither of the command's pipes, so both reach EOF
+    # as soon as the command is gone
+    t0 = time.monotonic()
+    proc.communicate(timeout=5)
+    assert time.monotonic() - t0 < 1
+    # and each worker stops before its next window
+    deadline = time.monotonic() + 5
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not any(map(_running, workers))
 
 
 @pytest.mark.parametrize("command", ["sweep", "tau"])
@@ -249,12 +366,12 @@ def test_one_pass_sieves_each_window_once(command, monkeypatch, capsys):
         return counts
 
     monkeypatch.setattr(tau_tables, "_sieve", counting_sieve)
+    # one worker: a forked worker's sieve calls are not counted here
+    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 1)
     # deltas inside the overhang: each window is sieved once for all of them
     deltas = [1, 2, 17, _PASS_WINDOW] + ([0, -1, -17, -_PASS_WINDOW] if command == "sweep" else [])
     flag = "--H" if command == "sweep" else "--N"
-    # one worker: a forked worker's sieve calls are not counted here
-    argv = [command, flag, ",".join(map(str, _PASS_H)), f"--delta={','.join(map(str, deltas))}",
-            "--jobs", "1"]
+    argv = [command, flag, ",".join(map(str, _PASS_H)), f"--delta={','.join(map(str, deltas))}"]
     assert run(argv, capsys)[0] == 0
     for H in _PASS_H:
         # every window once with max(D) extra cells, cut at H^2: at most
@@ -727,7 +844,7 @@ def test_tau_first_moments_read_no_table(k, monkeypatch, capsys):
     argv = ["tau", "--N", "10,20,40", "--k", k]
     with monkeypatch.context() as m:
         # the table route: every moment read from a whole table
-        m.setattr(cli, "_tau_values", lambda N, k, deltas, jobs: tau_moment(build_tau_table(N), k))
+        m.setattr(cli, "_tau_values", lambda N, k, deltas: tau_moment(build_tau_table(N), k))
         want = [run(argv + fmt, capsys) for fmt in ([], ["--format", "json"])]
     monkeypatch.setattr(tau_tables, "_sieve", None)
     assert [run(argv + fmt, capsys) for fmt in ([], ["--format", "json"])] == want

@@ -315,18 +315,18 @@ def test_delta_sums_equal_the_reductions_one_by_one(source, monkeypatch):
 def test_forked_passes_equal_the_serial_pass(monkeypatch):
     window = 64
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
-    # as many workers as jobs asks for, whatever this host has
-    monkeypatch.setattr(tau_tables, "cpu_count", lambda: 4)
+
+    def sums(cpus, N, Ds):
+        monkeypatch.setattr(tau_tables, "cpu_count", lambda: cpus)
+        table = TauWindows(N)
+        return (shifted_sums(table, Ds), delta_sums(table, Ds).terms,
+                [tau_moment(table, k) for k in (1, 3)])
+
     for N in range(20, 41):
         Ds = [1, window - 1, window, window + 1, N * N, 2 * N * N]
-        serial = TauWindows(N, 1)
-        want = (shifted_sums(serial, Ds), delta_sums(serial, Ds).terms,
-                [tau_moment(serial, k) for k in (1, 3)])
-        for jobs in (2, 3, 4):
-            forked = TauWindows(N, jobs)
-            got = (shifted_sums(forked, Ds), delta_sums(forked, Ds).terms,
-                   [tau_moment(forked, k) for k in (1, 3)])
-            assert got == want, (N, jobs)
+        want = sums(1, N, Ds)
+        for cpus in (2, 3, 4):
+            assert sums(cpus, N, Ds) == want, (N, cpus)
 
 
 @pytest.mark.parametrize("top, step", [(1, 64), (64, 64), (65, 64), (1600, 64), (3200, 64)])

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from . import lazy_import
 from .errors import BudgetError
+
+np = lazy_import("numpy")
 
 # Sieve cells allowed in the phi table (not bytes).
 CELL_BUDGET = 200_000_000

@@ -21,12 +21,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import lazy_import
 from .arith import sigma
 from .hyperbola import AsymptoticReport
 from .tau_tables import DeltaSums, TauTable, TauWindows, shifted_sum
 from .exact import fast_count
+
+np = lazy_import("numpy")
 
 COEFF_96 = 96.0 / math.pi**2
 COEFF_12 = 12.0 / math.pi**2

@@ -36,9 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import tau_tables
+from . import lazy_import, tau_tables
 from .errors import BudgetError
 from .tau_tables import (
     DeltaSums,
@@ -49,6 +47,8 @@ from .tau_tables import (
     delta_sums,
     square_sum,
 )
+
+np = lazy_import("numpy")
 
 # Hard cap on full enumeration: (2H+1)^4 matrices.
 NAIVE_ENUM_LIMIT = 10**10

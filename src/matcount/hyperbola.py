@@ -36,7 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from . import lazy_import
+
+np = lazy_import("numpy")
 
 # Queries keep q, A and U + X below this, so the curve's int64 arrays
 # (u, A // u, limit - v0) cannot wrap.

@@ -32,10 +32,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
+from . import lazy_import
 from .arith import divisors, factorize, mobius_sieve, phi, sieve, sigma, tau
 from .hyperbola import AsymptoticReport
+
+np = lazy_import("numpy")
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
 

@@ -51,10 +51,12 @@ x = N // k, and counting the pairs 1 <= u <= v <= x by gcd gives
     Phi(x) = x(x+1)/2 - sum_{d=2}^{x} Phi(x // d),
 
 whose right side reads Phi only at values x // d = N // (kd) again.
-Phi comes from a phi sieve up to about N^(2/3) / 2 and, above it, from
-this recursion memoised on the values N // k (Deleglise and Rivat,
+Phi comes from a phi sieve up to about L = N^(2/3) / 2 and, above it,
+from this recursion memoised on the values N // k (Deleglise and Rivat,
 Experiment. Math. 5, 1996), so ``square_sum`` takes O(N^(2/3)) time and
-memory.
+memory.  Up to L = _LIST_SIEVE_LIMIT (N up to about 7 * 10^5) the sieve
+and the recursion run over Python lists, so such an N imports no numpy;
+above it they run over int64 numpy arrays.
 
 The signed counter c2(m) = #{(x, y): |x|, |y| <= H, x*y = m} obeys the
 brute-force-derived law
@@ -73,14 +75,15 @@ import pickle
 import signal
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from math import isqrt
 from typing import Callable, Iterable
 
-import numpy as np
-
+from . import lazy_import
 from .arith import sieve
 from .errors import BudgetError
+
+np = lazy_import("numpy")
 
 # Cells allowed in a whole table (not bytes).  It guards only library
 # callers of build_tau_table: no command builds a table past one window.
@@ -101,15 +104,17 @@ _MOMENT_BLOCK = 1 << 16
 # 4 MB of uint16 cells, and at most three windows' worth alive at once.
 _WINDOW_CELLS = 1 << 21
 
-# The sieve's increment, a uint16 scalar so np.add needs no cast.
-_TWO = np.uint16(2)
-
 # Bytes square_sum may hold: while the prefix sum is taken, its phi sieve
 # and the summatory totient are two int64 arrays of L + 1 cells, about
 # 8 N^(2/3) bytes; the memo above L adds a Python int and its list slot
 # per entry.  128 MiB admits N up to 62,389,816,424.
 SQUARE_SUM_BUDGET = 1 << 27
 _MEMO_ENTRY_BYTES = 48
+
+# The largest phi sieve square_sum builds in Python lists rather than
+# numpy (its L, N up to about 7 * 10^5): below it the list route costs a
+# few ms, less than importing numpy.
+_LIST_SIEVE_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,7 @@ def _sieve(N: int, lo: int, hi: int) -> np.ndarray:
     in int64, so the loop does one in-place add per row.
     """
     counts = np.zeros(hi - lo + 1, dtype=np.uint16)
+    two = np.uint16(2)  # the increment, a uint16 scalar so np.add needs no cast
     rows = range(lo // N + 1, isqrt(hi) + 1)
     a = np.arange(rows.start, rows.stop, dtype=np.int64)
     # row a covers b in [max(a + 1, lo//a + 1), min(N, hi//a)]; an empty
@@ -197,7 +203,7 @@ def _sieve(N: int, lo: int, hi: int) -> np.ndarray:
     stop = a * np.minimum(N, hi // a) - lo + 1
     for step, s, e in zip(rows, start.tolist(), stop.tolist()):
         view = counts[s:e:step]
-        np.add(view, _TWO, out=view)
+        np.add(view, two, out=view)
     roots = np.arange(isqrt(lo) + 1, isqrt(hi) + 1)
     counts[roots * roots - lo] += 1
     counts.flags.writeable = False
@@ -258,6 +264,7 @@ def _pass(starts: range, width: int, window: Callable[[int], list[int]]) -> list
     workers = min(len(starts), cpu_count())
     if workers <= 1:
         return _window_sums(starts, width, window)
+    np.ndarray  # imports numpy here, once, rather than in every child
     shares = _deal(starts, workers)
     here = [shares[0]]  # the shares this process reads
     children = []  # (pid, read end of its pipe), not yet reaped
@@ -287,8 +294,8 @@ def _pass(starts: range, width: int, window: Callable[[int], list[int]]) -> list
 def _fork(share: range, width: int, window: Callable[[int], list[int]]) -> tuple[int, int]:
     """A child that reads share, and the read end of the pipe its result
     comes back on.  os.fork needs no re-import (a spawned worker would
-    import numpy again, about 0.16 s), and the child inherits window
-    itself."""
+    import numpy again, about 0.16 s): the child inherits window itself
+    and the numpy that _pass loaded before it forked."""
     parent = os.getpid()
     read, write = os.pipe()
     try:
@@ -390,7 +397,11 @@ def square_sum(N: int) -> int:
         raise BudgetError(
             f"square_sum(N={N}) needs {need} bytes, budget is {SQUARE_SUM_BUDGET}"
         )
-    small = np.cumsum(sieve(L))  # small[x] = Phi(x) for x <= L
+    # small[x] = Phi(x) for x <= L
+    if L <= _LIST_SIEVE_LIMIT:
+        small = list(accumulate(_phi_list(L)))
+    else:
+        small = np.cumsum(sieve(L))
     big = _large_totient_sums(N, small, K)
     # m runs over the blocks [m, top] of constant q = floor(N/m); the
     # weight 2 phi(m) - [m = 1] sums to 2 Phi(top) - 2 Phi(m - 1), and the
@@ -405,30 +416,43 @@ def square_sum(N: int) -> int:
     return 2 * total - N * N
 
 
-def _large_totient_sums(N: int, small: np.ndarray, K: int) -> list[int]:
+def _phi_list(limit: int) -> list[int]:
+    """phi(n) for 0 <= n <= limit in Python ints: each prime p, a cell
+    still equal to its index when the sieve reaches it, scales its
+    multiples by 1 - 1/p."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            phi[p::p] = [v - v // p for v in phi[p::p]]
+    return phi
+
+
+def _large_totient_sums(N: int, small: list[int] | np.ndarray, K: int) -> list[int]:
     """big[k] = Phi(N // k) for 1 <= k <= K, from the recursion of the
     module docstring, given small[x] = Phi(x) for every x up to
-    max(isqrt(N), N // (K + 1)).
+    max(isqrt(N), N // (K + 1)), a list or an int64 array.
 
     Largest k first, so big[k * d] is known when big[k] reads it.  With
     x = N // k and s = isqrt(x), the terms d <= s with k * d <= K read the
     memo in Python ints; the other d <= s read small at x // d, and the
     d > s are grouped by v = x // d <= s, x // v - x // (v + 1) of them
-    each; both read small in int64.
+    each; both read small in its own type, an array in int64.
     """
     big = [0] * (K + 1)
     for k in range(K, 0, -1):
         x = N // k
         s = isqrt(x)
         known = min(K // k, s)
-        d = np.arange(known + 1, s + 1, dtype=np.int64)
-        v = np.arange(1, x // (s + 1) + 1, dtype=np.int64)
-        big[k] = (
-            x * (x + 1) // 2
-            - sum(big[k * j] for j in range(2, known + 1))
-            - int(small[x // d].sum())
-            - int(small[v] @ (x // v - x // (v + 1)))
-        )
+        top = x // (s + 1)  # the largest v
+        if isinstance(small, list):
+            rest = sum(small[x // d] for d in range(known + 1, s + 1)) + sum(
+                small[v] * (x // v - x // (v + 1)) for v in range(1, top + 1)
+            )
+        else:
+            d = np.arange(known + 1, s + 1, dtype=np.int64)
+            v = np.arange(1, top + 1, dtype=np.int64)
+            rest = int(small[x // d].sum()) + int(small[v] @ (x // v - x // (v + 1)))
+        big[k] = x * (x + 1) // 2 - sum(big[k * j] for j in range(2, known + 1)) - rest
     return big
 
 

@@ -700,6 +700,33 @@ def test_hyperbola_budget(monkeypatch, capsys):
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
 
 
+# A command in a fresh process, then its exit code and whether numpy was
+# imported: numpy builds numpy.linalg as it loads.
+_IMPORTS_NUMPY = """
+import sys
+from matcount import cli
+code = cli.main(sys.argv[1:])
+print(code, "numpy.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, code, numpy", [
+    ("count --H 6000 --delta=0", 0, False),
+    ("sweep --H 100,200 --delta 0 --no-timing", 0, False),
+    ("tau --N 50,60 --k 1", 0, False),
+    ("count --H 5 --delta 51", 0, False),  # |delta| > 2H^2 counts 0
+    ("count --H 0 --delta 1", 1, False),
+    ("count --H 3000 --delta 7", 0, True),  # a pass over tau_H builds arrays
+])
+def test_numpy_is_imported_only_where_an_array_is_built(argv, code, numpy):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_NUMPY, *argv.split()],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
+    )
+    assert proc.stdout.splitlines()[-1] == f"{code} {numpy}"
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
 def test_memory_error_exits_2():
     import resource

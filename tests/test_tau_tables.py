@@ -1,8 +1,12 @@
 """Restricted divisor function: sieve vs. enumeration, moments, shifted
 sums, the signed product counter, and the table's memory contract."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,32 @@ def test_square_sum_equals_the_totient_formula(N):
 @settings(max_examples=10, deadline=None)
 def test_square_sum_equals_the_totient_formula_sampled(N):
     assert square_sum(N) == square_sum_by_totients(N)
+
+
+def test_both_square_sum_routes_equal_the_totient_formula(monkeypatch):
+    want = [square_sum_by_totients(N) for N in range(1, 3001)]
+    # a limit of 0 sends every N to numpy, one past every L to the lists
+    for limit in (0, 1 << 30):
+        monkeypatch.setattr(tau_tables, "_LIST_SIEVE_LIMIT", limit)
+        assert [square_sum(N) for N in range(1, 3001)] == want, limit
+
+
+def test_square_sum_routes_meet_at_the_list_limit(monkeypatch):
+    limit = tau_tables._LIST_SIEVE_LIMIT
+    # the largest N whose phi sieve ends at limit; L grows by 0 or 1 per N
+    lo, hi = 1, 8 * limit**2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if tau_tables._square_sum_plan(mid)[0] <= limit else (lo, mid - 1)
+    edge = lo
+    assert tau_tables._square_sum_plan(edge)[0] == limit
+    assert tau_tables._square_sum_plan(edge + 1)[0] == limit + 1
+    sieved = []
+    monkeypatch.setattr(tau_tables, "sieve", lambda L: sieved.append(L) or sieve(L))
+    assert square_sum(edge) == square_sum_by_totients(edge)
+    assert sieved == []  # the list route
+    assert square_sum(edge + 1) == square_sum_by_totients(edge + 1)
+    assert sieved == [limit + 1]  # the numpy route
 
 
 def test_square_sum_domain():
@@ -327,6 +357,33 @@ def test_forked_passes_equal_the_serial_pass(monkeypatch):
         want = sums(1, N, Ds)
         for cpus in (2, 3, 4):
             assert sums(cpus, N, Ds) == want, (N, cpus)
+
+
+# A count whose pass forks one worker, recording at each fork whether
+# numpy, which builds numpy.linalg as it loads, is loaded in the parent.
+_NUMPY_AT_FORK = """
+import os, sys
+from matcount import cli, tau_tables
+fork, loaded = os.fork, []
+def watched_fork():
+    loaded.append("numpy.linalg" in sys.modules)
+    return fork()
+os.fork = watched_fork
+tau_tables.cpu_count = lambda: 2
+before = "numpy.linalg" in sys.modules
+code = cli.main(["count", "--H", "3000", "--delta", "7"])
+print(code, before, loaded)
+"""
+
+
+def test_a_pass_loads_numpy_before_it_forks():
+    # each child would otherwise import numpy itself
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_AT_FORK], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(tau_tables.__file__).parent.parent)),
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0 False [True]"
 
 
 @pytest.mark.parametrize("top, step", [(1, 64), (64, 64), (65, 64), (1600, 64), (3200, 64)])

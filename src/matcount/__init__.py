@@ -14,9 +14,9 @@ def lazy_import(name: str):
     """The module name, executed at its first attribute access rather
     than now; an already imported module is returned as it is.  The
     modules that use numpy bind it this way, so a command that builds no
-    array (count at delta = 0, tau --k 1, a usage error) never imports
-    it: `import matcount.cli` then takes about 0.12 s instead of 0.2 s
-    on a 2-core host."""
+    array (count at delta = 0, tau --k 1 or 2, fit, a usage error) never
+    imports it: `import matcount.cli` then takes about 0.12 s instead of
+    0.2 s on a 2-core host."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)

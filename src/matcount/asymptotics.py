@@ -13,6 +13,9 @@ sum tau_N(n) tau_N(n + delta): the literature-style statement carries a
 log factor while the sign-class identity forces a log-free leading
 order.  Neither is hard-coded as truth; ``shifted_verdict`` fits the
 exact sums and reports which candidate survives.
+
+Both fits are closed-form least-squares lines over exact Python int sums
+(``_line``), so no fit imports numpy.
 """
 
 from __future__ import annotations
@@ -21,13 +24,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from . import lazy_import
 from .arith import sigma
 from .hyperbola import AsymptoticReport
 from .tau_tables import DeltaSums, TauTable, TauWindows, shifted_sum
 from .exact import fast_count
-
-np = lazy_import("numpy")
 
 COEFF_96 = 96.0 / math.pi**2
 COEFF_12 = 12.0 / math.pi**2
@@ -87,38 +87,46 @@ class ErrorFit:
     degenerate: bool = False
 
 
+def _line(x: list[float], y: list[float]) -> tuple[float, float, float]:
+    """Least-squares line y = slope x + intercept and its r^2, each the
+    float nearest the exact value for these floats: every float is an
+    integer over a power of two, so the sums are exact Python ints and
+    only the three quotients round.  Needs two distinct x."""
+    scale = max(v.as_integer_ratio()[1] for v in (*x, *y))
+    X, Y = ([p * (scale // q) for p, q in map(float.as_integer_ratio, vs)] for vs in (x, y))
+    n, sx, sy, sxx = len(X), sum(X), sum(Y), sum(a * a for a in X)
+    sxy = sum(a * b for a, b in zip(X, Y))
+    # n scale^2 times the centred sums of squares and products
+    cxx, cxy, cyy = n * sxx - sx * sx, n * sxy - sx * sy, n * sum(b * b for b in Y) - sy * sy
+    r2 = 1.0 if cyy == 0 else cxy * cxy / (cxx * cyy)
+    return cxy / cxx, (sy * sxx - sx * sxy) / (cxx * scale), r2
+
+
 def fit_error_exponent(rows: list[tuple[int, float, float]]) -> ErrorFit:
     """Least-squares slope of ln|exact - main| vs ln H over (H, exact, main)
     rows; zero-error rows are dropped, all-zero input is flagged degenerate.
-    Every row needs H >= 1 and finite exact and main."""
+    Every row needs H >= 1 and finite exact, main and exact - main (an inf
+    or nan in any of them makes exact - main inf or nan)."""
     for H, exact, main in rows:
-        if H < 1 or not (math.isfinite(exact) and math.isfinite(main)):
+        if H < 1 or not math.isfinite(exact - main):
             raise ValueError(
-                f"fit_error_exponent() needs H >= 1 and finite exact and main, "
-                f"got H={H}, exact={exact}, main={main}"
+                f"fit_error_exponent() needs H >= 1 and finite exact, main and "
+                f"exact - main, got H={H}, exact={exact}, main={main}"
             )
-    points = [(H, abs(exact - main)) for H, exact, main in rows if exact != main]
+    points = [(math.log(H), math.log(abs(e - m))) for H, e, m in rows if e != m]
     if not points:
         return ErrorFit(0.0, -math.inf, 1.0, degenerate=True)
-    if len({H for H, _ in points}) < 3:
+    if len({x for x, _ in points}) < 3:
         raise ValueError("fit_error_exponent() needs >= 3 distinct H with nonzero error")
-    x = np.log([H for H, _ in points])
-    y = np.log([e for _, e in points])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if tss == 0 else max(0.0, 1.0 - float(np.sum(resid**2)) / tss)
-    return ErrorFit(float(slope), float(intercept), r2)
+    return ErrorFit(*_line(*zip(*points)))
 
 
 def fit_linear_in_logN(rows: list[tuple[int, float]]) -> tuple[float, float]:
     """Least-squares (a, b) for value/N^2 = a ln N + b over (N, value) rows."""
-    if len({N for N, _ in rows}) < 2:
+    x = [math.log(N) for N, _ in rows]
+    if len(set(x)) < 2:
         raise ValueError("fit_linear_in_logN() needs >= 2 distinct N")
-    x = np.log([N for N, _ in rows])
-    y = np.array([v / (N * N) for N, v in rows], dtype=float)
-    a, b = np.polyfit(x, y, 1)
-    return float(a), float(b)
+    return _line(x, [v / (N * N) for N, v in rows])[:2]
 
 
 @dataclass

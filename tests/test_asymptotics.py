@@ -2,8 +2,10 @@
 candidate discrimination."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from matcount.asymptotics import (
     COEFF_12,
@@ -110,6 +112,55 @@ def test_fit_linear_in_logN_synthetic():
     assert b == pytest.approx(5.0, abs=1e-9)
     with pytest.raises(ValueError):
         fit_linear_in_logN([(10, 1.0)])
+
+
+def _exact_line(x, y):
+    """Slope, intercept and r^2 of the least-squares line through the
+    float points, in exact rationals."""
+    X, Y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(X) / len(X), sum(Y) / len(Y)
+    sxx = sum((a - mx) ** 2 for a in X)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(X, Y))
+    syy = sum((b - my) ** 2 for b in Y)
+    slope = sxy / sxx
+    return slope, my - slope * mx, 1 if syy == 0 else sxy * sxy / (sxx * syy)
+
+
+def _assert_matches_exact(fitted, exact):
+    for got, want in zip(fitted, exact):
+        assert "%.12g" % got == "%.12g" % want
+        assert abs(Fraction(got) - want) <= Fraction(1e-13) * abs(want)
+        assert got == float(want)  # the float nearest the exact value
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 10**12), st.integers(-(10**15), 10**15)),
+        min_size=2, max_size=30, unique_by=lambda row: row[0],
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_fits_match_the_exact_rational_line(rows):
+    """Both fits of integer values against the exact least-squares line
+    of the same floats: ln N and value/N^2, and ln H and ln|exact - main|."""
+    x = [math.log(N) for N, _ in rows]
+    assume(len(set(x)) >= 2)
+    _assert_matches_exact(
+        fit_linear_in_logN(rows), _exact_line(x, [v / (N * N) for N, v in rows])[:2]
+    )
+    points = [(math.log(N), math.log(abs(v))) for N, v in rows if v != 0]
+    assume(len({u for u, _ in points}) >= 3)
+    fit = fit_error_exponent([(N, v, 0.0) for N, v in rows])
+    _assert_matches_exact(
+        (fit.exponent, fit.log_constant, fit.r_squared), _exact_line(*zip(*points))
+    )
+
+
+def test_fit_linear_in_logN_pins_the_exact_slope():
+    """sum tau_N(n)^2 / N^2 at N = 1000, 2000, 4000: the exact slope of
+    these floats prints as below, where a QR solve printed ...162e-06."""
+    a, _ = fit_linear_in_logN([(1000, 1454713), (2000, 5818798), (4000, 23275340)])
+    assert "%.12g" % a == "-3.06572696184e-06"
 
 
 def test_discriminate_shifted_small(tau_cache):

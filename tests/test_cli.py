@@ -522,11 +522,15 @@ def test_fit_roundtrip(tmp_path, capsys):
         ("H,exact\n1,5\n10,9\n", "rows.csv: missing column 'main'"),
         ("H,exact,main\n10,9,3\n1.5,5,3\n",
          "rows.csv: data row 2, column H: expected an integer, got '1.5'"),
+        ("H,exact,main\n10,1e308,-1e308\n20,9,3\n40,30,2\n",  # |exact - main| = inf
+         "fit_error_exponent() needs H >= 1 and finite exact, main and exact - main, "
+         "got H=10, exact=1e+308, main=-1e+308"),
     ],
-    ids=["short-row", "H-zero", "exact-inf", "no-main-column", "H-not-integer"],
+    ids=["short-row", "H-zero", "exact-inf", "no-main-column", "H-not-integer",
+         "difference-overflows"],
 )
 def test_fit_rejects_bad_csv(body, message, tmp_path, capfd):
-    # capfd, not capsys: LAPACK prints its complaints to file descriptor 1
+    # capfd, not capsys: it also catches what a library writes to file descriptor 1
     path = tmp_path / "rows.csv"
     path.write_text(body)
     code, out, err = run(["fit", str(path)], capfd)
@@ -534,6 +538,17 @@ def test_fit_rejects_bad_csv(body, message, tmp_path, capfd):
     assert err.startswith("error: ") and err.count("\n") == 1
     if message is not None:
         assert err.endswith(f"{message}\n")
+
+
+@pytest.mark.parametrize("H", [2**64, 10**400], ids=["2^64", "10^400"])
+def test_fit_takes_any_integer_H(H, tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"H,exact,main\n10,5,1\n20,9,1\n{H},20,1\n")
+    code, out, err = run(["fit", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(" = ")[0] for line in out.splitlines()] == [
+        "exponent", "log_constant", "r_squared", "degenerate"
+    ]
 
 
 def test_casework_budget(monkeypatch, capsys):
@@ -716,11 +731,18 @@ print(code, "numpy.linalg" in sys.modules)
     ("tau --N 50,60 --k 1", 0, False),
     ("count --H 5 --delta 51", 0, False),  # |delta| > 2H^2 counts 0
     ("count --H 0 --delta 1", 1, False),
+    # the fits are pure Python, and moment 2 is square_sum
+    ("tau --N 1000,2000,4000 --k 2", 0, False),
+    ("sweep --H 100,200,400 --delta 0 --fit --no-timing", 0, False),
+    ("fit {csv}", 0, False),
     ("count --H 3000 --delta 7", 0, True),  # a pass over tau_H builds arrays
+    ("tau --N 30,40 --delta 6", 0, True),
 ])
-def test_numpy_is_imported_only_where_an_array_is_built(argv, code, numpy):
+def test_numpy_is_imported_only_where_an_array_is_built(argv, code, numpy, tmp_path):
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("H,exact,main\n250,1000,900\n500,1400,1000\n1000,2300,1500\n")
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORTS_NUMPY, *argv.split()],
+        [sys.executable, "-c", _IMPORTS_NUMPY, *argv.format(csv=csv_path).split()],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
     )

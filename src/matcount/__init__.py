@@ -15,8 +15,9 @@ def lazy_import(name: str):
     than now; an already imported module is returned as it is.  The
     modules that use numpy bind it this way, so a command that builds no
     array (count at delta = 0, tau --k 1 or 2, fit, a usage error) never
-    imports it: `import matcount.cli` then takes about 0.12 s instead of
-    0.2 s on a 2-core host."""
+    imports it.  cli binds the library modules this way too, so a
+    command runs only the modules that it calls, and a usage error runs
+    none of them."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)

@@ -20,6 +20,10 @@ time, while the other rows report only their own report time.  tau
 likewise emits one row per distinct (delta, N); it reads one pass per
 N, one N at a time, for all of its deltas, or streams a moment of
 order k >= 3; its first two moments read no tau_N at all.
+A command runs only the library modules that it calls, at its first
+call into each, and a usage error runs none of them.  A command that
+writes rows prints its stderr summary after them, so an --output that
+cannot be written leaves one error line.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 3 internal invariant violation.
 """
@@ -34,31 +38,18 @@ import math
 import sys
 import time
 
-from . import __version__, casework
-from .asymptotics import (
-    fit_error_exponent,
-    fit_linear_in_logN,
-    report,
-    shifted_verdict,
-)
+from . import __version__, lazy_import
 from .errors import BudgetError, InvariantError, UsageError
-from .exact import delta_pass, naive_count, sign_class_count, SignClass
-from .hyperbola import (
-    CurveQuery,
-    Hyperbolic,
-    HyperbolaQuery,
-    box_report,
-    curve_report,
-)
-from .lemmas import (
-    coprime_count_report,
-    gcd_power_report,
-    phi_over_square_report,
-    phi_ratio_report,
-    xy_sum,
-)
-from .rng import SplitMix64
-from .tau_tables import DeltaSums, TauWindows, shifted_sums, square_sum, tau_moment
+
+# The library modules run at a command's first read of one of their
+# names, so each command runs only the modules that it calls.
+asymptotics = lazy_import("matcount.asymptotics")
+casework = lazy_import("matcount.casework")
+exact = lazy_import("matcount.exact")
+hyperbola = lazy_import("matcount.hyperbola")
+lemmas = lazy_import("matcount.lemmas")
+rng = lazy_import("matcount.rng")
+tau_tables = lazy_import("matcount.tau_tables")
 
 
 def _fmt(x) -> str:
@@ -138,8 +129,11 @@ def _emit(
     columns: list[str],
     args,
     extra: dict | None = None,
+    summary: list[str] | None = None,
 ) -> None:
-    """Write rows as CSV or JSON to --output (or stdout)."""
+    """Write rows as CSV or JSON to --output (or stdout), then the summary
+    lines to stderr, so an output that cannot be written leaves only the
+    error line there."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -170,6 +164,8 @@ def _emit(
             fh.write(text)
     else:
         sys.stdout.write(text)
+    for line in summary or ():
+        print(line, file=sys.stderr)
 
 
 def _single_point(args) -> tuple[int, int]:
@@ -183,7 +179,7 @@ def _single_point(args) -> tuple[int, int]:
 
 def _cmd_count(args) -> int:
     H, delta = _single_point(args)
-    rep = report(H, delta, epsilon=args.epsilon)
+    rep = asymptotics.report(H, delta, epsilon=args.epsilon)
     for name, value in (
         ("exact", rep.exact),
         ("main", rep.main),
@@ -201,7 +197,7 @@ def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> lis
     |delta| > 2H^2 counts 0.  A row that reads the pass reports the pass
     time plus its own report time; the others report only their own."""
     t0 = time.perf_counter()
-    sums = delta_pass(H, deltas)
+    sums = exact.delta_pass(H, deltas)
     pass_ms = (time.perf_counter() - t0) * 1e3
     return [
         _sweep_row(H, delta, sums, pass_ms if abs(delta) in sums.terms else 0.0, epsilon, timing)
@@ -210,10 +206,10 @@ def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> lis
 
 
 def _sweep_row(
-    H: int, delta: int, sums: DeltaSums, pass_ms: float, epsilon: float, timing: bool
+    H: int, delta: int, sums: tau_tables.DeltaSums, pass_ms: float, epsilon: float, timing: bool
 ) -> dict:
     t0 = time.perf_counter()
-    rep = report(H, delta, epsilon=epsilon, table=sums)
+    rep = asymptotics.report(H, delta, epsilon=epsilon, table=sums)
     row = {
         "H": H,
         "delta": delta,
@@ -241,7 +237,7 @@ def _cmd_sweep(args) -> int:
     columns = ["H", "delta", "exact", "main", "error", "normalized_error", "bound"]
     if timing:
         columns.append("wall_time_ms")
-    extra = None
+    extra, summary = None, []
     if args.fit:
         fits = {}
         for delta in deltas:
@@ -251,7 +247,7 @@ def _cmd_sweep(args) -> int:
                 if r["delta"] == delta
             ]
             try:
-                fit = fit_error_exponent(sub)
+                fit = asymptotics.fit_error_exponent(sub)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
             fits[str(delta)] = {
@@ -259,13 +255,11 @@ def _cmd_sweep(args) -> int:
                 "r_squared": fit.r_squared,
                 "degenerate": fit.degenerate,
             }
-            print(
-                f"fit delta={delta}: exponent={_fmt(fit.exponent)} "
-                f"r2={_fmt(fit.r_squared)}",
-                file=sys.stderr,
+            summary.append(
+                f"fit delta={delta}: exponent={_fmt(fit.exponent)} r2={_fmt(fit.r_squared)}"
             )
         extra = {"fits": fits}
-    _emit(rows, columns, args, extra)
+    _emit(rows, columns, args, extra, summary)
     return 0
 
 
@@ -275,12 +269,12 @@ def _tau_values(N: int, k: int, deltas: list[int]):
     tau_N: sum tau_N(n) = N^2, and the sum of squares is square_sum(N);
     a higher moment streams tau_N."""
     if deltas:
-        return shifted_sums(TauWindows(N), deltas)
+        return tau_tables.shifted_sums(tau_tables.TauWindows(N), deltas)
     if k == 1:
         return N * N
     if k == 2:
-        return square_sum(N)
-    return tau_moment(TauWindows(N), k)
+        return tau_tables.square_sum(N)
+    return tau_tables.tau_moment(tau_tables.TauWindows(N), k)
 
 
 def _cmd_tau(args) -> int:
@@ -297,34 +291,34 @@ def _cmd_tau(args) -> int:
     # are read
     values = {N: _tau_values(N, k, deltas) for N in reversed(Ns)}
     extra: dict = {}
+    summary = []
     if deltas:
         # shifted-convolution mode: sums tau_N(n) tau_N(n+delta) and the
         # log vs no-log main-term discrimination
         extra["discrimination"] = {}
         for delta in deltas:
-            verdict = shifted_verdict(delta, {N: values[N][delta] for N in Ns})
+            verdict = asymptotics.shifted_verdict(delta, {N: values[N][delta] for N in Ns})
             extra["discrimination"][str(delta)] = {
                 "slope": verdict.slope,
                 "predicted_log_slope": verdict.predicted_log_slope,
                 "selected": verdict.selected.value,
             }
-            print(
+            summary.append(
                 f"delta={delta}: slope={_fmt(verdict.slope)} vs log-candidate "
-                f"{_fmt(verdict.predicted_log_slope)} -> {verdict.selected.value}",
-                file=sys.stderr,
+                f"{_fmt(verdict.predicted_log_slope)} -> {verdict.selected.value}"
             )
         rows = [{"N": N, "delta": d, "value": values[N][d]} for d in sorted(deltas) for N in Ns]
-        _emit(rows, columns=["N", "delta", "value"], args=args, extra=extra)
+        _emit(rows, columns=["N", "delta", "value"], args=args, extra=extra, summary=summary)
         return 0
     rows = [{"N": N, "k": k, "moment": values[N]} for N in Ns]
     if len(rows) >= 2 and k >= 2:
-        a, b = fit_linear_in_logN([(r["N"], float(r["moment"])) for r in rows])
+        a, b = asymptotics.fit_linear_in_logN([(r["N"], float(r["moment"])) for r in rows])
         extra["fit"] = {"a": a, "b": b}
-        print(f"fit: moment/N^2 = {_fmt(a)}*ln N + {_fmt(b)}", file=sys.stderr)
+        summary.append(f"fit: moment/N^2 = {_fmt(a)}*ln N + {_fmt(b)}")
     elif k == 1:
         # sum tau_N = N^2 identically, coefficient 1 with no log term
         extra["fit"] = {"a": 0.0, "b": 1.0}
-    _emit(rows, columns=["N", "k", "moment"], args=args, extra=extra or None)
+    _emit(rows, columns=["N", "k", "moment"], args=args, extra=extra or None, summary=summary)
     return 0
 
 
@@ -335,22 +329,22 @@ HYPERBOLA_QUERY_BUDGET = 2000
 
 def random_hyperbola_queries(
     seed: int, n: int
-) -> list[tuple[HyperbolaQuery, CurveQuery]]:
+) -> list[tuple[hyperbola.HyperbolaQuery, hyperbola.CurveQuery]]:
     """Seeded query set: q <= 500, box sides X, Y <= 2000, 1 <= |K| <= 10^4,
     and a hyperbolic curve bound with f(left endpoint) <= 2000."""
-    rng = SplitMix64(seed)
+    gen = rng.SplitMix64(seed)
     out = []
     for _ in range(n):
-        q = rng.randint(1, 500)
-        X = rng.randint(1, 2000)
-        Y = rng.randint(1, 2000)
-        K = rng.randint(1, 10**4) * (1 if rng.below(2) == 0 else -1)
-        U = rng.below(1000)
-        V = rng.below(1000)
-        box = HyperbolaQuery(K=K, q=q, U=U, V=V, X=X, Y=Y)
-        Uc = rng.below(1000)
-        A = rng.randint(1, (Uc + 1) * 2000)
-        curve = CurveQuery(K=K, q=q, U=Uc, X=X, bound=Hyperbolic(A))
+        q = gen.randint(1, 500)
+        X = gen.randint(1, 2000)
+        Y = gen.randint(1, 2000)
+        K = gen.randint(1, 10**4) * (1 if gen.below(2) == 0 else -1)
+        U = gen.below(1000)
+        V = gen.below(1000)
+        box = hyperbola.HyperbolaQuery(K=K, q=q, U=U, V=V, X=X, Y=Y)
+        Uc = gen.below(1000)
+        A = gen.randint(1, (Uc + 1) * 2000)
+        curve = hyperbola.CurveQuery(K=K, q=q, U=Uc, X=X, bound=hyperbola.Hyperbolic(A))
         out.append((box, curve))
     return out
 
@@ -364,8 +358,8 @@ def _hyperbola_rows(pair, epsilon: float) -> list[dict]:
             "bound": rep.bound, "normalized": rep.normalized,
         }
         for kind, query, V, Y, A, rep in (
-            ("box", box, box.V, box.Y, 0, box_report(box, epsilon)),
-            ("curve", curve, 0, 0, curve.bound.A, curve_report(curve, epsilon)),
+            ("box", box, box.V, box.Y, 0, hyperbola.box_report(box, epsilon)),
+            ("curve", curve, 0, 0, curve.bound.A, hyperbola.curve_report(curve, epsilon)),
         )
     ]
 
@@ -385,11 +379,10 @@ def _cmd_hyperbola(args) -> int:
         kind: max((r["normalized"] for r in rows if r["kind"] == kind), default=0.0)
         for kind in ("box", "curve")
     }
-    for kind in ("box", "curve"):
-        print(f"max normalized ({kind}) = {_fmt(worst[kind])}", file=sys.stderr)
+    summary = [f"max normalized ({kind}) = {_fmt(worst[kind])}" for kind in ("box", "curve")]
     columns = ["kind", "K", "q", "U", "V", "X", "Y", "A",
                "exact", "main", "error", "bound", "normalized"]
-    _emit(rows, columns, args, extra={"max_normalized": worst})
+    _emit(rows, columns, args, extra={"max_normalized": worst}, summary=summary)
     return 0
 
 
@@ -408,26 +401,26 @@ def lemma_grid_rows() -> list[dict]:
     rows = []
     for X in (100, 1000, 10000):
         rows.append(
-            _lemma_row("gcd_power", 0, X, 720, 1, gcd_power_report(X, 720, 0.5, 1.0))
+            _lemma_row("gcd_power", 0, X, 720, 1, lemmas.gcd_power_report(X, 720, 0.5, 1.0))
         )
-        rows.append(_lemma_row("phi_ratio", 0, X, 0, 1, phi_ratio_report(X)))
-        rows.append(_lemma_row("phi_over_square", 0, X, 0, 1, phi_over_square_report(X)))
-        rows.append(_lemma_row("coprime", 0, X, 360, 1, coprime_count_report(X, 360)))
+        rows.append(_lemma_row("phi_ratio", 0, X, 0, 1, lemmas.phi_ratio_report(X)))
+        rows.append(_lemma_row("phi_over_square", 0, X, 0, 1, lemmas.phi_over_square_report(X)))
+        rows.append(_lemma_row("coprime", 0, X, 360, 1, lemmas.coprime_count_report(X, 360)))
         for r in (1, 2, 5, 10):
-            rows.append(_lemma_row("xy_sum", 1, X, 0, r, xy_sum(1, X, 0, r)))
-            rows.append(_lemma_row("xy_sum", 2, X, X // 2, r, xy_sum(2, X, X // 2, r)))
-            rows.append(_lemma_row("xy_sum", 3, X, X // 2, r, xy_sum(3, X, X // 2, r)))
-            rows.append(_lemma_row("xy_sum", 4, X, X, r, xy_sum(4, X, X, r)))
+            rows.append(_lemma_row("xy_sum", 1, X, 0, r, lemmas.xy_sum(1, X, 0, r)))
+            rows.append(_lemma_row("xy_sum", 2, X, X // 2, r, lemmas.xy_sum(2, X, X // 2, r)))
+            rows.append(_lemma_row("xy_sum", 3, X, X // 2, r, lemmas.xy_sum(3, X, X // 2, r)))
+            rows.append(_lemma_row("xy_sum", 4, X, X, r, lemmas.xy_sum(4, X, X, r)))
     return rows
 
 
 def _cmd_lemmas(args) -> int:
     rows = lemma_grid_rows()
     worst = max(r["ratio"] for r in rows)
-    print(f"max envelope ratio = {_fmt(worst)}", file=sys.stderr)
+    summary = [f"max envelope ratio = {_fmt(worst)}"]
     columns = ["lemma", "variant", "X", "Y", "r",
                "exact", "main", "error", "envelope", "ratio"]
-    _emit(rows, columns, args, extra={"max_ratio": worst})
+    _emit(rows, columns, args, extra={"max_ratio": worst}, summary=summary)
     return 0
 
 
@@ -442,9 +435,9 @@ def _cmd_casework(args) -> int:
     rows, total_rows = [], []
     for problem, regions, direct_sum, hyper_sum, sign_class in (
         ("G", casework.RegionG, casework.region_sum_G, casework.region_sum_G_via_hyperbola,
-         SignClass(1, 1, 1)),
+         exact.SignClass(1, 1, 1)),
         ("J", casework.RegionJ, casework.region_sum_J, casework.region_sum_J_via_hyperbola,
-         SignClass(1, 1, -1)),
+         exact.SignClass(1, 1, -1)),
     ):
         total = 0
         for region in regions:
@@ -456,7 +449,7 @@ def _cmd_casework(args) -> int:
                 )
             total += direct
             rows.append({"problem": problem, "region": region.name, "count": direct})
-        expected = sign_class_count(H, delta, sign_class)
+        expected = exact.sign_class_count(H, delta, sign_class)
         if total != expected:
             signs = f"{sign_class.alpha},{sign_class.gamma},{sign_class.delta_prime}"
             raise InvariantError(f"{problem} total {total} != sign class ({signs}) {expected}")
@@ -491,7 +484,7 @@ def _cmd_fit(args) -> int:
                     ) from None
             data.append(tuple(cells))
     try:
-        fit = fit_error_exponent(data)
+        fit = asymptotics.fit_error_exponent(data)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(f"exponent = {_fmt(fit.exponent)}")
@@ -505,7 +498,7 @@ def _cmd_fixtures(args) -> int:
     rows = []
     for H in (1, 2, 3):
         for delta in range(-2 * H * H, 2 * H * H + 1):
-            rows.append({"H": H, "delta": delta, "count": naive_count(H, delta)})
+            rows.append({"H": H, "delta": delta, "count": exact.naive_count(H, delta)})
     rows.sort(key=lambda r: (r["H"], r["delta"]))
     _emit(rows, columns=["H", "delta", "count"], args=args)
     return 0
@@ -556,10 +549,13 @@ def build_parser() -> _Parser:
 def _config_tokens(path: str) -> list[str]:
     """A JSON config object as flag tokens: a list becomes --key=a,b, true
     becomes --key, false and null are skipped."""
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise UsageError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise UsageError(f"{path}: config file must hold a JSON object")
     tokens = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")

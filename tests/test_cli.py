@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -23,7 +24,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import casework, cli, tau_tables
+from matcount import casework, cli, exact, tau_tables
 from matcount.casework import RegionG, region_sum_G, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
 from matcount.errors import BudgetError
@@ -75,7 +76,7 @@ def test_sweep_rows_that_read_the_pass_include_its_time(monkeypatch, capsys):
         clock[0] += 1.0
         return delta_pass(H, deltas)
 
-    monkeypatch.setattr(cli, "delta_pass", timed_pass)
+    monkeypatch.setattr(exact, "delta_pass", timed_pass)
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     _, out, _ = run(["sweep", "--H", "5,40", "--delta=-6,0,1,2000"], capsys)
     # delta = 0 and |delta| > 2H^2 read no pass; the others share one per H
@@ -749,6 +750,53 @@ def test_numpy_is_imported_only_where_an_array_is_built(argv, code, numpy, tmp_p
     assert proc.stdout.splitlines()[-1] == f"{code} {numpy}"
 
 
+# A command in a fresh process, then the matcount modules that have run:
+# one that has not is still the lazy loader's module subclass.
+_MODULES_RUN = """
+import sys, types
+from matcount import cli
+cli.main(sys.argv[1:])
+print(*sorted(name.split(".")[1] for name, module in sys.modules.items()
+              if name.startswith("matcount.") and type(module) is types.ModuleType))
+"""
+
+_LIBRARY = {"arith", "asymptotics", "casework", "exact", "hyperbola", "lemmas", "rng",
+            "tau_tables"}
+
+
+@pytest.mark.parametrize("argv, not_run", [
+    ("hyperbola --N 3 --seed 1", {"exact", "tau_tables", "asymptotics", "casework", "lemmas"}),
+    ("lemmas", {"exact", "tau_tables", "asymptotics", "casework", "rng"}),
+    ("casework --H 12 --delta 5", {"asymptotics", "lemmas", "rng"}),
+    ("count --H 6000 --delta=0", {"casework", "lemmas", "rng"}),
+    ("count --H 0 --delta 1", _LIBRARY),  # a usage error runs only cli and errors
+    ("count --H 30 --delta 7", set()),
+])
+def test_each_command_runs_only_the_modules_it_calls(argv, not_run, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_RUN, *argv.split()],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
+    )
+    ran = set(proc.stdout.splitlines()[-1].split())
+    assert {"cli", "errors"} <= ran and not ran & not_run, ran
+    if not not_run:  # the control: a pass over tau_H
+        assert {"exact", "tau_tables"} <= ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--H", "5,10,20", "--delta", "1,2", "--fit"],
+    ["tau", "--N", "30,40", "--delta", "6"],
+    ["tau", "--N", "30,40", "--k", "3"],
+    ["hyperbola", "--N", "3"],
+    ["lemmas"],
+])
+def test_a_failed_output_gives_one_line(argv, tmp_path, capsys):
+    code, out, err = run(argv + ["--output", str(tmp_path / "missing" / "x")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
 def test_memory_error_exits_2():
     import resource
@@ -947,6 +995,18 @@ def test_config_goes_through_the_parser(tmp_path, capsys):
         code, out, err = run(flags + ["--config", str(cfg)], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "config file must hold a JSON object"),
+])
+def test_a_bad_config_names_its_file(body, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    code, out, err = run(["count", "--config", str(cfg), "--H", "3", "--delta", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}: {message}\n"
 
 
 def test_readme_cli_lines_parse():

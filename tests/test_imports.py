@@ -68,12 +68,25 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _binds_lazy_package_module(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "lazy_import"
+        and isinstance(node.value.args[0], ast.Constant)
+        and node.value.args[0].value.startswith("matcount.")
+    )
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_name_crosses_a_module(path):
     tree = ast.parse(path.read_text())
     modules = set()  # names bound to a module of the package
     crossing = []
     for node in ast.walk(tree):
+        if _binds_lazy_package_module(node):  # module = lazy_import("matcount.module")
+            modules.update(t.id for t in node.targets)
         if not isinstance(node, ast.ImportFrom):
             continue
         if node.level == 0 and (node.module or "").split(".")[0] != "matcount":

@@ -17,7 +17,8 @@ def lazy_import(name: str):
     array (count at delta = 0, tau --k 1 or 2, fit, a usage error) never
     imports it.  cli binds the library modules this way too, so a
     command runs only the modules that it calls, and a usage error runs
-    none of them."""
+    none of them.  The stdlib modules that only some commands use (json,
+    pickle, signal, fractions) are bound this way as well."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -29,3 +30,22 @@ def lazy_import(name: str):
     sys.modules[name] = module
     loader.exec_module(module)
     return module
+
+
+def checked(record):
+    """A ``__slots__ = ()`` subclass of the NamedTuple record, under its
+    name, whose ``__new__`` runs ``record._check`` on every way to build
+    one: arguments, ``_make`` and so ``_replace``, and unpickling.  A
+    plain NamedTuple's ``_make`` and ``_replace`` skip ``__new__``."""
+
+    def __new__(cls, *args, **kwargs):
+        self = record.__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    names = {k: getattr(record, k) for k in ("__doc__", "__module__", "__qualname__")}
+    return type(record.__name__, (record,),
+                dict(names, __slots__=(), __new__=__new__, _make=classmethod(_make)))

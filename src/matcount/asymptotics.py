@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import sigma
 from .hyperbola import AsymptoticReport
@@ -77,8 +77,7 @@ def report(
     return AsymptoticReport(exact, main, error_envelope(H, delta, epsilon))
 
 
-@dataclass
-class ErrorFit:
+class ErrorFit(NamedTuple):
     """OLS fit of ln|exact - main| against ln H."""
 
     exponent: float
@@ -129,8 +128,7 @@ def fit_linear_in_logN(rows: list[tuple[int, float]]) -> tuple[float, float]:
     return _line(x, [v / (N * N) for N, v in rows])[:2]
 
 
-@dataclass
-class ShiftedDiscrimination:
+class ShiftedDiscrimination(NamedTuple):
     """Empirical verdict between the two shifted-convolution main terms,
     with the exact shifted_sum(N, delta) it was fitted to, keyed by N."""
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 import time
@@ -50,6 +49,7 @@ hyperbola = lazy_import("matcount.hyperbola")
 lemmas = lazy_import("matcount.lemmas")
 rng = lazy_import("matcount.rng")
 tau_tables = lazy_import("matcount.tau_tables")
+json = lazy_import("json")  # only --format json and --config read it
 
 
 def _fmt(x) -> str:
@@ -548,7 +548,8 @@ def build_parser() -> _Parser:
 
 def _config_tokens(path: str) -> list[str]:
     """A JSON config object as flag tokens: a list becomes --key=a,b, true
-    becomes --key, false and null are skipped."""
+    becomes --key, false and null are skipped.  A config key is refused:
+    the command line's own --config would outrank it unread."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -556,6 +557,8 @@ def _config_tokens(path: str) -> list[str]:
         raise UsageError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: config file must hold a JSON object")
+    if "config" in cfg:
+        raise UsageError(f"{path}: a config file cannot name another config file")
     tokens = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")

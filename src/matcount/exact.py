@@ -33,10 +33,10 @@ together with the eight sign-class equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from . import lazy_import, tau_tables
+from . import checked, lazy_import, tau_tables
 from .errors import BudgetError
 from .tau_tables import (
     DeltaSums,
@@ -58,15 +58,15 @@ NAIVE_ENUM_LIMIT = 10**10
 _SIGN_CLASS_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SignClass:
+@checked
+class SignClass(NamedTuple):
     """Signs of entries a, c, d; membership additionally requires b != 0."""
 
     alpha: int
     gamma: int
     delta_prime: int
 
-    def __post_init__(self):
+    def _check(self):
         for s in (self.alpha, self.gamma, self.delta_prime):
             if s not in (-1, 1):
                 raise ValueError(f"sign components must be +-1, got {s}")
@@ -77,8 +77,7 @@ ALL_SIGN_CLASSES = tuple(
 )
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     total: int
     per_class: dict[tuple[int, int, int], int]
     zero_entry: int

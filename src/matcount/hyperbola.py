@@ -34,9 +34,9 @@ carries its full gcd weight, and the bounds' D = gcd(0, q) is q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import lazy_import
+from . import checked, lazy_import
 
 np = lazy_import("numpy")
 
@@ -48,8 +48,7 @@ INT64_LIMIT = 1 << 62
 U_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+class Hyperbolic(NamedTuple):
     """Curve bound u -> A / u (A >= 0), capped at min(A / u, cap) when a
     cap is given."""
 
@@ -57,8 +56,8 @@ class Hyperbolic:
     cap: int | None = None
 
 
-@dataclass(frozen=True)
-class HyperbolaQuery:
+@checked
+class HyperbolaQuery(NamedTuple):
     K: int
     q: int
     U: int = 0
@@ -66,7 +65,7 @@ class HyperbolaQuery:
     X: int = 0
     Y: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if self.q < 1:
             raise ValueError(f"modulus must be >= 1, got {self.q}")
         if self.X < 0 or self.Y < 0:
@@ -75,15 +74,15 @@ class HyperbolaQuery:
             raise ValueError("box queries need q and U + X below 2^62")
 
 
-@dataclass(frozen=True)
-class CurveQuery:
+@checked
+class CurveQuery(NamedTuple):
     K: int
     q: int
     U: int
     X: int
     bound: Hyperbolic
 
-    def __post_init__(self):
+    def _check(self):
         if self.q < 1:
             raise ValueError(f"modulus must be >= 1, got {self.q}")
         if self.X < 0:
@@ -96,8 +95,7 @@ class CurveQuery:
             raise ValueError("curve queries need q, A and U + X below 2^62")
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     """Exact value vs. main term for one query or identity instance, with
     the nominal bound on their difference.  A zero bound normalizes a zero
     error to 0 and any other error to infinity."""

@@ -30,13 +30,13 @@ the normalized error |error| / envelope is a direct regression statistic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import lazy_import
 from .arith import divisors, factorize, mobius_sieve, phi, sieve, sigma, tau
 from .hyperbola import AsymptoticReport
 
 np = lazy_import("numpy")
+fractions = lazy_import("fractions")  # only divisor_tail builds a Fraction
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
 
@@ -245,13 +245,14 @@ def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
     return AsymptoticReport(exact, main, envelope)
 
 
-def divisor_tail(delta: int, H: int) -> tuple[Fraction, Fraction]:
+def divisor_tail(delta: int, H: int) -> tuple[fractions.Fraction, fractions.Fraction]:
     """(partial, full) with partial = sum 1/r over r | delta, r <= H, and
     full = sigma(delta)/delta; exact rationals, 0 <= full - partial <= tau/H."""
     if delta < 1 or H < 1:
         raise ValueError("divisor_tail() requires delta, H >= 1")
     partial = sum(
-        (Fraction(1, r) for r in divisors(delta) if r <= H), start=Fraction(0)
+        (fractions.Fraction(1, r) for r in divisors(delta) if r <= H),
+        start=fractions.Fraction(0),
     )
-    full = Fraction(sigma(delta), delta)
+    full = fractions.Fraction(sigma(delta), delta)
     return partial, full

@@ -71,19 +71,18 @@ law is pinned against exhaustive enumeration for H <= 12 in the tests.
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 import warnings
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import isqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from . import lazy_import
+from . import checked, lazy_import
 from .arith import sieve
 from .errors import BudgetError
 
 np = lazy_import("numpy")
+pickle = lazy_import("pickle")  # only a pass that forks sends results
+signal = lazy_import("signal")  # only a pass that must kill a child
 
 # Cells allowed in a whole table (not bytes).  It guards only library
 # callers of build_tau_table: no command builds a table past one window.
@@ -117,8 +116,7 @@ _MEMO_ENTRY_BYTES = 48
 _LIST_SIEVE_LIMIT = 1 << 12
 
 
-@dataclass(frozen=True)
-class TauTable:
+class TauTable(NamedTuple):
     """counts[n] = tau_N(n) for 0 < n <= N^2 (index 0 unused), read-only
     uint16 cells: the whole table."""
 
@@ -139,8 +137,8 @@ class TauTable:
         return self.counts[lo + 1 : hi + 1]
 
 
-@dataclass(frozen=True)
-class TauWindows:
+@checked
+class TauWindows(NamedTuple):
     """tau_N over [1, N^2] as windows of _WINDOW_CELLS cells, each sieved
     when a reduction reads it and dropped after, so memory stays bounded
     for any N the uint16 cells admit; a pass deals its windows to one
@@ -148,7 +146,7 @@ class TauWindows:
 
     N: int
 
-    def __post_init__(self):
+    def _check(self):
         _check_limit(self.N)
 
     @property
@@ -264,7 +262,7 @@ def _pass(starts: range, width: int, window: Callable[[int], list[int]]) -> list
     workers = min(len(starts), cpu_count())
     if workers <= 1:
         return _window_sums(starts, width, window)
-    np.ndarray  # imports numpy here, once, rather than in every child
+    np.ndarray, pickle.dumps  # imports both here, once, rather than in every child
     shares = _deal(starts, workers)
     here = [shares[0]]  # the shares this process reads
     children = []  # (pid, read end of its pipe), not yet reaped
@@ -524,8 +522,7 @@ def shifted_sums(table: TauTable | TauWindows, deltas: list[int]) -> dict[int, i
     return dict(zip(deltas, _pass(range(0, top, step), len(deltas), window)))
 
 
-@dataclass(frozen=True)
-class DeltaSums:
+class DeltaSums(NamedTuple):
     """The reductions of tau_N that fast_count assembles, read in one
     pass: terms[D] = (c2(D), shifted_sum(D), self_convolution(D)) for
     each D of the pass."""

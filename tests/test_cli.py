@@ -740,14 +740,50 @@ print(code, "numpy.linalg" in sys.modules)
     ("tau --N 30,40 --delta 6", 0, True),
 ])
 def test_numpy_is_imported_only_where_an_array_is_built(argv, code, numpy, tmp_path):
+    assert _last_line(_IMPORTS_NUMPY, argv, tmp_path) == f"{code} {numpy}"
+
+
+def _last_line(script: str, argv: str, tmp_path) -> str:
+    """The last stdout line of script run in a fresh process on argv, in
+    tmp_path, where {csv} names a three-row CSV that fit accepts."""
     csv_path = tmp_path / "rows.csv"
     csv_path.write_text("H,exact,main\n250,1000,900\n500,1400,1000\n1000,2300,1500\n")
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORTS_NUMPY, *argv.format(csv=csv_path).split()],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", script, *argv.format(csv=csv_path).split()],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
     )
-    assert proc.stdout.splitlines()[-1] == f"{code} {numpy}"
+    return proc.stdout.splitlines()[-1]
+
+
+# A command in a fresh process, then which of these stdlib modules have
+# run: one bound through lazy_import that has not is still the lazy
+# loader's module subclass.
+_STDLIB = ("dataclasses", "inspect", "json", "signal", "pickle", "fractions")
+_STDLIB_RUN = f"""
+import sys, types
+from matcount import cli
+cli.main(sys.argv[1:])
+print(*(name for name in {_STDLIB!r} if type(sys.modules.get(name)) is types.ModuleType))
+"""
+
+
+@pytest.mark.parametrize("argv, not_run", [
+    ("count --H 6000 --delta=0", set(_STDLIB)),
+    ("sweep --H 100,200,400 --delta 0 --fit --no-timing", set(_STDLIB)),
+    ("tau --N 1000,2000,4000 --k 2", set(_STDLIB)),
+    ("fit {csv}", set(_STDLIB)),
+    ("count --H 0 --delta 1", set(_STDLIB)),
+    # numpy itself runs inspect and pickle
+    ("count --H 3000 --delta 7", {"dataclasses", "json", "signal"}),
+    ("lemmas", {"dataclasses", "json", "signal", "fractions"}),
+    ("tau --N 50,60 --k 1 --format json", set(_STDLIB) - {"json"}),
+])
+def test_each_command_runs_only_the_stdlib_modules_it_uses(argv, not_run, tmp_path):
+    ran = set(_last_line(_STDLIB_RUN, argv, tmp_path).split())
+    assert not ran & not_run, ran
+    if "json" not in not_run:  # the control
+        assert "json" in ran
 
 
 # A command in a fresh process, then the matcount modules that have run:
@@ -773,12 +809,7 @@ _LIBRARY = {"arith", "asymptotics", "casework", "exact", "hyperbola", "lemmas", 
     ("count --H 30 --delta 7", set()),
 ])
 def test_each_command_runs_only_the_modules_it_calls(argv, not_run, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_RUN, *argv.split()],
-        capture_output=True, text=True, timeout=60, cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
-    )
-    ran = set(proc.stdout.splitlines()[-1].split())
+    ran = set(_last_line(_MODULES_RUN, argv, tmp_path).split())
     assert {"cli", "errors"} <= ran and not ran & not_run, ran
     if not not_run:  # the control: a pass over tau_H
         assert {"exact", "tau_tables"} <= ran
@@ -1000,6 +1031,9 @@ def test_config_goes_through_the_parser(tmp_path, capsys):
 @pytest.mark.parametrize("body, message", [
     ("", "Expecting value: line 1 column 1 (char 0)"),
     ("[1, 2]", "config file must hold a JSON object"),
+    # the explicit --config used to outrank its key, unread
+    ('{"H": 5, "delta": 1, "config": "other.json"}',
+     "a config file cannot name another config file"),
 ])
 def test_a_bad_config_names_its_file(body, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

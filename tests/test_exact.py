@@ -162,6 +162,8 @@ def test_sign_class_small_values(monkeypatch):
 def test_sign_class_rejects_bad_signs():
     with pytest.raises(ValueError):
         SignClass(0, 1, 1)
+    with pytest.raises(ValueError):
+        SignClass(1, 1, 1)._replace(gamma=0)
 
 
 def naive_zero_entry(H, delta):

@@ -177,6 +177,11 @@ def test_query_validation():
         CurveQuery(K=1, q=2, U=0, X=3, bound=Hyperbolic(-1))
     with pytest.raises(ValueError):
         CurveQuery(K=1, q=2, U=0, X=3, bound=Hyperbolic(1, cap=-1))
+    # _replace builds through the same checks
+    with pytest.raises(ValueError):
+        HyperbolaQuery(K=1, q=5)._replace(q=0)
+    with pytest.raises(ValueError):
+        CurveQuery(K=1, q=2, U=0, X=3, bound=Hyperbolic(1))._replace(bound=Hyperbolic(-1))
 
 
 def reference_main_box(query):

@@ -264,6 +264,8 @@ def test_uint16_cells_and_overflow_guard(monkeypatch):
             build_tau_table(46341)
         with pytest.raises(ValueError, match="2\\^31"):
             TauWindows(46341)
+        with pytest.raises(ValueError, match="2\\^31"):
+            TauWindows(5)._replace(N=46341)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

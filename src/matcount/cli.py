@@ -38,7 +38,7 @@ import sys
 import time
 
 from . import __version__, lazy_import
-from .errors import BudgetError, InvariantError, UsageError
+from .errors import BudgetError, InvariantError, UsageError, import_failure
 
 # The library modules run at a command's first read of one of their
 # names, so each command runs only the modules that it calls.
@@ -582,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
             # the subcommand is argv[0]: the top-level parser has no flags
             args = parser.parse_args([args.command, *_config_tokens(args.config), *argv[1:]])
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:  # UsageError is a ValueError
+    except (ValueError, OSError, KeyError, ModuleNotFoundError) as exc:  # UsageError: ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a BudgetError, or an allocation that failed
@@ -591,6 +591,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except ImportError as exc:  # found but not loaded: its libraries under ulimit -v, say
+        print(f"budget exceeded: could not load {import_failure(exc)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

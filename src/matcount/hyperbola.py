@@ -12,13 +12,15 @@ module passes it integer endpoints only.
 The solutions v of u*v = K (mod q), and the gcd weight of u, depend on
 u only through u mod q, so each query tabulates them once over the first
 min(X, q) integers of (U, U+X] as int64 arrays: the weights from one
-np.gcd with q, each solvable entry's v0 from one exact Python pow.  A
-box sums the table in Python ints, weighted by how often each residue
-occurs.  A curve evaluates all u of (U, U+X] as int64 arrays, one
-block of U_BLOCK at a time: the row limit min(A // u, cap), the gather
-from the table and the stride count.  Its float main term is still
-added in u order (np.cumsum adds sequentially, np.sum would not), so it
-does not depend on the blocks or the table.
+np.gcd with q, each solvable entry's v0 from one exact Python pow.
+Consecutive calls on one (U, X, q, K) share one read-only table, so a
+report's count and main term, and a casework column's upper and lower
+counts, build it once.  A box sums the table in Python ints, weighted
+by how often each residue occurs.  A curve evaluates all u of (U, U+X]
+as int64 arrays, one block of U_BLOCK at a time: the row limit
+min(A // u, cap), the gather from the table and the stride count.  Its
+float main term is still added in u order (np.cumsum adds sequentially,
+np.sum would not), so it does not depend on the blocks or the table.
 
 The array path needs int64 room, so both queries refuse q, A or U + X
 at or above INT64_LIMIT = 2^62 with ValueError rather than wrap.  The
@@ -34,6 +36,7 @@ carries its full gcd weight, and the bounds' D = gcd(0, q) is q.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import checked, lazy_import
@@ -115,28 +118,27 @@ class AsymptoticReport(NamedTuple):
         return 0.0 if self.error == 0 else math.inf
 
 
-def _weights(U: int, X: int, q: int, K: int) -> np.ndarray:
-    """gcd(u, q) where it divides K, else 0, for the first min(X, q)
-    integers u of (U, U+X]; any u of the range has its entry at index
-    (u - U - 1) % q.  u runs from (U + 1) % q and K is taken mod q, so
-    neither has to fit int64."""
-    g = np.gcd(np.arange(min(X, q), dtype=np.int64) + (U + 1) % q, q)
-    return np.where(K % q % g == 0, g, 0)
-
-
+@lru_cache(maxsize=1)
 def _classes(U: int, X: int, q: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weights w of _weights and, where w > 0, the solutions
-    v = v0 (mod m) of u*v = K (mod q) with m = q // w; v0 = 0, m = q where
-    there are none.  One exact Python pow per solvable entry."""
-    w = _weights(U, X, q, K)
+    """Read-only int64 tables over the first min(X, q) integers u of
+    (U, U+X]; any u of the range has its entry at index (u - U - 1) % q.
+    The weight w is gcd(u, q) where it divides K, else 0; where w > 0,
+    the solutions of u*v = K (mod q) are v = v0 (mod m) with m = q // w,
+    and elsewhere v0 = 0, m = q.  u runs from (U + 1) % q and K is taken
+    mod q, so neither has to fit int64.  One np.gcd for the weights, one
+    exact Python pow per solvable entry; the last table is kept."""
+    K, u0 = K % q, (U + 1) % q
+    g = np.gcd(np.arange(min(X, q), dtype=np.int64) + u0, q)
+    w = np.where(K % g == 0, g, 0)
     m = q // np.maximum(w, 1)
     v0 = np.zeros_like(m)
-    K, u0 = K % q, (U + 1) % q
     i = np.flatnonzero(w)
     v0[i] = [
         K // g * pow((u0 + j) // g, -1, n) % n
         for j, g, n in zip(i.tolist(), w[i].tolist(), m[i].tolist())
     ]
+    for table in (w, m, v0):
+        table.flags.writeable = False
     return w, m, v0
 
 
@@ -169,7 +171,7 @@ def main_term_box(query: HyperbolaQuery) -> float:
     """Main term (Y/q) * sum over r | K of r * #{u in range: gcd(u, q) = r},
     evaluated exactly over the per-residue table of gcd weights."""
     U, X, q = query.U, query.X, query.q
-    s = _class_total(_weights(U, X, q, query.K).tolist(), X, q)
+    s = _class_total(_classes(U, X, q, query.K)[0].tolist(), X, q)
     return float(query.Y) * s / q
 
 
@@ -209,7 +211,7 @@ def main_term_curve(query: CurveQuery) -> float:
     the boundary correction X * delta_q(K) / 2, with f(u) = min(A / u, cap)."""
     U, X, q = query.U, query.X, query.q
     A, cap = query.bound.A, query.bound.cap
-    weights = _weights(U, X, q, query.K)
+    weights = _classes(U, X, q, query.K)[0]
     s = 0.0
     for u, i in _u_blocks(U, X, q):
         f = A / u if cap is None else np.minimum(A / u, min(cap, A))  # A / u <= A

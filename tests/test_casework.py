@@ -2,7 +2,7 @@
 agreement between the direct and hyperbola-based region sums."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matcount import casework
 from matcount.casework import (
@@ -107,6 +107,53 @@ def test_golden_fixtures():
     }
 
 
+# The module's threshold tests, written out per cell.
+def cells_G(H, delta, region):
+    return [(a, c) for c in range(1, H + 1) for a in range(1, H + 1)
+            if (a * H <= c * H + delta) == region.small_a
+            and (c * H <= delta) == region.small_c]
+
+
+def cells_J(H, delta, region):
+    return [(a, c) for c in range(1, H + 1) for a in range(1, H + 1)
+            if (a * H <= c * H + delta) == region.small_a]
+
+
+@given(st.integers(1, 25).flatmap(
+    lambda H: st.tuples(st.just(H), st.integers(1, 2 * H * H + H + 1))))
+@example((25, 2 * 25 * 25)).via("delta = 2H^2, the last delta with cells to count")
+@example((25, 2 * 25 * 25 + 1)).via("delta = 2H^2 + 1, where the arrays are skipped")
+@example((7, 2 * 7 * 7)).via("delta = 2H^2 at a small H")
+@settings(max_examples=150, deadline=None)
+def test_direct_route_equals_the_per_cell_counts(point):
+    H, delta = point
+    for region in RegionG:
+        assert region_sum_G(H, delta, region) == sum(
+            count_G(a, c, H, delta) for a, c in cells_G(H, delta, region)), (H, delta, region)
+    for region in RegionJ:
+        assert region_sum_J(H, delta, region) == sum(
+            count_J(a, c, H, delta) for a, c in cells_J(H, delta, region)), (H, delta, region)
+
+
+def test_direct_route_blocks_do_not_change_the_sums(monkeypatch):
+    points = [(13, 200), (30, 77), (40, 60)]
+    expected = [[region_sum_G(H, delta, r) for r in RegionG] +
+                [region_sum_J(H, delta, r) for r in RegionJ] for H, delta in points]
+    for block in (1, 7, 50):  # below one row, a few rows, rows that cross a region
+        monkeypatch.setattr(casework, "CELL_BLOCK", block)
+        assert expected == [[region_sum_G(H, delta, r) for r in RegionG] +
+                            [region_sum_J(H, delta, r) for r in RegionJ] for H, delta in points]
+
+
+def test_direct_route_past_int64_counts_zero():
+    for region in RegionG:
+        assert region_sum_G(5, 2**70, region) == 0
+    for region in RegionJ:
+        assert region_sum_J(5, 2**70, region) == 0
+    with pytest.raises(ValueError, match="delta >= 1"):
+        region_sum_J(5, 0, RegionJ.SMALL_A)
+
+
 def test_delta_H_squared_kills_J():
     H = 7
     assert sum(region_sum_J(H, H * H, r) for r in RegionJ) == 0
@@ -135,6 +182,13 @@ def test_hyperbola_equals_direct_for_every_delta(point):
         assert region_sum_J_via_hyperbola(H, delta, region) == region_sum_J(H, delta, region)
 
 
+# Region sums at H = 10, frozen from the direct double loop.
+FROZEN_H10 = {
+    3: ({"SS": 0, "SL": 66, "LS": 0, "LL": 65}, {"SMALL_A": 63, "LARGE_A": 64}),
+    25: ({"SS": 16, "SL": 77, "LS": 32, "LL": 21}, {"SMALL_A": 31, "LARGE_A": 29}),
+}
+
+
 def test_hyperbola_route_reads_no_direct_count(monkeypatch):
     # each route computes only itself; the caller compares them
     def direct(*args):
@@ -142,11 +196,17 @@ def test_hyperbola_route_reads_no_direct_count(monkeypatch):
 
     for name in ("count_G", "count_G_with_b0", "count_J"):
         monkeypatch.setattr(casework, name, direct)
-    # frozen from the direct double loop
-    expected = {
-        3: ({"SS": 0, "SL": 66, "LS": 0, "LL": 65}, {"SMALL_A": 63, "LARGE_A": 64}),
-        25: ({"SS": 16, "SL": 77, "LS": 32, "LL": 21}, {"SMALL_A": 31, "LARGE_A": 29}),
-    }
-    for delta, (g, j) in expected.items():
+    for delta, (g, j) in FROZEN_H10.items():
         assert {r.name: region_sum_G_via_hyperbola(10, delta, r) for r in RegionG} == g
         assert {r.name: region_sum_J_via_hyperbola(10, delta, r) for r in RegionJ} == j
+
+
+def test_direct_route_reads_no_hyperbola_count(monkeypatch):
+    def hyperbola(*args):
+        raise AssertionError("hyperbola counter called")
+
+    for name in ("count_box", "count_under_curve"):
+        monkeypatch.setattr(casework, name, hyperbola)
+    for delta, (g, j) in FROZEN_H10.items():
+        assert {r.name: region_sum_G(10, delta, r) for r in RegionG} == g
+        assert {r.name: region_sum_J(10, delta, r) for r in RegionJ} == j

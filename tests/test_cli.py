@@ -24,7 +24,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import casework, cli, exact, tau_tables
+from matcount import asymptotics, casework, cli, exact, tau_tables
 from matcount.casework import RegionG, region_sum_G, region_sum_G_via_hyperbola
 from matcount.cli import build_parser, main
 from matcount.errors import BudgetError
@@ -487,11 +487,12 @@ def test_casework(capsys):
 
 
 def test_casework_delta_beyond_int64(capsys):
-    code, out, err = run(["casework", "--H", "5", "--delta", str(10**23)], capsys)
-    assert (code, err) == (0, "")
-    rows = out.splitlines()[1:]
-    assert len(rows) == 8
-    assert all(row.endswith(",0") for row in rows)
+    for H, delta in ((5, 10**23), (12, 10**21)):
+        code, out, err = run(["casework", "--H", str(H), "--delta", str(delta)], capsys)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 8
+        assert all(row.endswith(",0") for row in rows)
 
 
 def test_fixtures(capsys):
@@ -862,6 +863,54 @@ def test_memory_error_exits_2():
     swept = child("sweep", "--H", "14000", "--delta", "1,6", "--no-timing")
     assert (swept.returncode, swept.stderr) == (0, "")
     assert "\n14000,6,3813148592," in swept.stdout
+
+
+# A module body that fails as numpy's does when its shared libraries
+# cannot be mapped: the cause first, then a message that opens blank.
+_UNLOADABLE = """
+try:
+    raise ImportError("libx.so: failed to map segment from shared object")
+except ImportError as cause:
+    raise ImportError("\\n\\nIMPORTANT: PLEASE READ THIS\\n") from cause
+"""
+
+
+@pytest.mark.parametrize("name, source, code, err", [
+    ("absent_dependency", None, 1, "error: No module named 'absent_dependency'\n"),
+    ("unloadable_dependency", _UNLOADABLE, 2, "budget exceeded: could not load "
+     "unloadable_dependency: libx.so: failed to map segment from shared object\n"),
+])
+def test_a_failed_import_gives_one_line(name, source, code, err, tmp_path, monkeypatch,
+                                        capsys):
+    if source is not None:
+        (tmp_path / f"{name}.py").write_text(source)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(asymptotics, "report", lambda *args, **kwargs: __import__(name))
+    assert run(["count", "--H", "100", "--delta", "6"], capsys) == (code, "", err)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
+def test_numpy_that_cannot_load_exits_2():
+    import resource
+
+    limit = 48 * 2**20  # above a command without numpy, below numpy's libraries
+
+    def child(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "matcount.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                     PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    control = child("count", "--H", "100", "--delta", "0")
+    if control.returncode != 0:
+        pytest.skip(f"python without numpy does not start under 48 MiB: {control.stderr}")
+    failed = child("count", "--H", "100", "--delta", "6")
+    assert (failed.returncode, failed.stdout) == (2, "")
+    assert failed.stderr.startswith("budget exceeded: could not load ")
+    assert failed.stderr.count("\n") == 1
 
 
 def test_count_at_zero_reads_no_table(monkeypatch, capsys):

@@ -168,6 +168,26 @@ def test_reports():
     assert crep.normalized == pytest.approx(abs(crep.error) / crep.bound)
 
 
+def test_class_tables_are_read_only():
+    for table in hyperbola._classes(3, 40, 12, 8):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def test_reports_that_share_a_table_are_unchanged_by_it():
+    # box and curve of one (U, X, q, K): the second call of each, and the
+    # other's calls in between, read the table the first one built
+    box = HyperbolaQuery(K=8, q=12, U=3, V=5, X=40, Y=17)
+    curve = CurveQuery(K=8, q=12, U=3, X=40, bound=Hyperbolic(300, cap=30))
+    fresh = []
+    for report, query in ((box_report, box), (curve_report, curve)):
+        hyperbola._classes.cache_clear()
+        fresh.append(report(query, 0.25))
+    shared = [box_report(box, 0.25), curve_report(curve, 0.25),
+              box_report(box, 0.25), curve_report(curve, 0.25)]
+    assert shared == fresh * 2
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         HyperbolaQuery(K=1, q=0, X=1, Y=1)

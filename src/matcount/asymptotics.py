@@ -25,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from .arith import sigma
-from .hyperbola import AsymptoticReport
+from .reports import AsymptoticReport
 from .tau_tables import DeltaSums, TauTable, TauWindows, shifted_sum
 from .exact import fast_count
 

@@ -53,7 +53,7 @@ np = lazy_import("numpy")
 # Hard cap on full enumeration: (2H+1)^4 matrices.
 NAIVE_ENUM_LIMIT = 10**10
 
-# Cells per (c, d) block in sign_class_count; each int64 temporary of a
+# Cells per (a, d) block in sign_class_count; each float64 temporary of a
 # block costs 8 bytes per cell.
 _SIGN_CLASS_BLOCK = 1 << 16
 
@@ -187,27 +187,34 @@ def sign_class_count(H: int, delta: int, sign_class: SignClass) -> int:
 
     Direct enumeration of (a, c, d) in the prescribed orthant; b is read
     off from b = (a*d - delta) / c and checked for integrality and range.
-    For each a, k = a*d - delta is one row shared by every c, broadcast
-    against a block of c rows of at most _SIGN_CLASS_BLOCK cells (one row
-    when H exceeds it), so memory stays O(H).  Returns 0 for
-    |delta| > 2H^2, where |ad - bc| <= 2H^2 leaves no matrix.
+    k = a*d - delta is a float64 block of (a, d) rows of at most
+    _SIGN_CLASS_BLOCK cells (one row when H exceeds it), divided by each
+    c in turn, so memory stays O(H + _SIGN_CLASS_BLOCK).  The division
+    is exact evidence: |k| <= 3H^2 < 2^53, so k and c are exact floats;
+    a multiple of c gives the exact integer b, and any other k a quotient
+    at least 1/c from every integer, which its rounding error (half an
+    ulp of |k/c| < 2^53 / c) cannot close.  k = 0 (b = 0) is set to NaN,
+    which is never integral.  Returns 0 for |delta| > 2H^2, where
+    |ad - bc| <= 2H^2 leaves no matrix.
     """
     if H < 1:
         raise ValueError(f"sign_class_count() requires H >= 1, got {H}")
+    if 3 * H * H >= 1 << 53:
+        raise ValueError(f"sign_class_count() requires 3H^2 < 2^53, got H={H}")
     if abs(delta) > 2 * H * H:
         return 0
     al, ga, dp = sign_class.alpha, sign_class.gamma, sign_class.delta_prime
-    d_vals = dp * np.arange(1, H + 1, dtype=np.int64)
-    c_vals = ga * np.arange(1, H + 1, dtype=np.int64)[:, None]
+    d_vals = dp * np.arange(1, H + 1, dtype=np.float64)
     rows = max(1, _SIGN_CLASS_BLOCK // H)
     total = 0
-    for a1 in range(1, H + 1):
-        k = al * a1 * d_vals - delta
-        nonzero = k != 0  # b = 0 exactly when k = 0
-        for lo in range(0, H, rows):
-            b, rem = np.divmod(k, c_vals[lo : lo + rows])
-            hit = (rem == 0) & nonzero & (b >= -H) & (b <= H)
-            total += int(np.count_nonzero(hit))
+    for lo in range(1, H + 1, rows):
+        a_vals = al * np.arange(lo, min(lo + rows, H + 1), dtype=np.float64)[:, None]
+        k = a_vals * d_vals - delta
+        k[k == 0] = np.nan
+        size = np.abs(k)
+        for c in range(1, H + 1):
+            b = k / (ga * c)
+            total += int(np.count_nonzero((b == np.rint(b)) & (size <= H * c)))  # |b| <= H
     return total
 
 

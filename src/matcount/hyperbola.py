@@ -10,12 +10,17 @@ count runs in integers.  This module owns that convention; the casework
 module passes it integer endpoints only.
 
 The solutions v of u*v = K (mod q), and the gcd weight of u, depend on
-u only through u mod q, so each query tabulates them once over the first
-min(X, q) integers of (U, U+X] as int64 arrays: the weights from one
-np.gcd with q, each solvable entry's v0 from one exact Python pow.
-Consecutive calls on one (U, X, q, K) share one read-only table, so a
-report's count and main term, and a casework column's upper and lower
-counts, build it once.  A box sums the table in Python ints, weighted
+u only through u mod q, so every query reads them from an int64 table
+over residues: the weights from one np.gcd with q, each solvable
+entry's v0 from one exact Python pow.  A range of a full period or more
+(X >= q) reads the one table over all residues mod q, which depends on
+(q, K mod q) alone, at the offset (U + 1) mod q; a shorter range has a
+table of its own X integers.  The last table built is kept read-only,
+so every query that reads it shares it: a report's count and main
+term, the box and curve of one `hyperbola` query pair (same q, K and
+X), and the upper and both lower counts of a casework column.  A box
+sums the table as int64 arrays: each entry's points in the Y // q full
+periods of v, plus one stride count in the rest of (V, V+Y], weighted
 by how often each residue occurs.  A curve evaluates all u of (U, U+X]
 as int64 arrays, one block of U_BLOCK at a time: the row limit
 min(A // u, cap), the gather from the table and the stride count.  Its
@@ -24,10 +29,11 @@ np.sum would not), so it does not depend on the blocks or the table.
 
 The array path needs int64 room, so both queries refuse q, A or U + X
 at or above INT64_LIMIT = 2^62 with ValueError rather than wrap.  The
-tables read K and U only mod q and a box counts in Python ints, so K, V
-and Y are unbounded.  Each curve quotient A / u is the correctly
-rounded float64 of two integers below 2^53; above that, A is rounded to
-float64 first.
+tables read K and U only mod q, and a box reads V and Y only mod q
+(m divides q) and through the Python int Y // q, so K, V and Y are
+unbounded; a sum that could reach 2^63 is taken in Python ints.  Each
+curve quotient A / u is the correctly rounded float64 of two integers
+below 2^53; above that, A is rounded to float64 first.
 
 K = 0 needs no special case: every gcd(u, q) divides 0, so each u
 carries its full gcd weight, and the bounds' D = gcd(0, q) is q.
@@ -40,6 +46,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import checked, lazy_import
+from .reports import AsymptoticReport
 
 np = lazy_import("numpy")
 
@@ -98,37 +105,15 @@ class CurveQuery(NamedTuple):
             raise ValueError("curve queries need q, A and U + X below 2^62")
 
 
-class AsymptoticReport(NamedTuple):
-    """Exact value vs. main term for one query or identity instance, with
-    the nominal bound on their difference.  A zero bound normalizes a zero
-    error to 0 and any other error to infinity."""
-
-    exact: int | float
-    main: float
-    bound: float
-
-    @property
-    def error(self) -> float:
-        return self.exact - self.main
-
-    @property
-    def normalized(self) -> float:
-        if self.bound > 0:
-            return abs(self.error) / self.bound
-        return 0.0 if self.error == 0 else math.inf
-
-
 @lru_cache(maxsize=1)
-def _classes(U: int, X: int, q: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only int64 tables over the first min(X, q) integers u of
-    (U, U+X]; any u of the range has its entry at index (u - U - 1) % q.
-    The weight w is gcd(u, q) where it divides K, else 0; where w > 0,
-    the solutions of u*v = K (mod q) are v = v0 (mod m) with m = q // w,
-    and elsewhere v0 = 0, m = q.  u runs from (U + 1) % q and K is taken
-    mod q, so neither has to fit int64.  One np.gcd for the weights, one
-    exact Python pow per solvable entry; the last table is kept."""
-    K, u0 = K % q, (U + 1) % q
-    g = np.gcd(np.arange(min(X, q), dtype=np.int64) + u0, q)
+def _classes(u0: int, n: int, q: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only int64 tables over the n <= q integers u0, u0 + 1, ...
+    (0 <= u0, K < q).  The weight w is gcd(u, q) where it divides K,
+    else 0; where w > 0, the solutions of u*v = K (mod q) are v = v0
+    (mod m) with m = q // w, and elsewhere v0 = 0, m = q.  One np.gcd for
+    the weights, one exact Python pow per solvable entry; the last table
+    is kept."""
+    g = np.gcd(np.arange(u0, u0 + n, dtype=np.int64), q)
     w = np.where(K % g == 0, g, 0)
     m = q // np.maximum(w, 1)
     v0 = np.zeros_like(m)
@@ -142,37 +127,59 @@ def _classes(U: int, X: int, q: int, K: int) -> tuple[np.ndarray, np.ndarray, np
     return w, m, v0
 
 
+def _table(U: int, X: int, q: int, K: int):
+    """The residue tables that cover (U, U+X], and the shift s such that
+    its j-th integer U + 1 + j has its entries at index (j + s) % q.  A
+    range of X >= q reads the one table over all residues mod q, keyed
+    by (q, K mod q) alone, at s = (U + 1) % q; a shorter range has a
+    table of its own X integers, at s = 0.  U and K are taken mod q, so
+    neither has to fit int64."""
+    if X >= q:
+        return _classes(0, q, q, K % q), (U + 1) % q
+    return _classes((U + 1) % q, X, q, K % q), 0
+
+
 def _count_ap(v0, m, lo, length):
     """Integers v = v0 (mod m) in (lo, lo + length], for ints or arrays."""
     return (lo + length - v0) // m - (lo - v0) // m
 
 
-def _class_total(values: list[int], X: int, q: int) -> int:
-    """Sum of a residue table's entries over a length-X range, where
-    index i recurs X // q + (i < X % q) times."""
+def _total(values: np.ndarray, bound: int) -> int:
+    """Exact sum of an int64 array with entries in [0, bound]: in int64
+    when it cannot reach 2^63, else in Python ints."""
+    if len(values) * bound < 1 << 63:
+        return int(values.sum())
+    return sum(values.tolist())
+
+
+def _class_total(table: np.ndarray, s: int, X: int, q: int) -> int:
+    """Sum of a residue table's entries (each in [0, q]) over a length-X
+    range that starts at index s: every index recurs X // q times, and
+    the X % q indices s, s + 1, ... (mod q) once more."""
     full, extra = divmod(X, q)
-    return full * sum(values) + sum(values[:extra])
+    total = full * _total(table, q) if full else 0
+    return total + _total(table[s : s + extra], q) + _total(table[: max(0, s + extra - q)], q)
 
 
 def count_box(query: HyperbolaQuery) -> int:
     """Exact number of lattice points of the hyperbola in the box
-    (U, U+X] x (V, V+Y]; one stride count per entry of the per-residue
-    table, in Python ints since V + Y is unbounded, so O(min(X, q)) work."""
-    U, X, q = query.U, query.X, query.q
-    w, m, v0 = _classes(U, X, q, query.K)
-    counts = [
-        _count_ap(a, b, query.V, query.Y) if g else 0
-        for a, b, g in zip(v0.tolist(), m.tolist(), w.tolist())
-    ]
-    return _class_total(counts, X, q)
+    (U, U+X] x (V, V+Y]; O(min(X, q)) array work over the residue table.
+    m divides q, so an entry of weight w counts w points in each of the
+    Y // q full periods of v, and one stride count in (V mod q,
+    V mod q + Y mod q]; V and Y are unbounded, and only Y // q is a
+    Python int."""
+    U, X, q, V, Y = query.U, query.X, query.q, query.V, query.Y
+    (w, m, v0), s = _table(U, X, q, query.K)
+    counts = np.where(w > 0, _count_ap(v0, m, V % q, Y % q), 0)
+    return Y // q * _class_total(w, s, X, q) + _class_total(counts, s, X, q)
 
 
 def main_term_box(query: HyperbolaQuery) -> float:
     """Main term (Y/q) * sum over r | K of r * #{u in range: gcd(u, q) = r},
     evaluated exactly over the per-residue table of gcd weights."""
     U, X, q = query.U, query.X, query.q
-    s = _class_total(_classes(U, X, q, query.K)[0].tolist(), X, q)
-    return float(query.Y) * s / q
+    (w, _, _), s = _table(U, X, q, query.K)
+    return float(query.Y) * _class_total(w, s, X, q) / q
 
 
 def error_bound_box(query: HyperbolaQuery, epsilon: float) -> float:
@@ -182,12 +189,12 @@ def error_bound_box(query: HyperbolaQuery, epsilon: float) -> float:
     return q**epsilon * (math.sqrt(q) + float(query.X) * D / q + D)
 
 
-def _u_blocks(U: int, X: int, q: int):
+def _u_blocks(U: int, X: int, q: int, s: int):
     """(u, i) int64 arrays over (U, U+X], U_BLOCK integers at a time: each
-    u with the index (u - U - 1) % q of its residue table entry."""
+    u with the index (u - U - 1 + s) % q of its residue table entry."""
     for lo in range(0, X, U_BLOCK):
         offset = np.arange(lo, min(lo + U_BLOCK, X), dtype=np.int64)
-        yield offset + (U + 1), offset % q
+        yield offset + (U + 1), (offset + s) % q
 
 
 def count_under_curve(query: CurveQuery) -> int:
@@ -197,12 +204,12 @@ def count_under_curve(query: CurveQuery) -> int:
     per-residue table."""
     U, X, q = query.U, query.X, query.q
     A, cap = query.bound.A, query.bound.cap
-    w, m, v0 = _classes(U, X, q, query.K)
+    (w, m, v0), s = _table(U, X, q, query.K)
     cap = A if cap is None else min(cap, A)  # A // u <= A, so a larger cap never binds
     total = 0
-    for u, i in _u_blocks(U, X, q):
-        counts = _count_ap(v0[i], m[i], 0, np.minimum(A // u, cap))
-        total += sum(counts[w[i] > 0].tolist())  # Python ints: no int64 sum
+    for u, i in _u_blocks(U, X, q, s):
+        counts = np.where(w[i] > 0, _count_ap(v0[i], m[i], 0, np.minimum(A // u, cap)), 0)
+        total += _total(counts, cap + 1)
     return total
 
 
@@ -211,9 +218,9 @@ def main_term_curve(query: CurveQuery) -> float:
     the boundary correction X * delta_q(K) / 2, with f(u) = min(A / u, cap)."""
     U, X, q = query.U, query.X, query.q
     A, cap = query.bound.A, query.bound.cap
-    weights = _classes(U, X, q, query.K)[0]
+    (weights, _, _), shift = _table(U, X, q, query.K)
     s = 0.0
-    for u, i in _u_blocks(U, X, q):
+    for u, i in _u_blocks(U, X, q, shift):
         f = A / u if cap is None else np.minimum(A / u, min(cap, A))  # A / u <= A
         terms = weights[i] * f
         terms[0] += s

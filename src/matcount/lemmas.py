@@ -33,7 +33,7 @@ import math
 
 from . import lazy_import
 from .arith import divisors, factorize, mobius_sieve, phi, sieve, sigma, tau
-from .hyperbola import AsymptoticReport
+from .reports import AsymptoticReport
 
 np = lazy_import("numpy")
 fractions = lazy_import("fractions")  # only divisor_tail builds a Fraction

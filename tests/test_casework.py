@@ -210,3 +210,16 @@ def test_direct_route_reads_no_hyperbola_count(monkeypatch):
     for delta, (g, j) in FROZEN_H10.items():
         assert {r.name: region_sum_G(10, delta, r) for r in RegionG} == g
         assert {r.name: region_sum_J(10, delta, r) for r in RegionJ} == j
+
+
+def test_a_casework_sweep_builds_each_table_at_most_once(table_builds):
+    """At H = 120 each (c, side) reads one residue table, built once for
+    the box or curve above and both lower curves of G and of J; a period
+    table of (c, delta) serves both sides of its column."""
+    H, delta = 120, 903
+    casework._hyper_columns.cache_clear()
+    G = [region_sum_G_via_hyperbola(H, delta, r) for r in RegionG]
+    J = [region_sum_J_via_hyperbola(H, delta, r) for r in RegionJ]
+    assert (sum(G), sum(J)) == (30270, 19198)  # the sign-class totals
+    keys = [key for key, _ in table_builds]
+    assert len(set(keys)) == len(keys) <= 2 * H

@@ -797,15 +797,15 @@ print(*sorted(name.split(".")[1] for name, module in sys.modules.items()
               if name.startswith("matcount.") and type(module) is types.ModuleType))
 """
 
-_LIBRARY = {"arith", "asymptotics", "casework", "exact", "hyperbola", "lemmas", "rng",
-            "tau_tables"}
+_LIBRARY = {"arith", "asymptotics", "casework", "exact", "hyperbola", "lemmas", "reports",
+            "rng", "tau_tables"}
 
 
 @pytest.mark.parametrize("argv, not_run", [
     ("hyperbola --N 3 --seed 1", {"exact", "tau_tables", "asymptotics", "casework", "lemmas"}),
-    ("lemmas", {"exact", "tau_tables", "asymptotics", "casework", "rng"}),
+    ("lemmas", {"exact", "tau_tables", "asymptotics", "casework", "hyperbola", "rng"}),
     ("casework --H 12 --delta 5", {"asymptotics", "lemmas", "rng"}),
-    ("count --H 6000 --delta=0", {"casework", "lemmas", "rng"}),
+    ("count --H 6000 --delta=0", {"casework", "hyperbola", "lemmas", "rng"}),
     ("count --H 0 --delta 1", _LIBRARY),  # a usage error runs only cli and errors
     ("count --H 30 --delta 7", set()),
 ])

@@ -1,8 +1,10 @@
 """Ground-truth matrix counting: naive vs. fast agreement, frozen small
 values, sign classes and the decomposition identities."""
 
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matcount import exact
 from matcount.asymptotics import report
@@ -155,8 +157,44 @@ def test_sign_class_small_values(monkeypatch):
                 expect = naive_sign_class(H, delta, sc)
                 assert sign_class_count(H, delta, sc) == expect
                 with monkeypatch.context() as m:
-                    m.setattr(exact, "_SIGN_CLASS_BLOCK", 3)  # one or a few c rows per block
+                    m.setattr(exact, "_SIGN_CLASS_BLOCK", 3)  # one or a few a rows per block
                     assert sign_class_count(H, delta, sc) == expect
+
+
+def divmod_sign_class(H, delta, sc):
+    """The sign class by integer division: b = k / (gamma c) with
+    k = a d - delta, checked with divmod."""
+    total = 0
+    for a in range(1, H + 1):
+        for d in range(1, H + 1):
+            k = sc.alpha * a * sc.delta_prime * d - delta
+            if k == 0:
+                continue
+            for c in range(1, H + 1):
+                b, r = divmod(k, sc.gamma * c)
+                total += r == 0 and -H <= b <= H
+    return total
+
+
+@given(
+    st.integers(1, 30).flatmap(
+        lambda H: st.tuples(st.just(H), st.integers(-2 * H * H, 2 * H * H))),
+    st.sampled_from(ALL_SIGN_CLASSES),
+)
+@example((30, 2 * 30 * 30), SignClass(1, 1, 1)).via("delta = 2H^2 at the largest H")
+@example((30, -2 * 30 * 30), SignClass(1, -1, -1)).via("delta = -2H^2")
+@example((30, 0), SignClass(-1, 1, 1)).via("delta = 0, where k = 0 is b = 0")
+@settings(max_examples=120, deadline=None)
+def test_sign_class_float_division_matches_divmod(point, sc):
+    H, delta = point
+    assert sign_class_count(H, delta, sc) == divmod_sign_class(H, delta, sc)
+
+
+def test_sign_class_refuses_an_inexact_height():
+    H = math.isqrt((2**53 - 1) // 3)  # the largest H with 3H^2 < 2^53
+    assert 3 * H * H < 2**53 <= 3 * (H + 1) ** 2
+    with pytest.raises(ValueError, match=r"3H\^2 < 2\^53"):
+        sign_class_count(H + 1, 0, SignClass(1, 1, 1))
 
 
 def test_sign_class_rejects_bad_signs():

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from matcount import hyperbola
+from matcount import casework, hyperbola
+from matcount.cli import random_hyperbola_queries
 from matcount.hyperbola import (
     CurveQuery,
     Hyperbolic,
@@ -169,9 +170,39 @@ def test_reports():
 
 
 def test_class_tables_are_read_only():
-    for table in hyperbola._classes(3, 40, 12, 8):
-        with pytest.raises(ValueError):
-            table[0] = 1
+    # a range shorter than q, one period, and more than one period
+    for X in (5, 12, 40):
+        hyperbola._classes.cache_clear()
+        tables, _ = hyperbola._table(3, X, 12, 8)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
+def test_every_shared_table_is_read_only(table_builds):
+    casework._hyper_columns.cache_clear()
+    for region in casework.RegionJ:
+        casework.region_sum_J_via_hyperbola(20, 37, region)
+    for box, curve in random_hyperbola_queries(5, 10):
+        box_report(box, 0.25)
+        curve_report(curve, 0.25)
+    assert table_builds
+    for _, tables in table_builds:
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
+def test_a_query_pair_builds_one_table_per_period_range(table_builds):
+    pairs = random_hyperbola_queries(187425552, 40)
+    for box, curve in pairs:
+        box_report(box, 0.25)
+        curve_report(curve, 0.25)
+    # box and curve share q, K and X; only a range shorter than q has a
+    # table of its own U
+    short = sum(box.X < box.q for box, _ in pairs)
+    assert 0 < short < len(pairs)
+    assert len(table_builds) == len(pairs) + short
 
 
 def test_reports_that_share_a_table_are_unchanged_by_it():
@@ -288,6 +319,9 @@ def test_queries_just_below_the_int64_limit():
     assert main_term_curve(curve) == pytest.approx(reference_main_curve(curve), rel=1e-12)
     box = HyperbolaQuery(K=LIMIT - 2, q=LIMIT - 1, U=LIMIT - 4, V=0, X=3, Y=1)
     assert count_box(box) == 1
+    # rows near 2^62 at each of u = 1..4: a count past 2^63, exact
+    steep = CurveQuery(K=0, q=1, U=0, X=4, bound=Hyperbolic(LIMIT - 1))
+    assert count_under_curve(steep) == sum((LIMIT - 1) // u for u in range(1, 5)) > 2**63
 
 
 @pytest.mark.parametrize("field", ["q", "A", "U + X"])
@@ -300,3 +334,89 @@ def test_queries_at_the_int64_limit_raise(field):
     if field != "A":
         with pytest.raises(ValueError, match=r"2\^62"):
             HyperbolaQuery(K=1, q=q, U=U, V=0, X=3, Y=1)
+
+
+def naive_box_any(K, q, U, V, X, Y):
+    """The box count for any V and Y: each u's solutions v = r (mod q),
+    counted in (V, V+Y] by floor division."""
+    return sum(
+        (V + Y - r) // q - (V - r) // q
+        for u in range(U + 1, U + X + 1)
+        for r in range(q)
+        if (u * r - K) % q == 0
+    )
+
+
+def expected(query):
+    """(count, main term) of a query from the per-u references."""
+    if isinstance(query, HyperbolaQuery):
+        args = (query.K, query.q, query.U, query.V, query.X, query.Y)
+        return naive_box_any(*args), reference_main_box(query)
+    A, cap = query.bound.A, query.bound.cap
+    f = (lambda u: A // u) if cap is None else (lambda u: min(A // u, cap))
+    return naive_curve(query.K, query.q, query.U, query.X, f), reference_main_curve(query)
+
+
+def evaluate(query, what):
+    if isinstance(query, HyperbolaQuery):
+        return (count_box if what == "count" else main_term_box)(query)
+    return (count_under_curve if what == "count" else main_term_curve)(query)
+
+
+@st.composite
+def shared_queries(draw):
+    """Box and curve queries on one (q, K): ranges shorter than, equal to
+    and longer than q, starting anywhere from 0 to past q, or ending just
+    below 2^62."""
+    q = draw(st.integers(1, 12))
+    K = draw(st.sampled_from([0, q, -q, -7 * q]) | past_int64(st.integers(-40, 40)))
+    queries = []
+    for _ in range(draw(st.integers(1, 5))):
+        X = draw(st.sampled_from([0, 1, max(q - 1, 0), q, q + 1, 3 * q + 2]) |
+                 st.integers(0, 3 * q))
+        U = draw(st.integers(0, 3 * q) | st.integers(q, 10**6) |
+                 st.integers(1, 3).map(lambda j: LIMIT - X - j))
+        if draw(st.booleans()):
+            V = draw(past_int64(st.integers(-30, 30)))
+            Y = draw(st.integers(0, 30) | st.integers(0, 10**30))
+            queries.append(HyperbolaQuery(K=K, q=q, U=U, V=V, X=X, Y=Y))
+        else:
+            A = min(draw(st.integers(0, 20)) * (U + 1) + draw(st.integers(0, 50)), LIMIT - 1)
+            cap = draw(st.none() | st.integers(0, 40))
+            queries.append(CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A, cap=cap)))
+    return queries
+
+
+def _queries(q, K, U_X_kinds):
+    return [
+        HyperbolaQuery(K=K, q=q, U=U, V=-3, X=X, Y=10**25 + 4) if kind == "box"
+        else CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(min(9 * (U + 1), LIMIT - 1), cap=6))
+        for U, X, kind in U_X_kinds
+    ]
+
+
+@given(shared_queries().flatmap(lambda qs: st.tuples(
+    st.just(qs),
+    st.permutations([(j, what) for j in range(len(qs)) for what in ("count", "main")] * 2))))
+@example((_queries(7, -14, [(2, 3, "box"), (2, 7, "curve"), (9, 7, "box"), (9, 20, "curve"),
+                            (LIMIT - 8, 7, "box"), (LIMIT - 8, 7, "curve")]),
+          [(j, what) for j in (5, 0, 4, 1, 3, 2) for what in ("main", "count")] * 2)
+         ).via("X < q, X = q, X > q, U >= q and U + X near 2^62 on K = 0 (mod q), K < 0")
+@example((_queries(1, 5, [(0, 4, "box"), (3, 2, "curve")]),
+          [(1, "count"), (0, "count"), (1, "main"), (0, "main")])).via("q = 1")
+@settings(max_examples=300, deadline=None)
+def test_queries_sharing_tables_match_enumeration(case):
+    """Every query equals its per-u reference whichever queries ran
+    before it on the same (q, K), in any order, each one twice."""
+    queries, order = case
+    want = [expected(query) for query in queries]
+    for j, what in order:
+        got = evaluate(queries[j], what)
+        count, main = want[j]
+        if what == "count":
+            assert got == count, queries[j]
+        elif isinstance(queries[j], CurveQuery) and queries[j].bound.A >= 2**53:
+            # A is rounded to float64 before A / u, the reference divides exactly
+            assert got == pytest.approx(main, rel=1e-12), queries[j]
+        else:
+            assert got == main, queries[j]

@@ -21,15 +21,16 @@ side and the curve d <= (delta + Hc)/a on the large-a side.  Lower is
 the curve d <= lower/a, capped at H on the small-a side and skipped when
 lower < 1: lower = delta - Hc - 1 for G (the strict endpoint
 d > (delta - Hc)/a, shifted by one over integers) and lower = delta for
-J (b >= 1 is d > delta/a).  The G route includes the b = 0 pairs, which
-the congruence admits, and subtracts them at the end.
+J (b >= 1 is d > delta/a).  The congruence admits G's b = 0 pairs, the
+points (a, delta/a) with a | delta and delta/a <= H, and each column
+subtracts those whose a lies in its a-range, so every column is exact.
 
 The route is one sweep per (H, delta) over every column c = 1..H on
 both sides: at each (c, side) it counts the upper part once, then G's
 and J's lower curves, all three on the one residue table of
 (c, delta) that the hyperbola module keeps, so no table is built twice.
-The sweep keeps its last (H, delta), and each region sum adds up its
-own columns of it.
+The sweep keeps its last (H, delta), and each region sum, for G as for J,
+adds up its own columns of it.
 
 The two routes share no counter; the casework command and the tests
 compare their region sums, which must be equal.
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 from . import lazy_import
@@ -73,8 +75,8 @@ class RegionG(enum.Enum):
     LL = (False, False)
 
     def __init__(self, small_a: bool, small_c: bool):
-        # plain attributes: the hyperbola route's b = 0 loop reads them
-        # per cell, and Enum.value is a slower descriptor
+        # plain attributes, as in RegionJ: each route reads the side it
+        # sums by name rather than by unpacking Enum.value
         self.small_a = small_a
         self.small_c = small_c
 
@@ -154,10 +156,6 @@ def count_J(a: int, c: int, H: int, delta: int) -> int:
     return _count_congruent(a, c, delta, d_lo, d_hi)
 
 
-def _in_region_G(a: int, c: int, H: int, delta: int, region: RegionG) -> bool:
-    return (a * H <= c * H + delta) == region.small_a and (c * H <= delta) == region.small_c
-
-
 def _cells(H: int, delta: int, cs: range, small_a: bool):
     """(a, c) int64 arrays of the cells with c in cs and a on the small_a
     side of a*H <= c*H + delta, CELL_BLOCK cells at a time.  Nothing once
@@ -215,26 +213,17 @@ def _c_range_G(H: int, delta: int, region: RegionG) -> range:
     return range(delta // H + 1, H + 1)
 
 
-def _b0_count_region(H: int, delta: int, region: RegionG) -> int:
-    total = 0
-    for a in range(1, H + 1):
-        if not _has_b0(a, H, delta):
-            continue
-        for c in range(1, H + 1):
-            if _in_region_G(a, c, H, delta, region):
-                total += 1
-    return total
-
-
 @lru_cache(maxsize=1)
 def _hyper_columns(H: int, delta: int) -> dict[bool, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """small_a -> (G, J): the points of a*d = delta (mod c), b = 0
-    included for G, in the column at each c = 1..H on that side, upper
-    minus each problem's lower curve, as the module docstring states.
-    Each (c, side) reads one residue table and counts its upper part
-    once for both problems; both sides of a column run in turn, so a
-    table of all residues mod c serves both.  The last (H, delta) is
-    kept."""
+    """small_a -> (G, J): the points of a*d = delta (mod c) in the column
+    at each c = 1..H on that side, upper minus each problem's lower
+    curve, as the module docstring states.  G's b = 0 pairs are
+    subtracted per column: two bisections of the sorted a with a | delta
+    and delta/a <= H count those in the column's a-range.  Each (c, side) reads one residue table
+    and counts its upper part once for both problems; both sides of a
+    column run in turn, so a table of all residues mod c serves both.
+    The last (H, delta) is kept."""
+    b0 = [a for a in range(1, H + 1) if delta % a == 0 and delta // a <= H]
     columns = {small_a: ([], []) for small_a in (True, False)}
     for c in range(1, H + 1):
         split = min((c * H + delta) // H, H)
@@ -260,6 +249,7 @@ def _hyper_columns(H: int, delta: int) -> dict[bool, tuple[tuple[int, ...], tupl
                     bound = Hyperbolic(min(lower, H * X), cap=H) if small_a else Hyperbolic(lower)
                     n -= count_under_curve(CurveQuery(K=delta, q=c, U=U, X=X, bound=bound))
                 column.append(n)
+            G[-1] -= bisect_right(b0, U + X) - bisect_right(b0, U)
     return {small_a: (tuple(G), tuple(J)) for small_a, (G, J) in columns.items()}
 
 
@@ -268,8 +258,7 @@ def region_sum_G_via_hyperbola(H: int, delta: int, region: RegionG) -> int:
     lower endpoint d > (delta - Hc)/a is the curve at delta - Hc - 1.
     Reads no direct count; it must equal region_sum_G exactly."""
     G = _hyper_columns(H, delta)[region.small_a][0]
-    total = sum(G[c - 1] for c in _c_range_G(H, delta, region))
-    return total - _b0_count_region(H, delta, region)
+    return sum(G[c - 1] for c in _c_range_G(H, delta, region))
 
 
 def region_sum_J(H: int, delta: int, region: RegionJ) -> int:

@@ -11,15 +11,17 @@ the host; --config names a JSON object of flag values, which is parsed
 by the same parser as the command line, and explicit flags win.  All
 randomness flows from --seed through a splitmix-style 64-bit generator,
 so identical (config, seed) pairs produce byte-identical output
-(suppress the timing column with --no-timing).  Every command streams tau_N one window at a time,
-and one pass over tau_N serves every delta of an N.  The sweep emits
-one row per distinct (delta, H) point, sorted; the deltas
+(suppress the timing column with --no-timing).  Every command streams
+tau_N one window at a time, and one pass over tau_N serves every delta
+of an N.  The sweep emits one row per distinct (delta, H) point,
+sorted; it reads its H values one at a time, largest first, so a too
+large H is refused before any pass is read.  The deltas
 0 < |delta| <= 2H^2 of an H share one pass, timed once, and each of
 their rows' wall_time_ms is the pass time plus the row's own report
 time, while the other rows report only their own report time.  tau
 likewise emits one row per distinct (delta, N); it reads one pass per
-N, one N at a time, for all of its deltas, or streams a moment of
-order k >= 3; its first two moments read no tau_N at all.
+N, one N at a time, largest first, for all of its deltas, or streams a
+moment of order k >= 3; its first two moments read no tau_N at all.
 A command runs only the library modules that it calls, at its first
 call into each, and a usage error runs none of them.  A command that
 writes rows prints its stderr summary after them, so an --output that
@@ -33,7 +35,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 import time
 
@@ -57,16 +58,28 @@ def _fmt(x) -> str:
     return "%.12g" % x if isinstance(x, float) else str(x)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-empty comma-separated integer list, got {text!r}"
-        )
-    return values
+def _checked(parse, ok, expected: str):
+    """A flag value type: parse(text) where it parses and ok accepts it,
+    else the one line "expected <expected>, got 'text'"."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+_int_list = _checked(
+    lambda text: [int(tok) for tok in text.split(",") if tok != ""],
+    bool,
+    "a non-empty comma-separated integer list",
+)
 
 
 def _positive_int_list(text: str) -> list[int]:
@@ -78,43 +91,15 @@ def _positive_int_list(text: str) -> list[int]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
-
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 
 # tau's largest --k: tau_N(n) <= 1600 for every N the uint16 cells admit,
 # so each k-th moment of tau_N stays below 2^31 * 1600^64 < 10^215, a
 # float that prints in full.  k = 1 and 2 read no tau_N.
 MAX_MOMENT_ORDER = 64
-
-
-def _moment_order(text: str) -> int:
-    """tau's --k, an integer in 1..MAX_MOMENT_ORDER."""
-    try:
-        k = int(text)
-    except ValueError:
-        k = 0
-    if not 1 <= k <= MAX_MOMENT_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer in 1..{MAX_MOMENT_ORDER}, got {text!r}"
-        )
-    return k
-
-
-def _unit_float(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not 0 <= x <= 1:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
-    return x
+_moment_order = _checked(
+    int, lambda k: 1 <= k <= MAX_MOMENT_ORDER, f"an integer in 1..{MAX_MOMENT_ORDER}"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,9 +214,12 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep requires --H and --delta lists")
     timing = not args.no_timing
     deltas = sorted(set(args.delta))
-    # one H at a time, so at most one pass is alive
+    # one H at a time, so at most one pass is alive, largest H first, so
+    # that a too large H is refused before the others are read
     rows = [
-        row for H in sorted(set(args.H)) for row in _sweep_group(H, deltas, args.epsilon, timing)
+        row
+        for H in sorted(set(args.H), reverse=True)
+        for row in _sweep_group(H, deltas, args.epsilon, timing)
     ]
     rows.sort(key=lambda r: (r["delta"], r["H"]))
     columns = ["H", "delta", "exact", "main", "error", "normalized_error", "bound"]
@@ -506,7 +494,7 @@ def _cmd_fixtures(args) -> int:
 
 _INTS = dict(type=_int_list)
 _SIZES = dict(type=_positive_int_list)
-_EPSILON = dict(type=_unit_float, default=0.1)
+_EPSILON = dict(type=_checked(float, lambda x: 0 <= x <= 1, "a number in [0, 1]"), default=0.1)
 _JOBS = dict(type=_positive_int, default=1)
 _EMIT = {"output": dict(), "format": dict(choices=("csv", "json"), default="csv")}
 

@@ -276,7 +276,8 @@ def _pass(starts: range, width: int, window: Callable[[int], list[int]]) -> list
         sums = _window_sums(chain.from_iterable(here), width, window)
         while children:
             pid, read = children[0]
-            data = _read_all(read)
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
             _, status = os.waitpid(pid, 0)
             children.pop(0)
             os.close(read)
@@ -333,13 +334,6 @@ def _child(parent: int, write: int, share: range, width: int, window: Callable[[
         code = 0
     finally:
         os._exit(code)
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def _child_result(data: bytes, status: int) -> list[int]:

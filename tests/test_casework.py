@@ -1,6 +1,8 @@
 """Per-(a, c) counts, region partitions, golden fixtures, and exact
 agreement between the direct and hyperbola-based region sums."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -180,6 +182,26 @@ def test_hyperbola_equals_direct_for_every_delta(point):
         assert region_sum_G_via_hyperbola(H, delta, region) == region_sum_G(H, delta, region)
     for region in RegionJ:
         assert region_sum_J_via_hyperbola(H, delta, region) == region_sum_J(H, delta, region)
+
+
+def _sample_deltas(H):
+    """1, 2H^2, 2H^2 + 1 and up to six deltas in between, seeded by H."""
+    top = 2 * H * H + 1
+    return sorted({1, top - 1, top, *random.Random(H).sample(range(1, top + 1), min(6, top))})
+
+
+@pytest.mark.parametrize("H", range(1, 13))
+def test_each_hyperbola_column_is_its_per_cell_sum(H):
+    # each (c, side) column, G's b = 0 pairs already taken out, is the sum
+    # of the per-cell counts over the a on that side of a*H <= c*H + delta
+    casework._hyper_columns.cache_clear()
+    for delta in _sample_deltas(H):
+        columns = casework._hyper_columns(H, delta)
+        for small_a, (G, J) in columns.items():
+            for c in range(1, H + 1):
+                side = [a for a in range(1, H + 1) if (a * H <= c * H + delta) == small_a]
+                assert G[c - 1] == sum(count_G(a, c, H, delta) for a in side), (H, delta, c)
+                assert J[c - 1] == sum(count_J(a, c, H, delta) for a in side), (H, delta, c)
 
 
 # Region sums at H = 10, frozen from the direct double loop.

@@ -634,6 +634,15 @@ def test_exit_codes(capsys, tmp_path):
         ["tau", "--N", "7000", "--delta", "1"],
         # past the uint16 limit, refused before H meets a float
         ["count", "--H", _HUGE_H, "--delta", "6"],
+        # one message per value converter, pinned byte for byte below
+        ["hyperbola", "--N", "0"],
+        ["hyperbola", "--N", "x"],
+        ["sweep", "--H", "5", "--delta", "1", "--jobs", "0"],
+        ["count", "--H", "5", "--delta", "3", "--epsilon", "2"],
+        ["count", "--H", "5", "--delta", "3", "--epsilon", "nan"],
+        ["count", "--H", "5", "--delta", "3", "--epsilon", "x"],
+        ["tau", "--N", "10,20", "--k", "x"],
+        ["count", "--H", "5", "--delta", "1.5"],
     ],
 )
 def test_bad_values_exit_1_with_one_line(argv, monkeypatch, capsys):
@@ -649,8 +658,24 @@ def test_bad_values_exit_1_with_one_line(argv, monkeypatch, capsys):
         assert err == _BAD_VALUE_TEXTS[tuple(argv)]
 
 
-# The messages of the integer-list parser, which argparse passes through.
+# The messages of the value converters, which argparse passes through.
 _BAD_VALUE_TEXTS = {
+    ("hyperbola", "--N", "0"):
+        "error: argument --N: expected a positive integer, got '0'\n",
+    ("hyperbola", "--N", "x"):
+        "error: argument --N: expected a positive integer, got 'x'\n",
+    ("sweep", "--H", "5", "--delta", "1", "--jobs", "0"):
+        "error: argument --jobs: expected a positive integer, got '0'\n",
+    ("count", "--H", "5", "--delta", "3", "--epsilon", "2"):
+        "error: argument --epsilon: expected a number in [0, 1], got '2'\n",
+    ("count", "--H", "5", "--delta", "3", "--epsilon", "nan"):
+        "error: argument --epsilon: expected a number in [0, 1], got 'nan'\n",
+    ("count", "--H", "5", "--delta", "3", "--epsilon", "x"):
+        "error: argument --epsilon: expected a number in [0, 1], got 'x'\n",
+    ("tau", "--N", "10,20", "--k", "x"):
+        "error: argument --k: expected an integer in 1..64, got 'x'\n",
+    ("count", "--H", "5", "--delta", "1.5"):
+        "error: argument --delta: expected a non-empty comma-separated integer list, got '1.5'\n",
     ("sweep", "--H", "5", "--delta", ""):
         "error: argument --delta: expected a non-empty comma-separated integer list, got ''\n",
     ("tau", "--N", "5,10", "--delta", ""):
@@ -1014,6 +1039,21 @@ def test_single_pass_reads_past_the_uint16_limit_exit_1(argv, capsys):
     assert (code, out) == (1, "")
     assert err == "error: tau_N with N=46341: N^2 >= 2^31 overflows uint16 cells\n"
     assert peak < 1 << 20
+
+
+def test_sweep_refuses_a_large_H_before_reading_a_smaller_one(monkeypatch, capsys):
+    # largest H first, as tau reads its N, so the H = 20000 pass is never read
+    seen = []
+
+    def recording_pass(H, deltas):
+        seen.append(H)
+        return delta_pass(H, deltas)
+
+    monkeypatch.setattr(exact, "delta_pass", recording_pass)
+    code, out, err = run(["sweep", "--H", "20000,46341", "--delta", "6", "--no-timing"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: tau_N with N=46341: N^2 >= 2^31 overflows uint16 cells\n"
+    assert seen == [46341]
 
 
 @pytest.mark.parametrize("k", ["1", "2"])

@@ -1,18 +1,22 @@
-"""Per-(a, c) solution counts for the all-positive and mixed-sign
-quadrant problems, their region decompositions, and hyperbola-based
-re-evaluation of the region sums.
+"""Region sums of G(a, c) and J(a, c), the all-positive and mixed-sign
+quadrant problems, by two routes: directly over the cells and through
+hyperbola counts.
 
-G(a, c) counts pairs (b, d) with a*d = delta + b*c, 1 <= d <= H and
-1 <= |b| <= H (b of either sign, b != 0).  J(a, c) is the variant with
-1 <= b <= H strictly positive.  Region thresholds are the rational lines
-c = delta/H and a = c + delta/H; all comparisons are done in integer
-arithmetic (a*H vs c*H + delta), never floating point.  A region's enum
-value is its geometry, read as the member attributes small_a and (for G)
+For 1 <= a, c <= H and delta >= 1, G(a, c) counts the pairs (b, d) with
+a*d = delta + b*c, 1 <= d <= H and 1 <= |b| <= H (b of either sign,
+b != 0).  J(a, c) counts those with 1 <= b <= H strictly positive.
+Region thresholds are the rational lines c = delta/H and
+a = c + delta/H; all comparisons are done in integer arithmetic
+(a*H vs c*H + delta), never floating point.  A region's enum value is
+its geometry, read as the member attributes small_a and (for G)
 small_c, so no code branches on which member it is.
 
-The direct route evaluates count_G's and count_J's closed form over a
-region's cells as int64 arrays: the d-interval, then the d = d0 (mod c/g)
-in it, g = gcd(a, c), with the inverse of a/g mod c/g by extended Euclid.
+The direct route evaluates G and J in closed form over a region's cells
+as int64 arrays: the d = d0 (mod c/g), g = gcd(a, c), with the inverse of
+a/g mod c/g by extended Euclid, in G's d-interval (|b| <= H)
+[max(1, ceil((delta - Hc)/a)), min(H, floor((delta + Hc)/a))] less its
+b = 0 point d = delta/a, if any, or in J's, which starts at d > delta/a
+(b >= 1).
 
 The hyperbola route counts every column c with one formula, upper minus
 lower, over the a-range (U, U+X] cut at the integer split
@@ -39,7 +43,6 @@ compare their region sums, which must be equal.
 from __future__ import annotations
 
 import enum
-import math
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -55,8 +58,8 @@ from .hyperbola import (
 np = lazy_import("numpy")
 
 # The casework command visits H*H (a, c) cells per region sum; at H = 316
-# its hyperbola route takes about 0.08 s, its sign-class check 0.13 s and
-# its direct route (array work) 0.06 s on a 2-core host.
+# its hyperbola route takes about 0.05 s, its sign-class check 0.11 s and
+# its direct route (array work) 0.05 s on a 2-core host.
 CELL_BUDGET = 100_000
 
 # Cells per array pass of the direct route, in whole rows of c; 2^14 is a
@@ -92,68 +95,12 @@ class RegionJ(enum.Enum):
         self.small_a = small_a
 
 
-def _ceil_div(p: int, q: int) -> int:
-    return -(-p // q)
-
-
-def _count_congruent(a: int, c: int, delta: int, d_lo: int, d_hi: int) -> int:
-    """#{d in [d_lo, d_hi]: a*d = delta (mod c)}."""
-    if d_lo > d_hi:
-        return 0
-    g = math.gcd(a, c)
-    if delta % g:
-        return 0
-    m = c // g
-    if m == 1:
-        return d_hi - d_lo + 1
-    d0 = ((delta // g) * pow((a // g) % m, -1, m)) % m
-    return (d_hi - d0) // m - (d_lo - 1 - d0) // m
-
-
-def _g_interval(a: int, c: int, H: int, delta: int) -> tuple[int, int]:
-    """The d-interval of the b-window |b| <= H: [max(1, ceil((delta-Hc)/a)),
-    min(H, floor((delta+Hc)/a))]."""
-    d_lo = max(1, _ceil_div(delta - H * c, a))
-    d_hi = min(H, (delta + H * c) // a)
-    return d_lo, d_hi
-
-
-def count_G_with_b0(a: int, c: int, H: int, delta: int) -> int:
-    """As count_G but permitting b = 0 (the raw congruence count)."""
-    d_lo, d_hi = _g_interval(a, c, H, delta)
-    return _count_congruent(a, c, delta, d_lo, d_hi)
-
-
-def _has_b0(a: int, H: int, delta: int) -> bool:
-    """Whether (a, *) admits the b = 0 solution d = delta/a in [1, H]."""
-    return delta % a == 0 and 1 <= delta // a <= H
-
-
-def count_G(a: int, c: int, H: int, delta: int) -> int:
-    """Exact #{(b, d): a*d = delta + b*c, 1 <= d <= H, 1 <= |b| <= H}."""
-    if not (1 <= a <= H and 1 <= c <= H):
-        raise ValueError("count_G() requires 1 <= a, c <= H")
+def _check(H: int, delta: int) -> None:
+    """G's and J's domain, checked first by every region sum of both routes."""
+    if H < 1:
+        raise ValueError(f"region sums require H >= 1, got {H}")
     if delta < 1:
-        raise ValueError(f"count_G() requires delta >= 1, got {delta}")
-    n = count_G_with_b0(a, c, H, delta)
-    if _has_b0(a, H, delta):
-        n -= 1  # at most one d solves a*d = delta
-    return n
-
-
-def count_J(a: int, c: int, H: int, delta: int) -> int:
-    """Exact #{(b, d): a*d = delta + b*c, 1 <= b, d <= H}.
-
-    The b >= 1 constraint is the strict lower endpoint d > delta/a; the
-    count is zero for every (a, c) once delta >= H^2.
-    """
-    if not (1 <= a <= H and 1 <= c <= H):
-        raise ValueError("count_J() requires 1 <= a, c <= H")
-    if delta < 1:
-        raise ValueError(f"count_J() requires delta >= 1, got {delta}")
-    d_lo = delta // a + 1
-    d_hi = min(H, (delta + c * H) // a)
-    return _count_congruent(a, c, delta, d_lo, d_hi)
+        raise ValueError(f"region sums require delta >= 1, got {delta}")
 
 
 def _cells(H: int, delta: int, cs: range, small_a: bool):
@@ -161,8 +108,6 @@ def _cells(H: int, delta: int, cs: range, small_a: bool):
     side of a*H <= c*H + delta, CELL_BLOCK cells at a time.  Nothing once
     delta > 2H^2, where every d-interval is empty (d_lo >= (delta - Hc)/a
     > H), so every int64 value of a pass stays below 3H^2 + H."""
-    if delta < 1:
-        raise ValueError(f"region sums require delta >= 1, got {delta}")
     if delta > 2 * H * H:
         return
     a = np.arange(1, H + 1, dtype=np.int64)
@@ -188,7 +133,8 @@ def _inverse(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _congruent_total(a, c, delta: int, d_lo, d_hi) -> int:
-    """Sum of _count_congruent over int64 arrays of cells."""
+    """#{d in [d_lo, d_hi]: a*d = delta (mod c)}, summed over int64
+    arrays of cells."""
     g = np.gcd(a, c)
     i = np.flatnonzero((d_lo <= d_hi) & (delta % g == 0))
     a, g, d_lo, d_hi = a[i], g[i], d_lo[i], d_hi[i]
@@ -198,7 +144,8 @@ def _congruent_total(a, c, delta: int, d_lo, d_hi) -> int:
 
 
 def region_sum_G(H: int, delta: int, region: RegionG) -> int:
-    """Sum of count_G over the region's (a, c) lattice points."""
+    """G(a, c) summed over the region's (a, c) lattice points."""
+    _check(H, delta)
     total = 0
     for a, c in _cells(H, delta, _c_range_G(H, delta, region), region.small_a):
         d_lo = np.maximum(1, -((H * c - delta) // a))
@@ -219,10 +166,10 @@ def _hyper_columns(H: int, delta: int) -> dict[bool, tuple[tuple[int, ...], tupl
     at each c = 1..H on that side, upper minus each problem's lower
     curve, as the module docstring states.  G's b = 0 pairs are
     subtracted per column: two bisections of the sorted a with a | delta
-    and delta/a <= H count those in the column's a-range.  Each (c, side) reads one residue table
-    and counts its upper part once for both problems; both sides of a
-    column run in turn, so a table of all residues mod c serves both.
-    The last (H, delta) is kept."""
+    and delta/a <= H count those in the column's a-range.  Each (c, side)
+    reads one residue table and counts its upper part once for both
+    problems; both sides of a column run in turn, so a table of all
+    residues mod c serves both.  The last (H, delta) is kept."""
     b0 = [a for a in range(1, H + 1) if delta % a == 0 and delta // a <= H]
     columns = {small_a: ([], []) for small_a in (True, False)}
     for c in range(1, H + 1):
@@ -257,12 +204,14 @@ def region_sum_G_via_hyperbola(H: int, delta: int, region: RegionG) -> int:
     """Region sum evaluated through box/curve hyperbola counts; the strict
     lower endpoint d > (delta - Hc)/a is the curve at delta - Hc - 1.
     Reads no direct count; it must equal region_sum_G exactly."""
+    _check(H, delta)
     G = _hyper_columns(H, delta)[region.small_a][0]
     return sum(G[c - 1] for c in _c_range_G(H, delta, region))
 
 
 def region_sum_J(H: int, delta: int, region: RegionJ) -> int:
-    """Sum of count_J over the region's (a, c) lattice points."""
+    """J(a, c) summed over the region's (a, c) lattice points."""
+    _check(H, delta)
     total = 0
     for a, c in _cells(H, delta, range(1, H + 1), region.small_a):
         d_hi = np.minimum(H, (delta + H * c) // a)
@@ -274,4 +223,5 @@ def region_sum_J_via_hyperbola(H: int, delta: int, region: RegionJ) -> int:
     """Hyperbola-based J region sum; the strict lower endpoint d > delta/a
     is the weak-inclusion curve (0, delta/a], so no correction term.
     Reads no direct count; it must equal region_sum_J exactly."""
+    _check(H, delta)
     return sum(_hyper_columns(H, delta)[region.small_a][1])

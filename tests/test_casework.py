@@ -1,5 +1,6 @@
-"""Per-(a, c) counts, region partitions, golden fixtures, and exact
-agreement between the direct and hyperbola-based region sums."""
+"""Region partitions, golden fixtures, both routes against per-cell
+enumeration, and exact agreement between the direct and hyperbola-based
+region sums."""
 
 import random
 
@@ -10,9 +11,6 @@ from matcount import casework
 from matcount.casework import (
     RegionG,
     RegionJ,
-    count_G,
-    count_G_with_b0,
-    count_J,
     region_sum_G,
     region_sum_G_via_hyperbola,
     region_sum_J,
@@ -22,61 +20,17 @@ from matcount.exact import SignClass, sign_class_count
 from matcount.tau_tables import build_tau_table, shifted_sum
 
 
-def naive_G(a, c, H, delta, allow_b0=False):
-    total = 0
+def enumerate_cell(a, c, H, delta):
+    """(G, J) of the cell (a, c) by enumeration: for each d in 1..H, the b
+    with a*d = delta + b*c when it is an integer, counted if it is in
+    G's range 1 <= |b| <= H and, for J, in 1 <= b <= H."""
+    G = J = 0
     for d in range(1, H + 1):
-        for b in range(-H, H + 1):
-            if b == 0 and not allow_b0:
-                continue
-            if a * d == delta + b * c:
-                total += 1
-    return total
-
-
-def naive_J(a, c, H, delta):
-    return sum(
-        1
-        for d in range(1, H + 1)
-        for b in range(1, H + 1)
-        if a * d == delta + b * c
-    )
-
-
-def test_count_G_hand_examples():
-    assert count_G(1, 1, 3, 1) == 2
-    assert count_G(1, 1, 1, 1) == 0  # only solution has b = 0
-    assert count_G_with_b0(1, 1, 1, 1) == 1
-
-
-def test_count_J_hand_examples():
-    assert count_J(1, 1, 2, 1) == 1
-
-
-@pytest.mark.parametrize("H,delta", [(4, 1), (5, 7), (6, 20), (7, 49), (8, 3)])
-def test_counts_match_enumeration(H, delta):
-    for a in range(1, H + 1):
-        for c in range(1, H + 1):
-            assert count_G(a, c, H, delta) == naive_G(a, c, H, delta)
-            assert count_G_with_b0(a, c, H, delta) == naive_G(a, c, H, delta, True)
-            diff = count_G_with_b0(a, c, H, delta) - count_G(a, c, H, delta)
-            assert diff in (0, 1)
-            assert count_J(a, c, H, delta) == naive_J(a, c, H, delta)
-
-
-def test_count_G_upper_bound():
-    H, delta = 9, 11
-    for a in range(1, H + 1):
-        for c in range(1, H + 1):
-            assert count_G(a, c, H, delta) <= 2 * H * c // a + 1
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        count_G(0, 1, 3, 1)
-    with pytest.raises(ValueError):
-        count_G(1, 1, 3, 0)
-    with pytest.raises(ValueError):
-        count_J(1, 4, 3, 1)
+        b, r = divmod(a * d - delta, c)
+        if r == 0 and 1 <= abs(b) <= H:
+            G += 1
+            J += b > 0
+    return G, J
 
 
 def test_regions_partition_and_cross_module_totals():
@@ -129,12 +83,14 @@ def cells_J(H, delta, region):
 @settings(max_examples=150, deadline=None)
 def test_direct_route_equals_the_per_cell_counts(point):
     H, delta = point
+    counts = {(a, c): enumerate_cell(a, c, H, delta)
+              for a in range(1, H + 1) for c in range(1, H + 1)}
     for region in RegionG:
         assert region_sum_G(H, delta, region) == sum(
-            count_G(a, c, H, delta) for a, c in cells_G(H, delta, region)), (H, delta, region)
+            counts[cell][0] for cell in cells_G(H, delta, region)), (H, delta, region)
     for region in RegionJ:
         assert region_sum_J(H, delta, region) == sum(
-            count_J(a, c, H, delta) for a, c in cells_J(H, delta, region)), (H, delta, region)
+            counts[cell][1] for cell in cells_J(H, delta, region)), (H, delta, region)
 
 
 def test_direct_route_blocks_do_not_change_the_sums(monkeypatch):
@@ -152,8 +108,20 @@ def test_direct_route_past_int64_counts_zero():
         assert region_sum_G(5, 2**70, region) == 0
     for region in RegionJ:
         assert region_sum_J(5, 2**70, region) == 0
-    with pytest.raises(ValueError, match="delta >= 1"):
-        region_sum_J(5, 0, RegionJ.SMALL_A)
+
+
+@pytest.mark.parametrize("region_sum, regions", [
+    (region_sum_G, RegionG),
+    (region_sum_G_via_hyperbola, RegionG),
+    (region_sum_J, RegionJ),
+    (region_sum_J_via_hyperbola, RegionJ),
+], ids=lambda v: v.__name__)
+def test_both_routes_refuse_H_and_delta_below_1(region_sum, regions):
+    for H, delta, message in ((5, 0, "delta >= 1, got 0"), (5, -5, "delta >= 1, got -5"),
+                              (0, 5, "H >= 1, got 0"), (-1, 5, "H >= 1, got -1")):
+        for region in regions:
+            with pytest.raises(ValueError, match=f"^region sums require {message}$"):
+                region_sum(H, delta, region)
 
 
 def test_delta_H_squared_kills_J():
@@ -199,9 +167,10 @@ def test_each_hyperbola_column_is_its_per_cell_sum(H):
         columns = casework._hyper_columns(H, delta)
         for small_a, (G, J) in columns.items():
             for c in range(1, H + 1):
-                side = [a for a in range(1, H + 1) if (a * H <= c * H + delta) == small_a]
-                assert G[c - 1] == sum(count_G(a, c, H, delta) for a in side), (H, delta, c)
-                assert J[c - 1] == sum(count_J(a, c, H, delta) for a in side), (H, delta, c)
+                side = [enumerate_cell(a, c, H, delta) for a in range(1, H + 1)
+                        if (a * H <= c * H + delta) == small_a]
+                assert G[c - 1] == sum(g for g, _ in side), (H, delta, c)
+                assert J[c - 1] == sum(j for _, j in side), (H, delta, c)
 
 
 # Region sums at H = 10, frozen from the direct double loop.
@@ -216,7 +185,7 @@ def test_hyperbola_route_reads_no_direct_count(monkeypatch):
     def direct(*args):
         raise AssertionError("direct counter called")
 
-    for name in ("count_G", "count_G_with_b0", "count_J"):
+    for name in ("_cells", "_congruent_total"):
         monkeypatch.setattr(casework, name, direct)
     for delta, (g, j) in FROZEN_H10.items():
         assert {r.name: region_sum_G_via_hyperbola(10, delta, r) for r in RegionG} == g

@@ -8,7 +8,8 @@ a given limit.
 All scalar arithmetic is plain Python integers, so intermediate products
 never wrap; the phi table is an int64 numpy array whose entries are at
 most the limit, and the mu table is int8.  Factorization is trial
-division, so it refuses n > FACTORIZE_LIMIT rather than run for minutes.
+division, so it refuses n > FACTORIZE_LIMIT rather than run for minutes,
+and so does every function built on it, the divisor list included.
 """
 
 from __future__ import annotations
@@ -29,23 +30,15 @@ FACTORIZE_LIMIT = 10**14
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted ascending.
-
-    Trial division up to sqrt(n); rejects n <= 0.
-    """
+    """All positive divisors of n, sorted ascending: each prime power p^e
+    of n's factorization multiplies the list by 1, p, ..., p^e.  Rejects
+    n <= 0, and n > FACTORIZE_LIMIT as factorize does."""
     if n <= 0:
         raise ValueError(f"divisors() requires n >= 1, got {n}")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from .arith import sigma
 from .reports import AsymptoticReport
-from .tau_tables import DeltaSums, TauTable, TauWindows, shifted_sum
-from .exact import fast_count
+from .tau_tables import TauTable, TauWindows, shifted_sum
+from .exact import DeltaSums, fast_count
 
 COEFF_96 = 96.0 / math.pi**2
 COEFF_12 = 12.0 / math.pi**2

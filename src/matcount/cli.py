@@ -13,12 +13,13 @@ randomness flows from --seed through a splitmix-style 64-bit generator,
 so identical (config, seed) pairs produce byte-identical output
 (suppress the timing column with --no-timing).  Every command streams
 tau_N one window at a time, and one pass over tau_N serves every delta
-of an N.  The sweep emits one row per distinct (delta, H) point,
-sorted; it reads its H values one at a time, largest first, so a too
-large H is refused before any pass is read.  The deltas
-0 < |delta| <= 2H^2 of an H share one pass, timed once, and each of
-their rows' wall_time_ms is the pass time plus the row's own report
-time, while the other rows report only their own report time.  tau
+of an N.  count prints sweep's row at its one point, a name = value
+line for each column after H and delta.  The sweep emits one row per
+distinct (delta, H) point, sorted; it reads its H values one at a time,
+largest first, so a too large H is refused before any pass is read.
+The deltas 0 < |delta| <= 2H^2 of an H share one pass, timed once,
+and each of their rows' wall_time_ms is the pass time plus the row's
+own report time, while the other rows report only their own.  tau
 likewise emits one row per distinct (delta, N); it reads one pass per
 N, one N at a time, largest first, for all of its deltas, or streams a
 moment of order k >= 3; its first two moments read no tau_N at all.
@@ -164,19 +165,13 @@ def _single_point(args) -> tuple[int, int]:
 
 def _cmd_count(args) -> int:
     H, delta = _single_point(args)
-    rep = asymptotics.report(H, delta, epsilon=args.epsilon)
-    for name, value in (
-        ("exact", rep.exact),
-        ("main", rep.main),
-        ("error", rep.error),
-        ("normalized_error", rep.normalized),
-        ("bound", rep.bound),
-    ):
+    (row,) = _sweep_rows(H, [delta], args.epsilon, timing=False)
+    for name, value in list(row.items())[2:]:  # the columns after H and delta
         print(f"{name} = {_fmt(value)}")
     return 0
 
 
-def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> list[dict]:
+def _sweep_rows(H: int, deltas: list[int], epsilon: float, timing: bool) -> list[dict]:
     """Rows of one H.  Its deltas 0 < |delta| <= 2H^2 share one pass over
     tau_H (delta_pass), timed once; delta = 0 is counted without it, and
     |delta| > 2H^2 counts 0.  A row that reads the pass reports the pass
@@ -184,29 +179,24 @@ def _sweep_group(H: int, deltas: list[int], epsilon: float, timing: bool) -> lis
     t0 = time.perf_counter()
     sums = exact.delta_pass(H, deltas)
     pass_ms = (time.perf_counter() - t0) * 1e3
-    return [
-        _sweep_row(H, delta, sums, pass_ms if abs(delta) in sums.terms else 0.0, epsilon, timing)
-        for delta in deltas
-    ]
-
-
-def _sweep_row(
-    H: int, delta: int, sums: tau_tables.DeltaSums, pass_ms: float, epsilon: float, timing: bool
-) -> dict:
-    t0 = time.perf_counter()
-    rep = asymptotics.report(H, delta, epsilon=epsilon, table=sums)
-    row = {
-        "H": H,
-        "delta": delta,
-        "exact": rep.exact,
-        "main": rep.main,
-        "error": rep.error,
-        "normalized_error": rep.normalized,
-        "bound": rep.bound,
-    }
-    if timing:
-        row["wall_time_ms"] = pass_ms + (time.perf_counter() - t0) * 1e3
-    return row
+    rows = []
+    for delta in deltas:
+        t0 = time.perf_counter()
+        rep = asymptotics.report(H, delta, epsilon=epsilon, table=sums)
+        row = {
+            "H": H,
+            "delta": delta,
+            "exact": rep.exact,
+            "main": rep.main,
+            "error": rep.error,
+            "normalized_error": rep.normalized,
+            "bound": rep.bound,
+        }
+        if timing:
+            own_ms = (time.perf_counter() - t0) * 1e3
+            row["wall_time_ms"] = (pass_ms if abs(delta) in sums.terms else 0.0) + own_ms
+        rows.append(row)
+    return rows
 
 
 def _cmd_sweep(args) -> int:
@@ -219,12 +209,9 @@ def _cmd_sweep(args) -> int:
     rows = [
         row
         for H in sorted(set(args.H), reverse=True)
-        for row in _sweep_group(H, deltas, args.epsilon, timing)
+        for row in _sweep_rows(H, deltas, args.epsilon, timing)
     ]
     rows.sort(key=lambda r: (r["delta"], r["H"]))
-    columns = ["H", "delta", "exact", "main", "error", "normalized_error", "bound"]
-    if timing:
-        columns.append("wall_time_ms")
     extra, summary = None, []
     if args.fit:
         fits = {}
@@ -234,10 +221,7 @@ def _cmd_sweep(args) -> int:
                 for r in rows
                 if r["delta"] == delta
             ]
-            try:
-                fit = asymptotics.fit_error_exponent(sub)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            fit = asymptotics.fit_error_exponent(sub)
             fits[str(delta)] = {
                 "exponent": fit.exponent,
                 "r_squared": fit.r_squared,
@@ -247,7 +231,7 @@ def _cmd_sweep(args) -> int:
                 f"fit delta={delta}: exponent={_fmt(fit.exponent)} r2={_fmt(fit.r_squared)}"
             )
         extra = {"fits": fits}
-    _emit(rows, columns, args, extra, summary)
+    _emit(rows, list(rows[0]), args, extra, summary)
     return 0
 
 
@@ -471,10 +455,7 @@ def _cmd_fit(args) -> int:
                         f"got {row[column]!r}"
                     ) from None
             data.append(tuple(cells))
-    try:
-        fit = asymptotics.fit_error_exponent(data)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    fit = asymptotics.fit_error_exponent(data)
     print(f"exponent = {_fmt(fit.exponent)}")
     print(f"log_constant = {_fmt(fit.log_constant)}")
     print(f"r_squared = {_fmt(fit.r_squared)}")

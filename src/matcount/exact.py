@@ -3,15 +3,15 @@ determinant.
 
 Two independent routes are kept side by side: ``naive_count`` enumerates
 every matrix in the box, while ``fast_count`` evaluates the product
-convolution sum(m) c2(m) * c2(m - delta) from tau_H, assembled from the
-reductions ``c2``, ``shifted_sum`` and ``self_convolution`` of
-``tau_tables``, the one module that reads tau_H's cells.  Given no
-table, it streams tau_H one window at a time, so its memory stays
-bounded at any H whose uint16 cells cannot overflow (H^2 < 2^31);
-``delta_pass`` reads those reductions for many deltas of one H, their
-shifted sums in a single pass, and ``fast_count`` takes its result in
-place of a table.
-At delta = 0 it reads no table at all:
+convolution sum(m) c2(m) * c2(m - delta) from tau_H.  Its one source of
+the reductions it assembles, ``c2``, ``shifted_sum`` and
+``self_convolution`` of ``tau_tables`` (the one module that reads
+tau_H's cells), is ``delta_pass``, which reads them for every delta of
+one H, the shifted sums in a single pass, into a ``DeltaSums`` that
+``fast_count`` takes in place of a table.  Given no table, the pass
+streams tau_H one window at a time, so its memory stays bounded at any
+H whose uint16 cells cannot overflow (H^2 < 2^31).
+At delta = 0 fast_count reads no table at all:
 
     #D_2(H, 0) = (4H+1)^2 + 8 * sum_{n <= H^2} tau_H(n)^2,
 
@@ -39,12 +39,12 @@ from typing import NamedTuple
 from . import checked, lazy_import, tau_tables
 from .errors import BudgetError
 from .tau_tables import (
-    DeltaSums,
     TauTable,
     TauWindows,
     build_tau_table,
     c2,
-    delta_sums,
+    self_convolution,
+    shifted_sums,
     square_sum,
 )
 
@@ -83,6 +83,15 @@ class DecompositionReport(NamedTuple):
     zero_entry: int
     assembly_ok: bool
     failures: list[str]
+
+
+class DeltaSums(NamedTuple):
+    """The reductions of tau_N that fast_count assembles, read in one
+    pass: terms[D] = (c2(D), shifted_sum(D), self_convolution(D)) for
+    each D of the pass."""
+
+    N: int
+    terms: dict[int, tuple[int, int, int]]
 
 
 @lru_cache(maxsize=8)
@@ -133,15 +142,25 @@ def _tau_table(H: int, table: TauTable | TauWindows | DeltaSums | None):
     return table
 
 
-def delta_pass(H: int, deltas: list[int]) -> DeltaSums:
+def delta_pass(
+    H: int, deltas: list[int], table: TauTable | TauWindows | None = None
+) -> DeltaSums:
     """The reductions of tau_H that fast_count assembles, for every delta
-    in deltas with 0 < |delta| <= 2H^2, their shifted sums read in one
-    pass over tau_H (tau_tables.delta_sums); fast_count takes the result
-    as its table."""
+    in deltas with 0 < |delta| <= 2H^2: their shifted sums from one pass
+    over tau_H (tau_tables.shifted_sums), then c2 and self_convolution of
+    each |delta| read from the same source once no pass window is alive.
+    The source is table, or the one _tau_table chooses; none is read when
+    no delta needs it.  fast_count takes the result as its table."""
     if H < 1:
         raise ValueError(f"delta_pass() requires H >= 1, got {H}")
     Ds = sorted({abs(d) for d in deltas if 0 < abs(d) <= 2 * H * H})
-    return delta_sums(_tau_table(H, None), Ds) if Ds else DeltaSums(H, {})
+    if not Ds:
+        return DeltaSums(H, {})
+    source = _tau_table(H, table)
+    shifted = shifted_sums(source, Ds)
+    return DeltaSums(
+        H, {D: (c2(source, D), shifted[D], self_convolution(source, D)) for D in Ds}
+    )
 
 
 def fast_count(
@@ -154,13 +173,13 @@ def fast_count(
         2*(4H+1)*c2(D) + 8*sum_{k>=1} t(k)t(k+D) + 4*sum_{0<m<D} t(m)t(D-m),
 
     and for delta = 0 to (4H+1)^2 + 8*sum t(k)^2.  Each term for D > 0
-    is one reduction of tau_H, c2, shifted_sum and self_convolution, read
-    from table, or taken from it when it is the DeltaSums of a pass that
-    covers D (a pass that does not raises ValueError); the sum of squares
-    is square_sum(H), which reads no table, so at delta = 0 and at
-    |delta| > 2H^2 a given table is only checked and none is built, and
-    at delta = 0 H is bounded by square_sum's byte budget instead of
-    H^2 < 2^31.
+    is one reduction of tau_H, c2, shifted_sum and self_convolution,
+    taken from delta_pass(H, [D], table), or from table itself when it
+    is the DeltaSums of a pass that covers D (a pass that does not
+    raises ValueError); the sum of squares is square_sum(H), which reads
+    no table, so at delta = 0 and at |delta| > 2H^2 a given table is
+    only checked and none is built, and at delta = 0 H is bounded by
+    square_sum's byte budget instead of H^2 < 2^31.
     """
     if H < 1:
         raise ValueError(f"fast_count() requires H >= 1, got {H}")
@@ -171,10 +190,8 @@ def fast_count(
         return 0
     if D == 0:
         return (4 * H + 1) ** 2 + 8 * square_sum(H)
-    if table is None:
-        table = _tau_table(H, None)
     if not isinstance(table, DeltaSums):
-        table = delta_sums(table, [D])
+        table = delta_pass(H, [D], table)
     elif D not in table.terms:
         raise ValueError(f"delta pass for N={table.N} does not cover |delta|={D}")
     c, shifted, mirror = table.terms[D]

@@ -25,9 +25,8 @@ except that when all of tau_N fits one window that window may be the
 whole table.  One pass serves every delta of an N: ``shifted_sums``
 sieves each window once, with max(D) extra cells for the deltas D that
 fit a window, and dots it once per delta, and a delta past a window
-sieves its own shifted windows in the same pass.  ``delta_sums`` adds c2
-and self_convolution of each delta, read from the same source after the
-pass, so a self-convolution streams its own mirror windows.
+sieves its own shifted windows in the same pass; a self-convolution
+streams its own mirror windows.
 
 The sum of squares needs no table.  ``square_sum(N)`` counts the
 solutions of ab = cd in [1, N]^4, which is sum_{n <= N^2} tau_N(n)^2,
@@ -514,26 +513,6 @@ def shifted_sums(table: TauTable | TauWindows, deltas: list[int]) -> dict[int, i
         return sums
 
     return dict(zip(deltas, _pass(range(0, top, step), len(deltas), window)))
-
-
-class DeltaSums(NamedTuple):
-    """The reductions of tau_N that fast_count assembles, read in one
-    pass: terms[D] = (c2(D), shifted_sum(D), self_convolution(D)) for
-    each D of the pass."""
-
-    N: int
-    terms: dict[int, tuple[int, int, int]]
-
-
-def delta_sums(table: TauTable | TauWindows, deltas: list[int]) -> DeltaSums:
-    """c2, shifted_sum and self_convolution of tau_N at every D >= 0 in
-    deltas: the shifted sums from one pass (shifted_sums), then c2 and
-    self_convolution of each D read from table, once no pass window is
-    alive."""
-    shifted = shifted_sums(table, deltas)
-    return DeltaSums(
-        table.N, {D: (c2(table, D), shifted[D], self_convolution(table, D)) for D in deltas}
-    )
 
 
 def self_convolution(table: TauTable | TauWindows, D: int) -> int:

@@ -1,6 +1,7 @@
 """Elementary multiplicative functions against brute-force oracles."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,17 @@ def test_factorize_budget():
     for f in (factorize, tau, sigma, phi, mobius):
         with pytest.raises(BudgetError):
             f(FACTORIZE_LIMIT + 1)
+
+
+def test_divisors_come_from_the_factorization():
+    # no trial division up to sqrt(n): the list is built from n's primes,
+    # so a large n costs as much as its factorization and no more
+    t0 = time.perf_counter()
+    ds = divisors(FACTORIZE_LIMIT)  # 2^14 * 5^14
+    assert len(ds) == 225 and ds == sorted(ds) and all(FACTORIZE_LIMIT % d == 0 for d in ds)
+    with pytest.raises(BudgetError):
+        divisors(FACTORIZE_LIMIT + 1)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_divisor_sum_identities():

@@ -124,6 +124,28 @@ def test_sweep_rows_equal_the_per_delta_counts(monkeypatch, capsys):
             assert exact == naive_count(H, delta), (H, delta)
 
 
+@pytest.mark.parametrize("cell_budget", [tau_tables.CELL_BUDGET, 1])
+def test_count_prints_the_sweep_row(cell_budget, monkeypatch, capsys):
+    # with 64-cell windows, H = 1, 2 and 7 read tau_H as one whole table
+    # unless CELL_BUDGET refuses it, and H = 40 streams it either way
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
+    sources = {H: (build_tau_table(H), TauWindows(H)) for H in _PASS_H}
+    monkeypatch.setattr(tau_tables, "CELL_BUDGET", cell_budget)
+    for H in _PASS_H:
+        deltas = {0, 1, -1, _PASS_WINDOW - 1, _PASS_WINDOW, _PASS_WINDOW + 1,
+                  H * H, 2 * H * H, 2 * H * H + 1}
+        for delta in sorted(deltas):
+            code, out, err = run(["count", "--H", str(H), f"--delta={delta}"], capsys)
+            assert (code, err) == (0, "")
+            _, sweep, _ = run(["sweep", "--H", str(H), f"--delta={delta}", "--no-timing"], capsys)
+            header, row = sweep.splitlines()
+            columns = list(zip(header.split(","), row.split(",")))
+            assert columns[:2] == [("H", str(H)), ("delta", str(delta))]
+            assert out == "".join(f"{n} = {v}\n" for n, v in columns[2:]), (H, delta)
+            got = fast_count(H, delta, table=delta_pass(H, [delta]))
+            assert [fast_count(H, delta, table=t) for t in sources[H]] == [got, got], (H, delta)
+
+
 def test_tau_shifted_sums_equal_the_whole_table(monkeypatch, capsys):
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
     deltas = [D for D in _PASS_D if D >= 1]

@@ -4,6 +4,7 @@ envelope and divisor-tail inequalities."""
 import cProfile
 import math
 import pstats
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from matcount.arith import mobius, tau
 from matcount.cli import lemma_grid_rows
+from matcount.errors import BudgetError
 from matcount.lemmas import (
     SIX_OVER_PI2,
     coprime_count,
@@ -278,6 +280,15 @@ def test_divisor_tail_values():
     assert partial == Fraction(3, 2) and full == 2
     partial, full = divisor_tail(7, 11)
     assert partial == full == Fraction(8, 7)
+
+
+def test_divisor_tail_past_the_factorize_limit_raises_at_once():
+    # sigma refuses delta > FACTORIZE_LIMIT, and divisors, read first,
+    # refuses it as soon as factorize does, not after sqrt(delta) steps
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError):
+        divisor_tail(10**20, 5)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_divisor_tail_inequality_exact():

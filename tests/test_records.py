@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from matcount.asymptotics import ErrorFit, MainTermKind, ShiftedDiscrimination
-from matcount.exact import DecompositionReport, SignClass
+from matcount.exact import DecompositionReport, DeltaSums, SignClass
 from matcount.hyperbola import AsymptoticReport, CurveQuery, Hyperbolic, HyperbolaQuery
-from matcount.tau_tables import DeltaSums, TauTable, TauWindows, build_tau_table
+from matcount.tau_tables import TauTable, TauWindows, build_tau_table
 
 # One record of each of the 11 classes, keyed by its repr.  TauTable's
 # cells are a tuple here, so that it compares by value; its own array is

@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 from matcount import tau_tables
 from matcount.arith import divisors, sieve, tau
 from matcount.errors import BudgetError
-from matcount.exact import fast_count, naive_count
+from matcount.exact import delta_pass, fast_count, naive_count
 from matcount.tau_tables import (
     TauWindows,
     build_tau_table,
     c2,
-    delta_sums,
     self_convolution,
     shifted_sum,
     shifted_sums,
@@ -339,7 +338,7 @@ def test_delta_sums_equal_the_reductions_one_by_one(source, monkeypatch):
     t = build_tau_table(N)
     # inside one window, its edge, past it, H^2 and the support edge 2H^2
     Ds = [1, window - 1, window, window + 1, N * N, 2 * N * N]
-    assert delta_sums(source(N), Ds).terms == {
+    assert delta_pass(N, Ds, source(N)).terms == {
         D: (c2(t, D), shifted_sum(t, D), self_convolution(t, D)) for D in Ds
     }
 
@@ -351,7 +350,7 @@ def test_forked_passes_equal_the_serial_pass(monkeypatch):
     def sums(cpus, N, Ds):
         monkeypatch.setattr(tau_tables, "cpu_count", lambda: cpus)
         table = TauWindows(N)
-        return (shifted_sums(table, Ds), delta_sums(table, Ds).terms,
+        return (shifted_sums(table, Ds), delta_pass(N, Ds, table).terms,
                 [tau_moment(table, k) for k in (1, 3)])
 
     for N in range(20, 41):

@@ -294,8 +294,8 @@ def _cmd_tau(args) -> int:
     return 0
 
 
-# hyperbola's largest --N: 2,000 query pairs take about 2 s on a 2-core host,
-# and the time grows linearly in N.
+# hyperbola's largest --N: 2,000 query pairs take about 0.7 s on a 2-core
+# host, and the time grows linearly in N.
 HYPERBOLA_QUERY_BUDGET = 2000
 
 

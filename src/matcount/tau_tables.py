@@ -9,24 +9,26 @@ cells, and it reaches the reductions through two sources:
 reduction reads them, so its memory does not grow with N.  Every
 reduction (the moments, the shifted sums, the self-convolution and the
 signed product counter c2) reads either source one window at a time, a
-whole table being one window, accumulates in int64 without a
-table-sized copy and adds up exact Python-int partial sums, one per
-window; no other module reads tau_N's cells.
+whole table being one window, without a table-sized copy, and adds up
+exact Python-int partial sums, one per window; no other module reads
+tau_N's cells.  Every dot is ``_dots``, over float64 blocks whose sums
+are exact integers below 2^53, each cast once for all its deltas.
 
-A pass's windows are independent, so ``_pass`` deals them round-robin
-to at most min(windows, CPUs) workers: this process and ``os.fork``
-children, each holding at most three windows at once.  A child sends
-its exact partial sums back over a pipe, and the parent adds them up,
-so the integers do not depend on how many CPUs the process may run on.
-A pass of one window, such as any whole table, forks nothing.
+A pass's windows are independent, so ``_pass`` deals them in snake
+order to at most min(windows, CPUs) workers: this process and
+``os.fork`` children, each holding at most three windows at once.  A
+child sends its exact partial sums back over a pipe, and the parent
+adds them up, so the integers do not depend on how many CPUs the
+process may run on.  A pass of one window, such as any whole table,
+forks nothing.
 
 The rule for choosing a source: every read streams ``TauWindows(N)``,
 except that when all of tau_N fits one window that window may be the
 whole table.  One pass serves every delta of an N: ``shifted_sums``
 sieves each window once, with max(D) extra cells for the deltas D that
-fit a window, and dots it once per delta, and a delta past a window
-sieves its own shifted windows in the same pass; a self-convolution
-streams its own mirror windows.
+fit a window, and dots it with all of them at once, and a delta past a
+window sieves its own shifted windows in the same pass; a
+self-convolution streams its own mirror windows.
 
 The sum of squares needs no table.  ``square_sum(N)`` counts the
 solutions of ab = cd in [1, N]^4, which is sum_{n <= N^2} tau_N(n)^2,
@@ -101,6 +103,9 @@ _MOMENT_BLOCK = 1 << 16
 # Cells per window when a reduction reads tau_N without a kept table:
 # 4 MB of uint16 cells, and at most three windows' worth alive at once.
 _WINDOW_CELLS = 1 << 21
+
+# Cells per float64 block of _dots, whose scratch holds two: 512 KB.
+_DOT_BLOCK = 1 << 15
 
 # Bytes square_sum may hold: while the prefix sum is taken, its phi sieve
 # and the summatory totient are two int64 arrays of L + 1 cells, about
@@ -200,21 +205,45 @@ def _sieve(N: int, lo: int, hi: int) -> np.ndarray:
     stop = a * np.minimum(N, hi // a) - lo + 1
     for step, s, e in zip(rows, start.tolist(), stop.tolist()):
         view = counts[s:e:step]
-        np.add(view, two, out=view)
+        np.add(view, two, view)
     roots = np.arange(isqrt(lo) + 1, isqrt(hi) + 1)
     counts[roots * roots - lo] += 1
     counts.flags.writeable = False
     return counts
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> int:
-    """Exact sum of x[i] * y[i] over two equal-length table views.
+def _dots(x: np.ndarray, pairs: list[tuple[int | np.ndarray, int]]) -> list[int]:
+    """Exact sums of x[i] * y[i] over 0 <= i < n for each (y, n) in pairs;
+    y is a view or an int lag, y[i] = x[lag + i], and n <= 0 sums to 0.
 
-    einsum casts through small buffers, so the int64 accumulation needs
-    no copy of either view.  While N^2 < 2^31 the sum stays below
-    2^31 * 1600^2 < 2^63.
+    x is cast to float64 a _DOT_BLOCK-cell block at a time, with the lags
+    up to a block past it, once for all those lags; a longer lag or a view
+    casts its own block after them.  A block sums below 2^15 (2^16 - 1)^2
+    < 2^53, exactly, and the block sums add up as ints.  No BLAS (_fork).
     """
-    return int(np.einsum("i,i->", x, y, dtype=np.int64))
+    block = _DOT_BLOCK
+    top = max([0, *(n for _, n in pairs)])
+    shared = [isinstance(y, int) and y <= block for y, _ in pairs]
+    order = sorted(range(len(pairs)), key=lambda j: not shared[j])  # shared casts first
+    reach = max((y for (y, _), s in zip(pairs, shared) if s), default=0)
+    width = min(top, block)
+    scratch = np.empty(width + max(reach, 0 if all(shared) else width))
+    sums = [0] * len(pairs)
+    for lo in range(0, top, block):
+        cast = scratch[: min(width + reach, x.size - lo)]
+        cast[:] = x[lo : lo + cast.size]
+        for j in order:
+            y, n = pairs[j]
+            b = min(block, n - lo)
+            if b <= 0:
+                continue
+            if shared[j]:
+                other = cast[y : y + b]
+            else:
+                other = scratch[width : width + b]
+                other[:] = x[lo + y : lo + y + b] if isinstance(y, int) else y[lo : lo + b]
+            sums[j] += int(np.einsum("i,i->", cast[:b], other))
+    return sums
 
 
 def cpu_count() -> int:
@@ -224,12 +253,15 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _deal(starts: range, workers: int) -> list[range]:
-    """starts dealt round-robin into workers shares, each start in exactly
-    one: the early windows of a pass are the heavy ones (at N = 8000,
-    window 0 sieves in 18.7 ms and window 28 in 1.2 ms), so contiguous
-    shares would leave the first worker with most of the work."""
-    return [starts[i::workers] for i in range(workers)]
+def _deal(starts: range, workers: int) -> list[list[int]]:
+    """starts dealt to workers shares in snake order (0, 1, ..., w - 1,
+    w - 1, ..., 0, 0, 1, ...), each start in one: windows get lighter as
+    lo grows (at N = 8000 with four deltas, window 0 takes about 20 ms,
+    window 30 about 3 ms), and round-robin would hand worker 0 the
+    heavier window of every round."""
+    rounds = 2 * workers
+    return [[lo for i, lo in enumerate(starts) if i % rounds in (k, rounds - 1 - k)]
+            for k in range(workers)]
 
 
 def _window_sums(
@@ -496,21 +528,19 @@ def shifted_sums(table: TauTable | TauWindows, deltas: list[int]) -> dict[int, i
         raise ValueError(f"shifted_sum() requires delta >= 0, got {min(deltas)}")
     deltas = list(dict.fromkeys(deltas))
     step = table.window
-    extra = max((D for D in deltas if D <= step), default=0)
+    near = [D for D in deltas if D <= step]
+    extra = max(near, default=0)
     top = table.limit - min(deltas)  # no n past top has a term
 
     def window(lo: int) -> list[int]:
         cells = table.cells(lo, min(lo + step + extra, table.limit))
-        sums = []
-        for D in deltas:
-            n = min(step, table.limit - D - lo)  # terms with n + D > N^2 vanish
-            if n <= 0:
-                sums.append(0)
-            elif D <= extra:
-                sums.append(_dot(cells[:n], cells[D : D + n]))
-            else:
-                sums.append(_dot(cells[:n], table.cells(lo + D, lo + D + n)))
-        return sums
+        # terms with n + D > N^2 vanish
+        n = {D: min(step, table.limit - D - lo) for D in deltas}
+        sums = dict(zip(near, _dots(cells, [(D, n[D]) for D in near])))
+        for D in deltas:  # a delta past a window: one shift sieved at a time
+            if D > step and n[D] > 0:
+                (sums[D],) = _dots(cells, [(table.cells(lo + D, lo + D + n[D]), n[D])])
+        return [sums.get(D, 0) for D in deltas]
 
     return dict(zip(deltas, _pass(range(0, top, step), len(deltas), window)))
 
@@ -540,7 +570,7 @@ def self_convolution(table: TauTable | TauWindows, D: int) -> int:
 
 def _mirror_window(table: TauTable | TauWindows, lo: int, hi: int, D: int) -> int:
     """sum tau_N(m) * tau_N(D - m) over lo < m <= hi."""
-    return _dot(table.cells(lo, hi), table.cells(D - hi - 1, D - lo - 1)[::-1])
+    return _dots(table.cells(lo, hi), [(table.cells(D - hi - 1, D - lo - 1)[::-1], hi - lo)])[0]
 
 
 def c2(table: TauTable | TauWindows, m: int) -> int:

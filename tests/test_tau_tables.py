@@ -396,12 +396,126 @@ def test_deal_hands_each_window_start_to_one_worker(top, step):
         assert sorted(lo for share in shares for lo in share) == list(starts)
 
 
+def test_deal_snakes_over_two_workers():
+    assert tau_tables._deal(range(8), 2) == [[0, 3, 4, 7], [1, 2, 5, 6]]
+    # N = 8000's 31 windows
+    first = [0, 3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28]
+    second = [1, 2, 5, 6, 9, 10, 13, 14, 17, 18, 21, 22, 25, 26, 29, 30]
+    assert tau_tables._deal(range(0, 31 * 64, 64), 2) == [
+        [64 * i for i in first], [64 * i for i in second]
+    ]
+    assert tau_tables._deal(range(7), 3) == [[0, 5, 6], [1, 4], [2, 3]]
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_snake_deal_never_loads_a_worker_more_than_round_robin(costs):
+    # windows get lighter as a pass goes on: non-increasing costs
+    costs = sorted(costs, reverse=True)
+    starts = range(len(costs))
+    snake = max(sum(costs[i] for i in share) for share in tau_tables._deal(starts, 2))
+    round_robin = max(sum(costs[0::2]), sum(costs[1::2]))
+    assert snake <= round_robin
+
+
+def python_dot(x, y, n):
+    return sum(a * b for a, b in zip(x.tolist()[:n], y.tolist()[:n]))
+
+
+def test_dots_are_exact_at_the_block_edges():
+    block = tau_tables._DOT_BLOCK
+    rng = np.random.default_rng(5)
+    # half the cells 65535, the largest a uint16 cell holds, half random
+    size = 4 * block + 3 * block // 2 + 7
+    x = np.where(rng.integers(0, 2, size) == 1, 65535, rng.integers(0, 65536, size))
+    x = x.astype(np.uint16)
+    other = x[::-1][: 3 * block + 5]  # a reversed view
+    for n in (0, 1, block - 1, block, block + 1, 2 * block, 3 * block + 5):
+        lags = [0, 1, block - 1, block, block + 1, 2 * block + 3]
+        pairs = [(lag, n) for lag in lags] + [(other, n), (x[block - 1 :], n)]
+        want = [python_dot(x, x[lag:], n) for lag in lags]
+        want += [python_dot(x, other, n), python_dot(x, x[block - 1 :], n)]
+        assert tau_tables._dots(x, pairs) == want, n
+        # each pair alone, and a pair with no cells
+        assert [tau_tables._dots(x, [pair])[0] for pair in pairs] == want, n
+    assert tau_tables._dots(x, [(3, -5), (x, 0)]) == [0, 0]
+    assert tau_tables._dots(x, []) == []
+
+
+def test_dots_add_block_sums_past_float64_precision():
+    # 2^22 + 3 cells of 65535 sum to about 2^54, an odd integer that no
+    # float64 holds: only exact block sums added as ints give it
+    n = (1 << 22) + 3
+    x = np.full(n + 1, 65535, dtype=np.uint16)
+    assert tau_tables._dots(x, [(1, n), (x[::-1], n)]) == [n * 65535**2] * 2
+
+
+def test_dot_scratch_holds_at_most_two_blocks():
+    block = tau_tables._DOT_BLOCK
+    x = np.ones(16 * block, dtype=np.uint16)
+    n = 8 * block
+    # the lags up to a block share one cast; a longer lag or a view casts
+    # its own block, so the scratch does not grow with the lag
+    for pairs in ([(1, n), (block, n)], [(1, n), (block + 1, n), (7 * block, n)],
+                  [(x[::-1], n), (3, n)]):
+        tracemalloc.start()
+        try:
+            assert tau_tables._dots(x, pairs) == [n] * len(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block * 8 + 4096, (pairs, peak)
+
+
+def count_by_convolution(t, delta):
+    """#D_2(H, delta) as sum_m c2(m) c2(m - delta) in Python ints, c2 read
+    from the table's cells by the product-count law."""
+    H = t.N
+    ref = t.counts.tolist()
+
+    def c(m):
+        return 4 * H + 1 if m == 0 else 2 * ref[abs(m)] if abs(m) <= H * H else 0
+
+    return sum(c(m) * c(m - delta) for m in range(-H * H, H * H + 1))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_small_windows_and_blocks_equal_python_sums(data):
+    # windows and dot blocks of a few cells, so that the deltas straddle
+    # both edges in every window
+    window = data.draw(st.integers(2, 40), label="window")
+    block = data.draw(st.integers(1, window), label="block")
+    N = data.draw(st.integers(1, 30), label="N")
+    limit = N * N
+    edges = [block - 1, block, block + 1, window - 1, window, window + 1, limit]
+    Ds = data.draw(st.lists(st.sampled_from(edges) | st.integers(0, 2 * limit + 1),
+                            min_size=1, max_size=5), label="Ds")
+    t = build_tau_table(N)
+    ref = t.counts.tolist() + [0] * max(Ds)  # tau_N vanishes above N^2
+    want = {D: sum(ref[n] * ref[n + D] for n in range(1, limit + 1)) for D in Ds}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tau_tables, "_WINDOW_CELLS", window)
+        patch.setattr(tau_tables, "_DOT_BLOCK", block)
+        for source in (t, TauWindows(N)):
+            assert shifted_sums(source, Ds) == want
+            for D in Ds:
+                mirror = sum(ref[m] * ref[D - m] for m in range(1, D))
+                assert self_convolution(source, D) == mirror, D
+                for delta in (D, -D):
+                    assert fast_count(N, delta, table=source) == count_by_convolution(t, delta)
+        for D in Ds:
+            assert fast_count(N, D) == count_by_convolution(t, D)
+
+
 def test_windowed_fast_count_memory_is_bounded(monkeypatch):
     window = 1 << 14
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
+    # the dot's block scales with the window, as 2^15 does with 2^21 cells
+    monkeypatch.setattr(tau_tables, "_DOT_BLOCK", min(1 << 15, window // 4))
     # 4 windows' bytes (a window and its shift or mirror take 2 at 2 bytes
-    # a cell), plus einsum's two int64 cast buffers, which do not shrink
-    # with the window
+    # a cell), plus the dot's float64 scratch of at most two blocks, 16
+    # bytes a block cell, which fits in 2 * np.getbufsize() * 8 bytes
     bound = 4 * window * 2 + 2 * np.getbufsize() * 8
     whole = build_tau_table(1000).counts.nbytes
     assert bound < whole // 4

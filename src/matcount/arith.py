@@ -15,6 +15,7 @@ and so does every function built on it, the divisor list included.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain, cycle
 
 from . import lazy_import
 from .errors import BudgetError
@@ -48,22 +49,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > FACTORIZE_LIMIT:
         raise BudgetError(f"factorize(n={n}) exceeds the trial-division limit {FACTORIZE_LIMIT}")
     out: list[tuple[int, int]] = []
-    for p in (2, 3):
+    # 2, 3, then the 6k +- 1 wheel 5, 7, 11, 13, ...
+    for p in chain((2, 3), accumulate(cycle((2, 4)), initial=5)):
+        if p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
-    p = 5
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 2 if p % 6 == 5 else 4
     if n > 1:
         out.append((n, 1))
     return out

@@ -47,6 +47,7 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from . import lazy_import
+from .errors import BudgetError
 from .hyperbola import (
     CurveQuery,
     HyperbolaQuery,
@@ -57,9 +58,9 @@ from .hyperbola import (
 
 np = lazy_import("numpy")
 
-# The casework command visits H*H (a, c) cells per region sum; at H = 316
-# its hyperbola route takes about 0.05 s, its sign-class check 0.11 s and
-# its direct route (array work) 0.05 s on a 2-core host.
+# Every region sum visits H*H (a, c) cells and refuses more; at H = 316
+# the casework command's hyperbola route takes about 0.05 s, its sign-class
+# check 0.11 s and its direct route (array work) 0.05 s on a 2-core host.
 CELL_BUDGET = 100_000
 
 # Cells per array pass of the direct route, in whole rows of c; 2^14 is a
@@ -96,11 +97,14 @@ class RegionJ(enum.Enum):
 
 
 def _check(H: int, delta: int) -> None:
-    """G's and J's domain, checked first by every region sum of both routes."""
+    """G's and J's domain and the H*H cell budget, checked first by every
+    region sum of both routes."""
     if H < 1:
         raise ValueError(f"region sums require H >= 1, got {H}")
     if delta < 1:
         raise ValueError(f"region sums require delta >= 1, got {delta}")
+    if H * H > CELL_BUDGET:
+        raise BudgetError(f"casework(H={H}) visits {H * H} cells, budget is {CELL_BUDGET}")
 
 
 def _cells(H: int, delta: int, cs: range, small_a: bool):

@@ -379,10 +379,9 @@ def lemma_grid_rows() -> list[dict]:
         rows.append(_lemma_row("phi_over_square", 0, X, 0, 1, lemmas.phi_over_square_report(X)))
         rows.append(_lemma_row("coprime", 0, X, 360, 1, lemmas.coprime_count_report(X, 360)))
         for r in (1, 2, 5, 10):
-            rows.append(_lemma_row("xy_sum", 1, X, 0, r, lemmas.xy_sum(1, X, 0, r)))
-            rows.append(_lemma_row("xy_sum", 2, X, X // 2, r, lemmas.xy_sum(2, X, X // 2, r)))
-            rows.append(_lemma_row("xy_sum", 3, X, X // 2, r, lemmas.xy_sum(3, X, X // 2, r)))
-            rows.append(_lemma_row("xy_sum", 4, X, X, r, lemmas.xy_sum(4, X, X, r)))
+            for variant, Y in ((1, 0), (2, X // 2), (3, X // 2), (4, X)):
+                rep = lemmas.xy_sum(variant, X, Y, r)
+                rows.append(_lemma_row("xy_sum", variant, X, Y, r, rep))
     return rows
 
 
@@ -400,16 +399,12 @@ def _cmd_casework(args) -> int:
     H, delta = _single_point(args)
     if delta < 1:
         raise UsageError(f"casework requires --delta >= 1, got {delta}")
-    if H * H > casework.CELL_BUDGET:
-        raise BudgetError(
-            f"casework(H={H}) visits {H * H} cells, budget is {casework.CELL_BUDGET}"
-        )
     rows, total_rows = [], []
-    for problem, regions, direct_sum, hyper_sum, sign_class in (
+    for problem, regions, direct_sum, hyper_sum, signs in (
         ("G", casework.RegionG, casework.region_sum_G, casework.region_sum_G_via_hyperbola,
-         exact.SignClass(1, 1, 1)),
+         (1, 1, 1)),
         ("J", casework.RegionJ, casework.region_sum_J, casework.region_sum_J_via_hyperbola,
-         exact.SignClass(1, 1, -1)),
+         (1, 1, -1)),
     ):
         total = 0
         for region in regions:
@@ -421,9 +416,9 @@ def _cmd_casework(args) -> int:
                 )
             total += direct
             rows.append({"problem": problem, "region": region.name, "count": direct})
-        expected = exact.sign_class_count(H, delta, sign_class)
+        expected = exact.sign_class_count(H, delta, exact.SignClass(*signs))
         if total != expected:
-            signs = f"{sign_class.alpha},{sign_class.gamma},{sign_class.delta_prime}"
+            signs = ",".join(map(str, signs))
             raise InvariantError(f"{problem} total {total} != sign class ({signs}) {expected}")
         total_rows.append({"problem": problem, "region": "TOTAL", "count": total})
     _emit(rows + total_rows, columns=["problem", "region", "count"], args=args)
@@ -464,11 +459,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    rows = []
-    for H in (1, 2, 3):
-        for delta in range(-2 * H * H, 2 * H * H + 1):
-            rows.append({"H": H, "delta": delta, "count": exact.naive_count(H, delta)})
-    rows.sort(key=lambda r: (r["H"], r["delta"]))
+    rows = [
+        {"H": H, "delta": delta, "count": exact.naive_count(H, delta)}
+        for H in (1, 2, 3)
+        for delta in range(-2 * H * H, 2 * H * H + 1)
+    ]
     _emit(rows, columns=["H", "delta", "count"], args=args)
     return 0
 

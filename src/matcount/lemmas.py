@@ -156,44 +156,22 @@ def coprime_counts(bounds: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _xy_sum_exact(variant: int, X: int, Y: int, r: int) -> float:
-    """Exact value of the variant's pair sum: variant 1 sums the sieved mu,
-    variants 2-4 one batch of coprime counts."""
-    Xp = X // r  # x = r x', x' <= X/r
-
-    if variant == 1:
-        # sum r/(x y) over 0 < x, y <= X with gcd(x, y) = r
-        # as mu(d) h(d)^2 over squarefree d, h(d) = sum_{m <= Xp/d} 1/(d m);
-        # the d sharing n = Xp // d fill one n-column array of 1/(d m)
-        mu = mobius_sieve(Xp)
-        terms = []
-        d = 1
-        while d <= Xp:
-            n = Xp // d
-            last = Xp // n
-            ds = np.flatnonzero(mu[d : last + 1]) + d
-            recip = 1.0 / np.outer(ds, np.arange(1, n + 1))
-            h = np.array([math.fsum(row) for row in recip.tolist()])
-            terms += (mu[ds] * h * h).tolist()
-            d = last + 1
-        return math.fsum(terms) / r
-
-    if variant == 2:
-        # sum r/x over 0 < x <= X, 0 < y < x + Y, gcd(x, y) = r
-        y = np.arange(Xp + 1, dtype=np.int64)
-        bounds = y + (Y - 1) // r  # y' < x' + Y/r
-    elif variant == 3:
-        # sum r/y over x + Y < y <= X, 0 < x, gcd(x, y) = r
-        y = np.arange(Xp + 1, dtype=np.int64)
-        bounds = y + (-Y - 1) // r  # x' < y' - Y/r
-    elif variant == 4:
-        # sum r/y over 0 < x <= X, 0 < y <= Y, gcd(x, y) = r
-        y = np.arange(Y // r + 1, dtype=np.int64)
-        bounds = np.full(y.size, Xp, dtype=np.int64)
-    else:
-        raise ValueError(f"xy_sum() variant must be 1..4, got {variant}")
-    # count / y' is one correctly rounded quotient, as in Python
-    return math.fsum((coprime_counts(bounds)[1:] / y[1:]).tolist())
+def _reciprocal_pair_sum(Xp: int) -> float:
+    """sum 1/(x y) over 0 < x, y <= Xp with gcd(x, y) = 1, from the sieved
+    mu: mu(d) h(d)^2 over squarefree d, h(d) = sum_{m <= Xp/d} 1/(d m);
+    the d sharing n = Xp // d fill one n-column array of 1/(d m)."""
+    mu = mobius_sieve(Xp)
+    terms = []
+    d = 1
+    while d <= Xp:
+        n = Xp // d
+        last = Xp // n
+        ds = np.flatnonzero(mu[d : last + 1]) + d
+        recip = 1.0 / np.outer(ds, np.arange(1, n + 1))
+        h = np.array([math.fsum(row) for row in recip.tolist()])
+        terms += (mu[ds] * h * h).tolist()
+        d = last + 1
+    return math.fsum(terms)
 
 
 def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
@@ -220,28 +198,41 @@ def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
         raise ValueError(f"xy_sum() variant {variant} requires r <= X")
     if variant in (2, 3, 4) and Y < 0:
         raise ValueError("xy_sum() requires Y >= 0")
-    if variant == 3 and not Y <= X:
-        raise ValueError("xy_sum() variant 3 requires Y <= X")
-    if variant == 4 and not (X > 0 and Y >= r):
-        raise ValueError("xy_sum() variant 4 requires X > 0 and Y >= r")
 
-    exact = _xy_sum_exact(variant, X, Y, r)
+    Xp = X // r  # x = r x', x' <= X/r
     Xr = float(X) / r
     logXr = math.log(Xr) if Xr > 0 else 0.0
-
     if variant == 1:
-        main = SIX_OVER_PI2 * logXr**2 / r
-        envelope = logXr / r
+        # sum r/(x y) over 0 < x, y <= X with gcd(x, y) = r
+        exact = _reciprocal_pair_sum(Xp) / r
+        return AsymptoticReport(exact, SIX_OVER_PI2 * logXr**2 / r, logXr / r)
     elif variant == 2:
+        # sum r/x over 0 < x <= X, 0 < y < x + Y, gcd(x, y) = r
+        y = np.arange(Xp + 1, dtype=np.int64)
+        bounds = y + (Y - 1) // r  # y' < x' + Y/r
         main = SIX_OVER_PI2 * (Xr + (float(Y) / r) * logXr)
         envelope = float(Y) / r + logXr**2
     elif variant == 3:
+        # sum r/y over x + Y < y <= X, 0 < x, gcd(x, y) = r
+        if not Y <= X:
+            raise ValueError("xy_sum() variant 3 requires Y <= X")
+        y = np.arange(Xp + 1, dtype=np.int64)
+        bounds = y + (-Y - 1) // r  # x' < y' - Y/r
         ylog = (float(Y) / r) * math.log(float(X) / float(Y)) if Y > 0 else 0.0
         main = SIX_OVER_PI2 * ((float(X) - float(Y)) / r + ylog)
         envelope = float(Y) / r + logXr**2
-    else:
+    elif variant == 4:
+        # sum r/y over 0 < x <= X, 0 < y <= Y, gcd(x, y) = r
+        if not (X > 0 and Y >= r):
+            raise ValueError("xy_sum() variant 4 requires X > 0 and Y >= r")
+        y = np.arange(Y // r + 1, dtype=np.int64)
+        bounds = np.full(y.size, Xp, dtype=np.int64)
         main = SIX_OVER_PI2 * Xr * math.log(float(Y) / r)
         envelope = Xr
+    else:
+        raise ValueError(f"xy_sum() variant must be 1..4, got {variant}")
+    # count / y' is one correctly rounded quotient, as in Python
+    exact = math.fsum((coprime_counts(bounds)[1:] / y[1:]).tolist())
     return AsymptoticReport(exact, main, envelope)
 
 

@@ -57,6 +57,38 @@ def test_factorize_reassembles():
         assert math.prod(p**e for p, e in factorize(n)) == n
 
 
+def naive_factorize(n):
+    """(prime, exponent) pairs by trial division by every d >= 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def test_factorize_matches_naive_trial_division():
+    for n in range(1, 10**5 + 1):
+        assert factorize(n) == naive_factorize(n), n
+    # primes = 5 and = 1 (mod 6), the two spokes of the wheel, near 10^6
+    # (squares and products) and near the cube root of FACTORIZE_LIMIT
+    for p, q in ((999983, 1000003), (46349, 46411)):
+        assert (p % 6, q % 6) == (5, 1)
+        assert naive_factorize(p) == [(p, 1)] and naive_factorize(q) == [(q, 1)]
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+        for k in (2, 3):
+            for prime in (p, q):
+                if prime**k <= FACTORIZE_LIMIT:
+                    assert factorize(prime**k) == [(prime, k)]
+
+
 def test_factorize_budget():
     assert factorize(FACTORIZE_LIMIT) == [(2, 14), (5, 14)]
     for f in (factorize, tau, sigma, phi, mobius):

@@ -16,6 +16,7 @@ from matcount.casework import (
     region_sum_J,
     region_sum_J_via_hyperbola,
 )
+from matcount.errors import BudgetError
 from matcount.exact import SignClass, sign_class_count
 from matcount.tau_tables import build_tau_table, shifted_sum
 
@@ -122,6 +123,25 @@ def test_both_routes_refuse_H_and_delta_below_1(region_sum, regions):
         for region in regions:
             with pytest.raises(ValueError, match=f"^region sums require {message}$"):
                 region_sum(H, delta, region)
+
+
+@pytest.mark.parametrize("region_sum, regions", [
+    (region_sum_G, RegionG),
+    (region_sum_G_via_hyperbola, RegionG),
+    (region_sum_J, RegionJ),
+    (region_sum_J_via_hyperbola, RegionJ),
+], ids=lambda v: v.__name__)
+def test_every_region_sum_refuses_past_the_cell_budget(region_sum, regions, monkeypatch):
+    def visited(*args):
+        raise AssertionError("a region sum read its cells past the budget")
+
+    monkeypatch.setattr(casework, "_cells", visited)
+    monkeypatch.setattr(casework, "_hyper_columns", visited)
+    for region in regions:
+        with pytest.raises(BudgetError, match=(
+            r"^casework\(H=317\) visits 100489 cells, budget is 100000$"
+        )):
+            region_sum(317, 1, region)
 
 
 def test_delta_H_squared_kills_J():

@@ -596,6 +596,17 @@ def test_invariant_violation_exits_3(monkeypatch, capsys):
     assert err.startswith("invariant violation: G region SL: ") and err.count("\n") == 1
 
 
+def test_a_wrong_total_names_its_sign_class(monkeypatch, capsys):
+    real = exact.sign_class_count
+    j_class = exact.SignClass(1, 1, -1)
+    monkeypatch.setattr(exact, "sign_class_count",
+                        lambda H, delta, s: real(H, delta, s) + (s == j_class))
+    code, out, err = run(["casework", "--H", "12", "--delta", "5"], capsys)
+    expected = real(12, 5, j_class)
+    assert (code, out) == (3, "")
+    assert err == f"invariant violation: J total {expected} != sign class (1,1,-1) {expected + 1}\n"
+
+
 @pytest.mark.parametrize("delta", ["0", "-3"])
 def test_casework_names_a_bad_delta(delta, capsys):
     code, out, err = run(["casework", "--H", "5", f"--delta={delta}"], capsys)
@@ -786,6 +797,7 @@ print(code, "numpy.linalg" in sys.modules)
     ("fit {csv}", 0, False),
     ("count --H 3000 --delta 7", 0, True),  # a pass over tau_H builds arrays
     ("tau --N 30,40 --delta 6", 0, True),
+    ("casework --H 317 --delta 1", 2, False),  # refused before the first array
 ])
 def test_numpy_is_imported_only_where_an_array_is_built(argv, code, numpy, tmp_path):
     assert _last_line(_IMPORTS_NUMPY, argv, tmp_path) == f"{code} {numpy}"
@@ -852,6 +864,9 @@ _LIBRARY = {"arith", "asymptotics", "casework", "exact", "hyperbola", "lemmas", 
     ("hyperbola --N 3 --seed 1", {"exact", "tau_tables", "asymptotics", "casework", "lemmas"}),
     ("lemmas", {"exact", "tau_tables", "asymptotics", "casework", "hyperbola", "rng"}),
     ("casework --H 12 --delta 5", {"asymptotics", "lemmas", "rng"}),
+    # the region sums refuse past the cell budget before the total check
+    ("casework --H 317 --delta 1", {"exact", "tau_tables", "arith", "asymptotics", "lemmas",
+                                    "rng"}),
     ("count --H 6000 --delta=0", {"casework", "hyperbola", "lemmas", "rng"}),
     ("count --H 0 --delta 1", _LIBRARY),  # a usage error runs only cli and errors
     ("count --H 30 --delta 7", set()),

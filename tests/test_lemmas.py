@@ -4,6 +4,7 @@ envelope and divisor-tail inequalities."""
 import cProfile
 import math
 import pstats
+import re
 import time
 from fractions import Fraction
 
@@ -271,6 +272,16 @@ def test_xy_sum_rejects_bad_hypotheses():
         xy_sum(2, 10.5, 3, 1)
     with pytest.raises(ValueError):
         xy_sum(4, 10, Fraction(7, 2), 1)
+    # where two hypotheses fail, the check common to several variants
+    # speaks first, and an unknown variant is named before its r > X
+    for args, message in (
+        ((3, 10, 20, 11), "xy_sum() variant 3 requires r <= X"),  # and Y > X
+        ((4, 10, -1, 2), "xy_sum() requires Y >= 0"),  # and Y < r
+        ((0, 3, 0, 5), "xy_sum() variant must be 1..4, got 0"),
+        ((5, 3, 0, 5), "xy_sum() variant must be 1..4, got 5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            xy_sum(*args)
 
 
 def test_divisor_tail_values():

@@ -864,12 +864,12 @@ _LIBRARY = {"arith", "asymptotics", "casework", "exact", "hyperbola", "lemmas", 
     ("hyperbola --N 3 --seed 1", {"exact", "tau_tables", "asymptotics", "casework", "lemmas"}),
     ("lemmas", {"exact", "tau_tables", "asymptotics", "casework", "hyperbola", "rng"}),
     ("casework --H 12 --delta 5", {"asymptotics", "lemmas", "rng"}),
-    # the region sums refuse past the cell budget before the total check
-    ("casework --H 317 --delta 1", {"exact", "tau_tables", "arith", "asymptotics", "lemmas",
-                                    "rng"}),
     ("count --H 6000 --delta=0", {"casework", "hyperbola", "lemmas", "rng"}),
     ("count --H 0 --delta 1", _LIBRARY),  # a usage error runs only cli and errors
     ("count --H 30 --delta 7", set()),
+    # the region sums refuse past the cell budget before the total check
+    ("casework --H 317 --delta 1", {"exact", "tau_tables", "arith", "asymptotics", "lemmas",
+                                    "rng"}),
 ])
 def test_each_command_runs_only_the_modules_it_calls(argv, not_run, tmp_path):
     ran = set(_last_line(_MODULES_RUN, argv, tmp_path).split())

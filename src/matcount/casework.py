@@ -33,8 +33,10 @@ The route is one sweep per (H, delta) over every column c = 1..H on
 both sides: at each (c, side) it counts the upper part once, then G's
 and J's lower curves, all three on the one residue table of
 (c, delta) that the hyperbola module keeps, so no table is built twice.
-The sweep keeps its last (H, delta), and each region sum, for G as for J,
-adds up its own columns of it.
+hyper_columns returns the sweep as a value, and each region sum, for G
+as for J, adds up its own columns of the sweep it is given, or of a
+fresh one: the casework command sweeps once and hands the record to all
+six sums.
 
 The two routes share no counter; the casework command and the tests
 compare their region sums, which must be equal.
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from functools import lru_cache
 
 from . import lazy_import
 from .errors import BudgetError
@@ -164,8 +165,10 @@ def _c_range_G(H: int, delta: int, region: RegionG) -> range:
     return range(delta // H + 1, H + 1)
 
 
-@lru_cache(maxsize=1)
-def _hyper_columns(H: int, delta: int) -> dict[bool, tuple[tuple[int, ...], tuple[int, ...]]]:
+Columns = dict[bool, tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def hyper_columns(H: int, delta: int) -> Columns:
     """small_a -> (G, J): the points of a*d = delta (mod c) in the column
     at each c = 1..H on that side, upper minus each problem's lower
     curve, as the module docstring states.  G's b = 0 pairs are
@@ -173,7 +176,8 @@ def _hyper_columns(H: int, delta: int) -> dict[bool, tuple[tuple[int, ...], tupl
     and delta/a <= H count those in the column's a-range.  Each (c, side)
     reads one residue table and counts its upper part once for both
     problems; both sides of a column run in turn, so a table of all
-    residues mod c serves both.  The last (H, delta) is kept."""
+    residues mod c serves both."""
+    _check(H, delta)
     b0 = [a for a in range(1, H + 1) if delta % a == 0 and delta // a <= H]
     columns = {small_a: ([], []) for small_a in (True, False)}
     for c in range(1, H + 1):
@@ -204,12 +208,15 @@ def _hyper_columns(H: int, delta: int) -> dict[bool, tuple[tuple[int, ...], tupl
     return {small_a: (tuple(G), tuple(J)) for small_a, (G, J) in columns.items()}
 
 
-def region_sum_G_via_hyperbola(H: int, delta: int, region: RegionG) -> int:
+def region_sum_G_via_hyperbola(
+    H: int, delta: int, region: RegionG, *, columns: Columns | None = None
+) -> int:
     """Region sum evaluated through box/curve hyperbola counts; the strict
     lower endpoint d > (delta - Hc)/a is the curve at delta - Hc - 1.
-    Reads no direct count; it must equal region_sum_G exactly."""
+    Sums columns, which must be hyper_columns(H, delta), or a fresh
+    sweep.  Reads no direct count; it must equal region_sum_G exactly."""
     _check(H, delta)
-    G = _hyper_columns(H, delta)[region.small_a][0]
+    G = (columns or hyper_columns(H, delta))[region.small_a][0]
     return sum(G[c - 1] for c in _c_range_G(H, delta, region))
 
 
@@ -223,9 +230,12 @@ def region_sum_J(H: int, delta: int, region: RegionJ) -> int:
     return total
 
 
-def region_sum_J_via_hyperbola(H: int, delta: int, region: RegionJ) -> int:
+def region_sum_J_via_hyperbola(
+    H: int, delta: int, region: RegionJ, *, columns: Columns | None = None
+) -> int:
     """Hyperbola-based J region sum; the strict lower endpoint d > delta/a
     is the weak-inclusion curve (0, delta/a], so no correction term.
-    Reads no direct count; it must equal region_sum_J exactly."""
+    Sums columns, which must be hyper_columns(H, delta), or a fresh
+    sweep.  Reads no direct count; it must equal region_sum_J exactly."""
     _check(H, delta)
-    return sum(_hyper_columns(H, delta)[region.small_a][1])
+    return sum((columns or hyper_columns(H, delta))[region.small_a][1])

@@ -28,13 +28,21 @@ call into each, and a usage error runs none of them.  A command that
 writes rows prints its stderr summary after them, so an --output that
 cannot be written leaves one error line.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
-3 internal invariant violation.
+3 internal invariant violation, 130 interrupted (Ctrl-C).
+
+run() is the one process entry, for `python -m matcount.cli` and the
+`matcount` script: it calls main(), catches Ctrl-C, and then freezes the
+garbage collector (gc.freeze), so the interpreter's teardown collections
+skip the objects that numpy and the library leave alive, memory that the
+OS reclaims at exit anyway.  main() never freezes, since tests and
+library callers run it many times in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import sys
 import time
@@ -399,6 +407,7 @@ def _cmd_casework(args) -> int:
     H, delta = _single_point(args)
     if delta < 1:
         raise UsageError(f"casework requires --delta >= 1, got {delta}")
+    columns = casework.hyper_columns(H, delta)  # one sweep for all six hyperbola sums
     rows, total_rows = [], []
     for problem, regions, direct_sum, hyper_sum, signs in (
         ("G", casework.RegionG, casework.region_sum_G, casework.region_sum_G_via_hyperbola,
@@ -409,7 +418,7 @@ def _cmd_casework(args) -> int:
         total = 0
         for region in regions:
             direct = direct_sum(H, delta, region)
-            hyper = hyper_sum(H, delta, region)
+            hyper = hyper_sum(H, delta, region, columns=columns)
             if direct != hyper:
                 raise InvariantError(
                     f"{problem} region {region.name}: direct {direct} != hyperbola {hyper}"
@@ -560,5 +569,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run(argv: list[str] | None = None) -> int:
+    """main(argv) as a whole process: Ctrl-C exits 130 with one line, and
+    the collector is frozen before the interpreter tears down, whose
+    atexit handlers, stream flushes and module teardown still run."""
+    try:
+        code = main(argv)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = 130
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

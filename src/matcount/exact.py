@@ -99,7 +99,8 @@ def _det_histogram_2x2(H: int) -> np.ndarray:
     """Histogram of ad - bc over all (2H+1)^4 matrices; index m + 2H^2.
 
     Full enumeration: every (a, d) row is crossed with every (b, c) pair,
-    chunked by a to bound memory.
+    chunked by a to bound memory.  A pure function of H, read-only, so
+    the cache may keep it: no caller can see whether it was built again.
     """
     v = np.arange(-H, H + 1, dtype=np.int64)
     bc = np.multiply.outer(v, v).ravel()

@@ -111,8 +111,9 @@ def _classes(u0: int, n: int, q: int, K: int) -> tuple[np.ndarray, np.ndarray, n
     (0 <= u0, K < q).  The weight w is gcd(u, q) where it divides K,
     else 0; where w > 0, the solutions of u*v = K (mod q) are v = v0
     (mod m) with m = q // w, and elsewhere v0 = 0, m = q.  One np.gcd for
-    the weights, one exact Python pow per solvable entry; the last table
-    is kept."""
+    the weights, one exact Python pow per solvable entry.  A pure
+    function of its key, read-only, so the cache may keep the last
+    table: no caller can see whether it was built again."""
     g = np.gcd(np.arange(u0, u0 + n, dtype=np.int64), q)
     w = np.where(K % g == 0, g, 0)
     m = q // np.maximum(w, 1)

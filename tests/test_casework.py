@@ -136,7 +136,7 @@ def test_every_region_sum_refuses_past_the_cell_budget(region_sum, regions, monk
         raise AssertionError("a region sum read its cells past the budget")
 
     monkeypatch.setattr(casework, "_cells", visited)
-    monkeypatch.setattr(casework, "_hyper_columns", visited)
+    monkeypatch.setattr(casework, "hyper_columns", visited)
     for region in regions:
         with pytest.raises(BudgetError, match=(
             r"^casework\(H=317\) visits 100489 cells, budget is 100000$"
@@ -182,9 +182,8 @@ def _sample_deltas(H):
 def test_each_hyperbola_column_is_its_per_cell_sum(H):
     # each (c, side) column, G's b = 0 pairs already taken out, is the sum
     # of the per-cell counts over the a on that side of a*H <= c*H + delta
-    casework._hyper_columns.cache_clear()
     for delta in _sample_deltas(H):
-        columns = casework._hyper_columns(H, delta)
+        columns = casework.hyper_columns(H, delta)
         for small_a, (G, J) in columns.items():
             for c in range(1, H + 1):
                 side = [enumerate_cell(a, c, H, delta) for a in range(1, H + 1)
@@ -226,11 +225,12 @@ def test_direct_route_reads_no_hyperbola_count(monkeypatch):
 def test_a_casework_sweep_builds_each_table_at_most_once(table_builds):
     """At H = 120 each (c, side) reads one residue table, built once for
     the box or curve above and both lower curves of G and of J; a period
-    table of (c, delta) serves both sides of its column."""
+    table of (c, delta) serves both sides of its column.  The six region
+    sums read one sweep, as the casework command hands it to them."""
     H, delta = 120, 903
-    casework._hyper_columns.cache_clear()
-    G = [region_sum_G_via_hyperbola(H, delta, r) for r in RegionG]
-    J = [region_sum_J_via_hyperbola(H, delta, r) for r in RegionJ]
+    columns = casework.hyper_columns(H, delta)
+    G = [region_sum_G_via_hyperbola(H, delta, r, columns=columns) for r in RegionG]
+    J = [region_sum_J_via_hyperbola(H, delta, r, columns=columns) for r in RegionJ]
     assert (sum(G), sum(J)) == (30270, 19198)  # the sign-class totals
     keys = [key for key, _ in table_builds]
     assert len(set(keys)) == len(keys) <= 2 * H

@@ -3,6 +3,7 @@ config files, exit codes and an argv fuzz."""
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -594,6 +595,22 @@ def test_invariant_violation_exits_3(monkeypatch, capsys):
     code, out, err = run(["casework", "--H", "10", "--delta", "3"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("invariant violation: G region SL: ") and err.count("\n") == 1
+    # no columns counted under the patch outlive it
+    monkeypatch.undo()
+    assert run(["casework", "--H", "10", "--delta", "3"], capsys)[0] == 0
+
+
+def test_casework_sweeps_its_columns_once(monkeypatch, capsys):
+    # one box count per small-a column with an a-range: one sweep, read by
+    # all six hyperbola region sums
+    boxes = []
+    real = casework.count_box
+    monkeypatch.setattr(casework, "count_box", lambda query: boxes.append(query) or real(query))
+    casework.hyper_columns(20, 37)
+    sweep = len(boxes)
+    boxes.clear()
+    assert run(["casework", "--H", "20", "--delta", "37"], capsys)[0] == 0
+    assert len(boxes) == sweep > 0
 
 
 def test_a_wrong_total_names_its_sign_class(monkeypatch, capsys):
@@ -973,6 +990,86 @@ def test_numpy_that_cannot_load_exits_2():
     assert (failed.returncode, failed.stdout) == (2, "")
     assert failed.stderr.startswith("budget exceeded: could not load ")
     assert failed.stderr.count("\n") == 1
+
+
+def _process(*args, **kwargs) -> subprocess.Popen:
+    """A python process running args, with this checkout's src on its path."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, **kwargs)
+
+
+# An atexit handler, registered before the command runs as a process,
+# prints the garbage collector's freeze count at teardown.
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+sys.argv = ["matcount", "count", "--H", "100", "--delta", "6"]
+runpy.run_module("matcount.cli", run_name="__main__")
+"""
+
+
+def test_a_process_freezes_the_collector_before_teardown():
+    out, err = _process("-c", _FREEZE_PROBE).communicate(timeout=60)
+    assert err == ""
+    *rows, probe = out.splitlines()
+    assert rows[0] == "exact = 195184"
+    assert probe.startswith("frozen ") and int(probe.split()[1]) > 0
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run(["count", "--H", "100", "--delta", "6"], capsys)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["casework", "--H", "40", "--delta", "60"], 0),
+    (["count", "--H", "5"], 1),
+    (["casework", "--H", "317", "--delta", "1"], 2),
+])
+def test_a_process_prints_what_main_prints(argv, code, capsys):
+    proc = _process("-m", "matcount.cli", *argv)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == run(argv, capsys)
+    assert proc.returncode == code
+
+
+def test_the_console_script_is_the_process_entry():
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = pyproject.read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["matcount", "=", '"matcount.cli:run"']
+
+
+def _children(pid: int) -> list[int]:
+    with open(f"/proc/{pid}/task/{pid}/children") as f:
+        return [int(child) for child in f.read().split()]
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="reads a process's children from /proc")
+def test_ctrl_c_exits_130_with_one_line_and_leaves_no_worker():
+    if tau_tables.cpu_count() < 2:
+        pytest.skip("a pass forks no worker on one CPU")
+    proc = _process("-m", "matcount.cli", "count", "--H", "30000", "--delta", "6")
+    try:
+        deadline = time.monotonic() + 30
+        while not _children(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        workers = _children(proc.pid)
+        assert workers
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+    # a worker the command had not yet recorded stops before its next window
+    deadline = time.monotonic() + 5
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not any(map(_running, workers))
 
 
 def test_count_at_zero_reads_no_table(monkeypatch, capsys):

@@ -180,7 +180,6 @@ def test_class_tables_are_read_only():
 
 
 def test_every_shared_table_is_read_only(table_builds):
-    casework._hyper_columns.cache_clear()
     for region in casework.RegionJ:
         casework.region_sum_J_via_hyperbola(20, 37, region)
     for box, curve in random_hyperbola_queries(5, 10):

@@ -90,13 +90,21 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def _primes_up_to(limit: int) -> np.ndarray:
-    is_prime = np.ones(limit + 1, dtype=bool)
+def _sieve_start(name: str, limit: int) -> tuple[list[int], np.ndarray]:
+    """The refusal that sieve and mobius_sieve share, then the primes
+    p <= sqrt(limit) and the int32 cofactor table rest[n] = n."""
+    if limit < 1:
+        raise ValueError(f"{name}() requires limit >= 1, got {limit}")
+    if limit + 1 > CELL_BUDGET:
+        raise BudgetError(f"{name}(limit={limit}) needs {limit + 1} cells, budget is {CELL_BUDGET}")
+    root = math.isqrt(limit)
+    is_prime = np.ones(root + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
+    for p in range(2, math.isqrt(root) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    return np.nonzero(is_prime)[0]
+    rest = np.arange(limit + 1, dtype=np.int32)  # the budget keeps limit below 2^31
+    return np.nonzero(is_prime)[0].tolist(), rest
 
 
 def sieve(limit: int) -> np.ndarray:
@@ -109,15 +117,9 @@ def sieve(limit: int) -> np.ndarray:
     1 - 1/q last.  Agrees with the pointwise phi for every n <= limit.
     Rejects limits whose table would exceed CELL_BUDGET cells.
     """
-    if limit < 1:
-        raise ValueError(f"sieve() requires limit >= 1, got {limit}")
-    if limit + 1 > CELL_BUDGET:
-        raise BudgetError(
-            f"sieve(limit={limit}) needs {limit + 1} cells, budget is {CELL_BUDGET}"
-        )
+    primes, rest = _sieve_start("sieve", limit)
     table = np.arange(limit + 1, dtype=np.int64)
-    rest = np.arange(limit + 1, dtype=np.int32)  # the budget keeps limit below 2^31
-    for p in _primes_up_to(math.isqrt(limit)).tolist():
+    for p in primes:
         table[p::p] -= table[p::p] // p
         power = p
         while power <= limit:
@@ -142,16 +144,10 @@ def mobius_sieve(limit: int) -> np.ndarray:
     sqrt(limit) (two would exceed the limit), and gets one more sign flip.
     Rejects limits whose table would exceed CELL_BUDGET cells.
     """
-    if limit < 1:
-        raise ValueError(f"mobius_sieve() requires limit >= 1, got {limit}")
-    if limit + 1 > CELL_BUDGET:
-        raise BudgetError(
-            f"mobius_sieve(limit={limit}) needs {limit + 1} cells, budget is {CELL_BUDGET}"
-        )
+    primes, rest = _sieve_start("mobius_sieve", limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    rest = np.arange(limit + 1, dtype=np.int32)  # the budget keeps limit below 2^31
-    for p in _primes_up_to(math.isqrt(limit)).tolist():
+    for p in primes:
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         rest[p::p] //= p

@@ -31,19 +31,23 @@ Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 3 internal invariant violation, 130 interrupted (Ctrl-C).
 
 run() is the one process entry, for `python -m matcount.cli` and the
-`matcount` script: it calls main(), catches Ctrl-C, and then freezes the
-garbage collector (gc.freeze), so the interpreter's teardown collections
-skip the objects that numpy and the library leave alive, memory that the
-OS reclaims at exit anyway.  main() never freezes, since tests and
-library callers run it many times in one process.
+`matcount` script.  It sets OPENBLAS_NUM_THREADS=1 unless the
+environment names it (no command calls BLAS, and the pool's helper
+thread spins and takes address space that ulimit -v counts), calls
+main(), catches Ctrl-C, and then gc.freeze()s, so teardown's collections
+skip what numpy and the library leave alive, which the OS reclaims
+anyway.  main() sets nothing and never freezes: tests and library
+callers run it many times in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import io
+import os
 import sys
 import time
 
@@ -118,16 +122,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(
-    rows: list[dict],
-    columns: list[str],
-    args,
-    extra: dict | None = None,
-    summary: list[str] | None = None,
-) -> None:
-    """Write rows as CSV or JSON to --output (or stdout), then the summary
-    lines to stderr, so an output that cannot be written leaves only the
-    error line there."""
+def _emit(rows: list[dict], args, extra: dict | None = None, summary: list[str] | None = None):
+    """Write rows as CSV or JSON to --output (or stdout), the first row's
+    keys naming the columns, then the summary lines to stderr, so an
+    output that cannot be written leaves only the error line there."""
+    columns = list(rows[0])
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -144,9 +143,7 @@ def _emit(
                 if k not in ("func", "config") and v is not None
             },
             "rows": [
-                {c: (row[c] if isinstance(row[c], (int, bool)) else float(_fmt(row[c])))
-                 if isinstance(row[c], (int, float, bool)) else row[c]
-                 for c in columns}
+                {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in row.items()}
                 for row in rows
             ],
         }
@@ -239,7 +236,7 @@ def _cmd_sweep(args) -> int:
                 f"fit delta={delta}: exponent={_fmt(fit.exponent)} r2={_fmt(fit.r_squared)}"
             )
         extra = {"fits": fits}
-    _emit(rows, list(rows[0]), args, extra, summary)
+    _emit(rows, args, extra, summary)
     return 0
 
 
@@ -288,17 +285,16 @@ def _cmd_tau(args) -> int:
                 f"{_fmt(verdict.predicted_log_slope)} -> {verdict.selected.value}"
             )
         rows = [{"N": N, "delta": d, "value": values[N][d]} for d in sorted(deltas) for N in Ns]
-        _emit(rows, columns=["N", "delta", "value"], args=args, extra=extra, summary=summary)
-        return 0
-    rows = [{"N": N, "k": k, "moment": values[N]} for N in Ns]
-    if len(rows) >= 2 and k >= 2:
-        a, b = asymptotics.fit_linear_in_logN([(r["N"], float(r["moment"])) for r in rows])
-        extra["fit"] = {"a": a, "b": b}
-        summary.append(f"fit: moment/N^2 = {_fmt(a)}*ln N + {_fmt(b)}")
-    elif k == 1:
-        # sum tau_N = N^2 identically, coefficient 1 with no log term
-        extra["fit"] = {"a": 0.0, "b": 1.0}
-    _emit(rows, columns=["N", "k", "moment"], args=args, extra=extra or None, summary=summary)
+    else:
+        rows = [{"N": N, "k": k, "moment": values[N]} for N in Ns]
+        if len(rows) >= 2 and k >= 2:
+            a, b = asymptotics.fit_linear_in_logN([(r["N"], float(r["moment"])) for r in rows])
+            extra["fit"] = {"a": a, "b": b}
+            summary.append(f"fit: moment/N^2 = {_fmt(a)}*ln N + {_fmt(b)}")
+        elif k == 1:
+            # sum tau_N = N^2 identically, coefficient 1 with no log term
+            extra["fit"] = {"a": 0.0, "b": 1.0}
+    _emit(rows, args, extra, summary)
     return 0
 
 
@@ -360,9 +356,7 @@ def _cmd_hyperbola(args) -> int:
         for kind in ("box", "curve")
     }
     summary = [f"max normalized ({kind}) = {_fmt(worst[kind])}" for kind in ("box", "curve")]
-    columns = ["kind", "K", "q", "U", "V", "X", "Y", "A",
-               "exact", "main", "error", "bound", "normalized"]
-    _emit(rows, columns, args, extra={"max_normalized": worst}, summary=summary)
+    _emit(rows, args, extra={"max_normalized": worst}, summary=summary)
     return 0
 
 
@@ -397,9 +391,7 @@ def _cmd_lemmas(args) -> int:
     rows = lemma_grid_rows()
     worst = max(r["ratio"] for r in rows)
     summary = [f"max envelope ratio = {_fmt(worst)}"]
-    columns = ["lemma", "variant", "X", "Y", "r",
-               "exact", "main", "error", "envelope", "ratio"]
-    _emit(rows, columns, args, extra={"max_ratio": worst}, summary=summary)
+    _emit(rows, args, extra={"max_ratio": worst}, summary=summary)
     return 0
 
 
@@ -430,7 +422,7 @@ def _cmd_casework(args) -> int:
             signs = ",".join(map(str, signs))
             raise InvariantError(f"{problem} total {total} != sign class ({signs}) {expected}")
         total_rows.append({"problem": problem, "region": "TOTAL", "count": total})
-    _emit(rows + total_rows, columns=["problem", "region", "count"], args=args)
+    _emit(rows + total_rows, args)
     return 0
 
 
@@ -473,7 +465,7 @@ def _cmd_fixtures(args) -> int:
         for H in (1, 2, 3)
         for delta in range(-2 * H * H, 2 * H * H + 1)
     ]
-    _emit(rows, columns=["H", "delta", "count"], args=args)
+    _emit(rows, args)
     return 0
 
 
@@ -556,8 +548,9 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args([args.command, *_config_tokens(args.config), *argv[1:]])
         return args.func(args)
     except (ValueError, OSError, KeyError, ModuleNotFoundError) as exc:  # UsageError: ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        refused = getattr(exc, "errno", None) == errno.ENOMEM  # an OSError: memory refused
+        print(f"{'budget exceeded' if refused else 'error'}: {exc}", file=sys.stderr)
+        return 2 if refused else 1
     except MemoryError as exc:  # a BudgetError, or an allocation that failed
         print(f"budget exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
@@ -570,9 +563,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """main(argv) as a whole process: Ctrl-C exits 130 with one line, and
-    the collector is frozen before the interpreter tears down, whose
-    atexit handlers, stream flushes and module teardown still run."""
+    """main(argv) as a whole process: a one-thread BLAS pool unless the
+    environment names one, Ctrl-C exits 130 with one line, and the
+    collector is frozen before the interpreter tears down, whose atexit
+    handlers, stream flushes and module teardown still run."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads
     try:
         code = main(argv)
     except KeyboardInterrupt:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import checked, lazy_import, tau_tables
+from . import checked, lazy_import
 from .errors import BudgetError
 from .tau_tables import (
     TauTable,
@@ -129,15 +129,13 @@ def naive_count(H: int, delta: int) -> int:
 def _tau_table(H: int, table: TauTable | TauWindows | DeltaSums | None):
     """The given source of tau_H, refused unless it is for N = H; when
     none is given, tau_H streamed: TauWindows(H), or the whole table when
-    all of it fits one window and tau_tables.CELL_BUDGET, read when
-    called."""
+    all of it fits one window, read when called."""
     if table is None:
         # The whole-table branch stays only because the bench counts tau
         # cells through build_tau_table and pins fast_count(5, 3) building
         # one 26-cell table; TauWindows(H) alone gives the same values.
         windows = TauWindows(H)
-        whole = windows.limit < min(windows.window, tau_tables.CELL_BUDGET)
-        return build_tau_table(H) if whole else windows
+        return build_tau_table(H) if windows.limit < windows.window else windows
     if table.N != H:
         raise ValueError(f"tau table is for N={table.N}, expected H={H}")
     return table

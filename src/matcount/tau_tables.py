@@ -167,16 +167,18 @@ class TauWindows(NamedTuple):
 
 
 def _check_limit(N: int) -> None:
+    """The domain of both sources of tau_N, TauWindows and
+    build_tau_table: N >= 1, and N^2 < 2^31 so no uint16 cell overflows."""
+    if N < 1:
+        raise ValueError(f"tau_N requires N >= 1, got {N}")
     if N * N >= _MAX_LIMIT:
         raise ValueError(f"tau_N with N={N}: N^2 >= 2^31 overflows uint16 cells")
 
 
 def build_tau_table(N: int) -> TauTable:
     """The whole tau_N table, for reductions that share it; refused past
-    CELL_BUDGET cells and past the uint16 limit."""
-    if N < 1:
-        raise ValueError(f"build_tau_table() requires N >= 1, got {N}")
-    if N * N + 1 > CELL_BUDGET:
+    CELL_BUDGET cells, then outside _check_limit's domain."""
+    if N >= 1 and N * N + 1 > CELL_BUDGET:  # any N < 1 is _check_limit's refusal
         raise BudgetError(
             f"build_tau_table(N={N}) needs {N * N + 1} cells, budget is {CELL_BUDGET}"
         )

@@ -3,6 +3,7 @@ config files, exit codes and an argv fuzz."""
 
 import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -125,13 +126,12 @@ def test_sweep_rows_equal_the_per_delta_counts(monkeypatch, capsys):
             assert exact == naive_count(H, delta), (H, delta)
 
 
-@pytest.mark.parametrize("cell_budget", [tau_tables.CELL_BUDGET, 1])
-def test_count_prints_the_sweep_row(cell_budget, monkeypatch, capsys):
+@pytest.mark.parametrize("window", [_PASS_WINDOW, 1])
+def test_count_prints_the_sweep_row(window, monkeypatch, capsys):
     # with 64-cell windows, H = 1, 2 and 7 read tau_H as one whole table
-    # unless CELL_BUDGET refuses it, and H = 40 streams it either way
-    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
+    # and H = 40 streams it; with 1-cell windows every H streams
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
     sources = {H: (build_tau_table(H), TauWindows(H)) for H in _PASS_H}
-    monkeypatch.setattr(tau_tables, "CELL_BUDGET", cell_budget)
     for H in _PASS_H:
         deltas = {0, 1, -1, _PASS_WINDOW - 1, _PASS_WINDOW, _PASS_WINDOW + 1,
                   H * H, 2 * H * H, 2 * H * H + 1}
@@ -921,8 +921,7 @@ def test_memory_error_exits_2():
         return subprocess.run(
             [sys.executable, "-m", "matcount.cli", *argv],
             capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                     PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
 
@@ -968,6 +967,39 @@ def test_a_failed_import_gives_one_line(name, source, code, err, tmp_path, monke
     assert run(["count", "--H", "100", "--delta", "6"], capsys) == (code, "", err)
 
 
+@pytest.mark.parametrize("number, code, err", [
+    (errno.ENOMEM, 2, "budget exceeded: [Errno 12] Cannot allocate memory: 'numpy/core.py'\n"),
+    (errno.ENOSPC, 1, "error: [Errno 28] No space left on device: 'numpy/core.py'\n"),
+])
+def test_an_os_error_exits_2_only_when_it_refuses_memory(number, code, err, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise OSError(number, os.strerror(number), "numpy/core.py")
+
+    monkeypatch.setattr(asymptotics, "report", refuse)
+    assert run(["count", "--H", "100", "--delta", "6"], capsys) == (code, "", err)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
+def test_any_address_space_limit_gives_one_line_and_no_interrupt():
+    import resource
+
+    # the process's own default, not a caller's: run() sets the BLAS pool
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    for mib in range(48, 257, 8):
+        limit = mib << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "matcount.cli", "count", "--H", "100", "--delta", "6"],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode in (0, 1, 2), (mib, proc.returncode, proc.stderr)
+        assert proc.stderr.count("\n") <= 1, (mib, proc.stderr)
+        if proc.returncode == 0:
+            assert proc.stdout.startswith("exact = 195184\n"), mib
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr  # 256 MiB is enough
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
 def test_numpy_that_cannot_load_exits_2():
     import resource
@@ -978,8 +1010,7 @@ def test_numpy_that_cannot_load_exits_2():
         return subprocess.run(
             [sys.executable, "-m", "matcount.cli", *argv],
             capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                     PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
 
@@ -994,8 +1025,7 @@ def test_numpy_that_cannot_load_exits_2():
 
 def _process(*args, **kwargs) -> subprocess.Popen:
     """A python process running args, with this checkout's src on its path."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, env=env, **kwargs)
 
@@ -1131,8 +1161,9 @@ _STREAMED = {
 def test_single_pass_reads_stream_past_the_cell_budget(argv, monkeypatch, capsys):
     want = (0, *_STREAMED[argv])
     assert run(list(argv), capsys) == want
-    # no whole table of N = 40 fits the budget, and none is needed
-    monkeypatch.setattr(tau_tables, "CELL_BUDGET", 40 * 40)
+    # a whole table is built only within one window's cells: with 64, no
+    # whole table of N = 40 fits, and none is needed
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", 64)
     assert run(list(argv), capsys) == want
 
 

@@ -271,6 +271,16 @@ def test_uint16_cells_and_overflow_guard(monkeypatch):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("N", [0, -3, -20000])
+def test_both_sources_refuse_N_below_1_before_sieving(N, monkeypatch):
+    # a negative N squares to a positive limit, which the cells would read
+    monkeypatch.setattr(tau_tables, "_sieve", None)
+    want = f"^tau_N requires N >= 1, got {N}$"
+    for make in (build_tau_table, TauWindows, lambda N: TauWindows(5)._replace(N=N)):
+        with pytest.raises(ValueError, match=want):
+            make(N)
+
+
 def test_reductions_allocate_less_than_the_table():
     t = build_tau_table(1000)
     calls = [

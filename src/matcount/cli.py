@@ -5,13 +5,14 @@ Subcommands: count, sweep, tau, hyperbola, lemmas, casework, fit,
 fixtures.  Each subcommand declares only the flags it reads, except that
 sweep and hyperbola still accept --jobs: it is validated as a positive
 integer and has no effect.  Every pass over tau_N (count, sweep, tau)
-deals its windows to one worker per CPU the process may run on, forked
-from the command, and adds up their exact sums, so no output depends on
-the host; --config names a JSON object of flag values, which is parsed
-by the same parser as the command line, and explicit flags win.  All
-randomness flows from --seed through a splitmix-style 64-bit generator,
-so identical (config, seed) pairs produce byte-identical output
-(suppress the timing column with --no-timing).  Every command streams
+deals its windows to at most one worker per CPU the process may run on
+and per two windows, forked from the command, and adds up their exact
+sums, so no output depends on the host; --config names a JSON object
+of flag values, which is parsed by the same parser as the command line,
+and explicit flags win.  All randomness flows from --seed through a
+splitmix-style 64-bit generator, so identical (config, seed) pairs
+produce byte-identical output (suppress the timing column with
+--no-timing).  Every command streams
 tau_N one window at a time, and one pass over tau_N serves every delta
 of an N.  count prints sweep's row at its one point, a name = value
 line for each column after H and delta.  The sweep emits one row per
@@ -32,8 +33,9 @@ Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 
 run() is the one process entry, for `python -m matcount.cli` and the
 `matcount` script.  It sets OPENBLAS_NUM_THREADS=1 unless the
-environment names it (no command calls BLAS, and the pool's helper
-thread spins and takes address space that ulimit -v counts), calls
+environment names it (the only BLAS calls are the tau_N dots, whose
+blocks are longest under a one-thread pool, and a pool's helper thread
+spins and takes address space that ulimit -v counts), calls
 main(), catches Ctrl-C, and then gc.freeze()s, so teardown's collections
 skip what numpy and the library leave alive, which the OS reclaims
 anyway.  main() sets nothing and never freezes: tests and library

@@ -11,16 +11,18 @@ reduction (the moments, the shifted sums, the self-convolution and the
 signed product counter c2) reads either source one window at a time, a
 whole table being one window, without a table-sized copy, and adds up
 exact Python-int partial sums, one per window; no other module reads
-tau_N's cells.  Every dot is ``_dots``, over float64 blocks whose sums
-are exact integers below 2^53, each cast once for all its deltas.
+tau_N's cells.  Every dot is ``_dots``, a BLAS ddot over float64 blocks
+whose sums are exact integers below 2^53, each cast once for all its
+deltas.
 
 A pass's windows are independent, so ``_pass`` deals them in snake
-order to at most min(windows, CPUs) workers: this process and
+order to at most min(windows // 2, CPUs) workers: this process and
 ``os.fork`` children, each holding at most three windows at once.  A
-child sends its exact partial sums back over a pipe, and the parent
-adds them up, so the integers do not depend on how many CPUs the
-process may run on.  A pass of one window, such as any whole table,
-forks nothing.
+fork costs about as much as one window's work in each process, so a
+worker's share is at least two windows, and a pass of at most three
+windows, such as any whole table, forks nothing.  A child sends its
+exact partial sums back over a pipe, and the parent adds them up, so
+the integers do not depend on how many CPUs the process may run on.
 
 The rule for choosing a source: every read streams ``TauWindows(N)``,
 except that when all of tau_N fits one window that window may be the
@@ -105,7 +107,12 @@ _MOMENT_BLOCK = 1 << 16
 _WINDOW_CELLS = 1 << 21
 
 # Cells per float64 block of _dots, whose scratch holds two: 512 KB.
-_DOT_BLOCK = 1 << 15
+# OpenBLAS splits a ddot of more than 10,000 cells over its thread pool,
+# and in a forked pass every process's pool then contends for the same
+# cores (delta_pass(4000, four deltas) on 2 CPUs: 65 ms -> 2.5 s).  So
+# only a one-thread pool, which cli.run sets, gets 2^15-cell blocks; any
+# other gets 2^13 cells (128 KB), whose ddots run on the calling thread.
+_DOT_BLOCK = 1 << 15 if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 1 << 13
 
 # Bytes square_sum may hold: while the prefix sum is taken, its phi sieve
 # and the summatory totient are two int64 arrays of L + 1 cells, about
@@ -145,8 +152,8 @@ class TauTable(NamedTuple):
 class TauWindows(NamedTuple):
     """tau_N over [1, N^2] as windows of _WINDOW_CELLS cells, each sieved
     when a reduction reads it and dropped after, so memory stays bounded
-    for any N the uint16 cells admit; a pass deals its windows to one
-    worker per CPU (_pass)."""
+    for any N the uint16 cells admit; a pass deals its windows to at
+    most one worker per CPU and per two windows (_pass)."""
 
     N: int
 
@@ -221,7 +228,8 @@ def _dots(x: np.ndarray, pairs: list[tuple[int | np.ndarray, int]]) -> list[int]
     x is cast to float64 a _DOT_BLOCK-cell block at a time, with the lags
     up to a block past it, once for all those lags; a longer lag or a view
     casts its own block after them.  A block sums below 2^15 (2^16 - 1)^2
-    < 2^53, exactly, and the block sums add up as ints.  No BLAS (_fork).
+    < 2^47 < 2^53, so np.dot (BLAS ddot) gives that integer exactly in any
+    summation order, and the block sums add up as ints.
     """
     block = _DOT_BLOCK
     top = max([0, *(n for _, n in pairs)])
@@ -244,7 +252,7 @@ def _dots(x: np.ndarray, pairs: list[tuple[int | np.ndarray, int]]) -> list[int]
             else:
                 other = scratch[width : width + b]
                 other[:] = x[lo + y : lo + y + b] if isinstance(y, int) else y[lo : lo + b]
-            sums[j] += int(np.einsum("i,i->", cast[:b], other))
+            sums[j] += int(np.dot(cast[:b], other))
     return sums
 
 
@@ -282,7 +290,10 @@ def _window_sums(
 
 def _pass(starts: range, width: int, window: Callable[[int], list[int]]) -> list[int]:
     """The width exact sums window(lo)[i] over the window starts lo of one
-    pass, the windows dealt to min(windows, CPUs) workers.
+    pass, the windows dealt to min(windows // 2, CPUs) workers: a fork
+    costs about 3,000 page faults, copy-on-write and first touch of a
+    window and the dot scratch in both processes, about one window's work
+    in each, so a share of one window would not repay it.
 
     This process reads the first share; each other share is read by a
     child made with os.fork (_fork).  The parent re-raises a child's
@@ -292,7 +303,7 @@ def _pass(starts: range, width: int, window: Callable[[int], list[int]]) -> list
     too.  Every child is killed, if still running, and reaped on every
     path out.
     """
-    workers = min(len(starts), cpu_count())
+    workers = min(len(starts) // 2, cpu_count())
     if workers <= 1:
         return _window_sums(starts, width, window)
     np.ndarray, pickle.dumps  # imports both here, once, rather than in every child
@@ -333,7 +344,8 @@ def _fork(share: range, width: int, window: Callable[[int], list[int]]) -> tuple
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns that a process with threads (numpy's
-            # BLAS pool) forks; the child calls no BLAS and no lock.
+            # BLAS pool) forks; the child takes no lock and starts no
+            # BLAS thread (_DOT_BLOCK).
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:

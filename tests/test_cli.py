@@ -198,16 +198,21 @@ def _counting_forks(monkeypatch, fail_after=None):
     return forks
 
 
-@pytest.mark.parametrize("cpus, children", [(3, 2), (1_000_000, 4)])
-def test_workers_are_capped_by_the_windows_and_the_cpus(cpus, children, monkeypatch, capsys):
-    argv = ["count", "--H", "3000", "--delta", "7"]
+# count's pass over tau_H spans 5 windows at H = 3000, dealt to 2
+# workers, and 2 windows at H = 2000, read by the command alone: a share
+# of one window does not repay its fork.
+@pytest.mark.parametrize("H, cpus, children", [
+    (3000, 3, 1), (3000, 1_000_000, 1), (2000, 3, 0), (2000, 1_000_000, 0),
+])
+def test_workers_are_capped_by_the_windows_and_the_cpus(H, cpus, children, monkeypatch, capsys):
+    argv = ["count", "--H", str(H), "--delta", "7"]
     monkeypatch.setattr(tau_tables, "cpu_count", lambda: 1)
     want = run(argv, capsys)
     forks = _counting_forks(monkeypatch)
     monkeypatch.setattr(tau_tables, "cpu_count", lambda: cpus)
     assert run(argv, capsys) == want
-    windows = -(-3000 * 3000 // tau_tables._WINDOW_CELLS)
-    assert windows == 5 and len(forks) == min(windows, cpus) - 1 == children
+    windows = -(-H * H // tau_tables._WINDOW_CELLS)
+    assert len(forks) == min(windows // 2, cpus) - 1 == children
 
 
 @pytest.mark.parametrize("fail_after", [0, 1])
@@ -1064,6 +1069,28 @@ def test_a_process_prints_what_main_prints(argv, code, capsys):
     out, err = proc.communicate(timeout=60)
     assert (proc.returncode, out, err) == run(argv, capsys)
     assert proc.returncode == code
+
+
+@pytest.mark.skipif(tau_tables.cpu_count() < 2, reason="a pass forks no worker on one CPU")
+def test_a_forked_worker_dots_under_a_multi_thread_blas_pool():
+    # det-sweep's seed-1 sweep, whose H = 4000 pass forks.  The
+    # environment's value wins over run()'s one-thread default, so the
+    # command holds a 2-thread OpenBLAS pool when it forks, and its dots
+    # take the shorter blocks that no pool splits.
+    argv = ["sweep", "--H", "1000,2000,4000", "--delta=2993,-5928,-7908,3787", "--fit",
+            "--no-timing"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+
+    def sweep(**threads):
+        return subprocess.run([sys.executable, "-m", "matcount.cli", *argv],
+                              capture_output=True, text=True, timeout=60, env={**env, **threads})
+
+    default = sweep()
+    assert default.returncode == 0
+    pooled = sweep(OPENBLAS_NUM_THREADS="2")
+    assert (pooled.returncode, pooled.stdout, pooled.stderr) == (
+        0, default.stdout, default.stderr)
 
 
 def test_the_console_script_is_the_process_entry():

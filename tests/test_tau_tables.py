@@ -452,12 +452,50 @@ def test_dots_are_exact_at_the_block_edges():
     assert tau_tables._dots(x, []) == []
 
 
-def test_dots_add_block_sums_past_float64_precision():
-    # 2^22 + 3 cells of 65535 sum to about 2^54, an odd integer that no
-    # float64 holds: only exact block sums added as ints give it
+def test_dots_add_block_sums_past_float64_precision(monkeypatch):
+    # every cell 65535, the largest a uint16 cell holds, so each full
+    # block's ddot sums to block (2^16 - 1)^2, at most 2^47; 2^22 + 3 such
+    # cells sum to about 2^54, an odd integer that no float64 holds: only
+    # exact block sums added as ints give it
     n = (1 << 22) + 3
-    x = np.full(n + 1, 65535, dtype=np.uint16)
-    assert tau_tables._dots(x, [(1, n), (x[::-1], n)]) == [n * 65535**2] * 2
+    for block in (1 << 13, 1 << 15):  # under a pool of several threads, of one
+        monkeypatch.setattr(tau_tables, "_DOT_BLOCK", block)
+        x = np.full(n + block + 1, 65535, dtype=np.uint16)
+        lags = [0, 1, block - 1, block, block + 1]
+        pairs = [(lag, n) for lag in lags] + [(x[::-1], n)]  # and a mirror window
+        want = [n * 65535**2] * len(pairs)
+        assert tau_tables._dots(x, pairs) == want, block
+        assert [tau_tables._dots(x, [pair])[0] for pair in pairs] == want, block
+
+
+# A child forked after numpy's BLAS pool exists sums a window's dots and
+# exits with its thread count.
+_FORKED_DOTS = """
+import os
+import numpy as np
+from matcount import tau_tables
+x = np.ones(1 << 17, dtype=np.uint16)
+pid = os.fork()
+if pid == 0:
+    tau_tables._dots(x, [(1, 1 << 16), (x[::-1], 1 << 16)])
+    os._exit(len(os.listdir("/proc/self/task")))
+print(tau_tables._DOT_BLOCK, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("threads, block", [("1", 1 << 15), ("2", 1 << 13), (None, 1 << 13)])
+def test_a_forked_worker_starts_no_blas_thread(threads, block):
+    # OpenBLAS splits a ddot of more than 10,000 cells over its pool; a
+    # pool of two or more threads in every process of a forked pass
+    # contends for the same cores
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(tau_tables.__file__).resolve().parents[1])
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", _FORKED_DOTS], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert (proc.stdout, proc.stderr) == (f"{block} 1\n", "")
 
 
 def test_dot_scratch_holds_at_most_two_blocks():

@@ -1,13 +1,50 @@
 """Shared fixtures: cached restricted-divisor tables for the expensive
-sweep sizes, built once per session, and a record of the hyperbola
-module's residue-table builds."""
+sweep sizes, built once per session, a record of the hyperbola
+module's residue-table builds, and the one way a test starts a python
+process."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from matcount import hyperbola
 from matcount.tau_tables import TauTable, build_tau_table
+
+
+@pytest.fixture(scope="session")
+def spawn():
+    """spawn(*args, mib=None, cpu=None, env=None, timeout=None, **popen):
+    python with args in a fresh process, with this checkout's src as its
+    PYTHONPATH in env (default os.environ), stdout and stderr piped as
+    text.  mib caps its address space (RLIMIT_AS, in MiB) and cpu pins
+    it to that one CPU, both set in the child between fork and exec.
+    Without a timeout it returns the running Popen; with one, the
+    finished run, as subprocess.run, which kills it at the timeout."""
+    src = str(Path(hyperbola.__file__).resolve().parents[1])
+
+    def spawn(*args, mib=None, cpu=None, env=None, timeout=None, **popen):
+        if mib is not None:
+            import resource
+        if mib is not None or cpu is not None:
+            def limit():
+                if mib is not None:
+                    resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+                if cpu is not None:
+                    os.sched_setaffinity(0, {cpu})
+
+            popen["preexec_fn"] = limit
+        argv = [sys.executable, *args]
+        popen.update(stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                     env=dict(os.environ if env is None else env, PYTHONPATH=src))
+        if timeout is None:
+            return subprocess.Popen(argv, **popen)
+        return subprocess.run(argv, timeout=timeout, **popen)
+
+    return spawn
 
 
 @pytest.fixture(scope="session")

@@ -5,14 +5,11 @@ import contextlib
 import csv
 import errno
 import gc
-import hashlib
 import io
 import json
 import math
 import os
-import shlex
 import signal
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -28,13 +25,11 @@ from hypothesis import given, settings, strategies as st
 
 from matcount import asymptotics, casework, cli, exact, tau_tables
 from matcount.casework import RegionG, region_sum_G, region_sum_G_via_hyperbola
-from matcount.cli import build_parser, main
+from matcount.cli import main
 from matcount.errors import BudgetError
 from matcount.exact import delta_pass, fast_count, naive_count
 from matcount.lemmas import phi_ratio_report
 from matcount.tau_tables import TauWindows, build_tau_table, shifted_sum, tau_moment
-
-README = Path(__file__).resolve().parent.parent / "README.md"
 
 # An H whose H^2 and H^(5/3) overflow a float.
 _HUGE_H = str(10**400)
@@ -356,12 +351,8 @@ def _running(pid: int) -> bool:
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
-def test_a_killed_command_leaves_no_worker_behind(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _SLOW_WORKERS, str(tmp_path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+def test_a_killed_command_leaves_no_worker_behind(tmp_path, spawn):
+    proc = spawn("-c", _SLOW_WORKERS, str(tmp_path))
     try:
         deadline = time.monotonic() + 30
         while len(os.listdir(tmp_path)) < 3 and time.monotonic() < deadline:
@@ -528,18 +519,6 @@ def test_fixtures(capsys):
     assert code == 0
     assert "1,1,20" in out.splitlines()
     assert "2,0,129" in out.splitlines()
-
-
-def test_fit_roundtrip(tmp_path, capsys):
-    csv_path = tmp_path / "rows.csv"
-    main(
-        ["sweep", "--H", "250,500,1000", "--delta", "1", "--no-timing",
-         "--output", str(csv_path)]
-    )
-    capsys.readouterr()
-    code, out, _ = run(["fit", str(csv_path)], capsys)
-    assert code == 0
-    assert out.splitlines()[0].startswith("exponent = ")
 
 
 @pytest.mark.parametrize(
@@ -821,20 +800,16 @@ print(code, "numpy.linalg" in sys.modules)
     ("tau --N 30,40 --delta 6", 0, True),
     ("casework --H 317 --delta 1", 2, False),  # refused before the first array
 ])
-def test_numpy_is_imported_only_where_an_array_is_built(argv, code, numpy, tmp_path):
-    assert _last_line(_IMPORTS_NUMPY, argv, tmp_path) == f"{code} {numpy}"
+def test_numpy_is_imported_only_where_an_array_is_built(argv, code, numpy, tmp_path, spawn):
+    assert _last_line(spawn, _IMPORTS_NUMPY, argv, tmp_path) == f"{code} {numpy}"
 
 
-def _last_line(script: str, argv: str, tmp_path) -> str:
+def _last_line(spawn, script: str, argv: str, tmp_path) -> str:
     """The last stdout line of script run in a fresh process on argv, in
     tmp_path, where {csv} names a three-row CSV that fit accepts."""
     csv_path = tmp_path / "rows.csv"
     csv_path.write_text("H,exact,main\n250,1000,900\n500,1400,1000\n1000,2300,1500\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv.format(csv=csv_path).split()],
-        capture_output=True, text=True, timeout=60, cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent)),
-    )
+    proc = spawn("-c", script, *argv.format(csv=csv_path).split(), timeout=60, cwd=tmp_path)
     return proc.stdout.splitlines()[-1]
 
 
@@ -861,8 +836,8 @@ print(*(name for name in {_STDLIB!r} if type(sys.modules.get(name)) is types.Mod
     ("lemmas", {"dataclasses", "json", "signal", "fractions"}),
     ("tau --N 50,60 --k 1 --format json", set(_STDLIB) - {"json"}),
 ])
-def test_each_command_runs_only_the_stdlib_modules_it_uses(argv, not_run, tmp_path):
-    ran = set(_last_line(_STDLIB_RUN, argv, tmp_path).split())
+def test_each_command_runs_only_the_stdlib_modules_it_uses(argv, not_run, tmp_path, spawn):
+    ran = set(_last_line(spawn, _STDLIB_RUN, argv, tmp_path).split())
     assert not ran & not_run, ran
     if "json" not in not_run:  # the control
         assert "json" in ran
@@ -893,8 +868,8 @@ _LIBRARY = {"arith", "asymptotics", "casework", "exact", "hyperbola", "lemmas", 
     ("casework --H 317 --delta 1", {"exact", "tau_tables", "arith", "asymptotics", "lemmas",
                                     "rng"}),
 ])
-def test_each_command_runs_only_the_modules_it_calls(argv, not_run, tmp_path):
-    ran = set(_last_line(_MODULES_RUN, argv, tmp_path).split())
+def test_each_command_runs_only_the_modules_it_calls(argv, not_run, tmp_path, spawn):
+    ran = set(_last_line(spawn, _MODULES_RUN, argv, tmp_path).split())
     assert {"cli", "errors"} <= ran and not ran & not_run, ran
     if not not_run:  # the control: a pass over tau_H
         assert {"exact", "tau_tables"} <= ran
@@ -914,21 +889,11 @@ def test_a_failed_output_gives_one_line(argv, tmp_path, capsys):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
-def test_memory_error_exits_2():
-    import resource
-
+def test_memory_error_exits_2(spawn):
     # below the 247 MB of address space that square_sum takes at the top of
     # its byte budget, above the 108 MB of a streamed count
-    limit = 200 * 2**20
-
     def child(*argv):
-        # the limit is set in the child only, between fork and exec
-        return subprocess.run(
-            [sys.executable, "-m", "matcount.cli", *argv],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        return spawn("-m", "matcount.cli", *argv, mib=200, timeout=60)
 
     t0 = time.perf_counter()
     big = child("count", "--H", "62389816424", "--delta", "0")  # its phi sieve fails
@@ -985,19 +950,12 @@ def test_an_os_error_exits_2_only_when_it_refuses_memory(number, code, err, monk
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
-def test_any_address_space_limit_gives_one_line_and_no_interrupt():
-    import resource
-
+def test_any_address_space_limit_gives_one_line_and_no_interrupt(spawn):
     # the process's own default, not a caller's: run() sets the BLAS pool
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     for mib in range(48, 257, 8):
-        limit = mib << 20
-        proc = subprocess.run(
-            [sys.executable, "-m", "matcount.cli", "count", "--H", "100", "--delta", "6"],
-            capture_output=True, text=True, timeout=60, env=env,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        proc = spawn("-m", "matcount.cli", "count", "--H", "100", "--delta", "6",
+                     mib=mib, env=env, timeout=60)
         assert proc.returncode in (0, 1, 2), (mib, proc.returncode, proc.stderr)
         assert proc.stderr.count("\n") <= 1, (mib, proc.stderr)
         if proc.returncode == 0:
@@ -1006,18 +964,10 @@ def test_any_address_space_limit_gives_one_line_and_no_interrupt():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
-def test_numpy_that_cannot_load_exits_2():
-    import resource
-
-    limit = 48 * 2**20  # above a command without numpy, below numpy's libraries
-
+def test_numpy_that_cannot_load_exits_2(spawn):
     def child(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "matcount.cli", *argv],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        # above a command without numpy, below numpy's libraries
+        return spawn("-m", "matcount.cli", *argv, mib=48, timeout=60)
 
     control = child("count", "--H", "100", "--delta", "0")
     if control.returncode != 0:
@@ -1026,13 +976,6 @@ def test_numpy_that_cannot_load_exits_2():
     assert (failed.returncode, failed.stdout) == (2, "")
     assert failed.stderr.startswith("budget exceeded: could not load ")
     assert failed.stderr.count("\n") == 1
-
-
-def _process(*args, **kwargs) -> subprocess.Popen:
-    """A python process running args, with this checkout's src on its path."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True, env=env, **kwargs)
 
 
 # An atexit handler, registered before the command runs as a process,
@@ -1045,8 +988,8 @@ runpy.run_module("matcount.cli", run_name="__main__")
 """
 
 
-def test_a_process_freezes_the_collector_before_teardown():
-    out, err = _process("-c", _FREEZE_PROBE).communicate(timeout=60)
+def test_a_process_freezes_the_collector_before_teardown(spawn):
+    out, err = spawn("-c", _FREEZE_PROBE).communicate(timeout=60)
     assert err == ""
     *rows, probe = out.splitlines()
     assert rows[0] == "exact = 195184"
@@ -1064,15 +1007,15 @@ def test_main_in_process_freezes_nothing(capsys):
     (["count", "--H", "5"], 1),
     (["casework", "--H", "317", "--delta", "1"], 2),
 ])
-def test_a_process_prints_what_main_prints(argv, code, capsys):
-    proc = _process("-m", "matcount.cli", *argv)
+def test_a_process_prints_what_main_prints(argv, code, capsys, spawn):
+    proc = spawn("-m", "matcount.cli", *argv)
     out, err = proc.communicate(timeout=60)
     assert (proc.returncode, out, err) == run(argv, capsys)
     assert proc.returncode == code
 
 
 @pytest.mark.skipif(tau_tables.cpu_count() < 2, reason="a pass forks no worker on one CPU")
-def test_a_forked_worker_dots_under_a_multi_thread_blas_pool():
+def test_a_forked_worker_dots_under_a_multi_thread_blas_pool(spawn):
     # det-sweep's seed-1 sweep, whose H = 4000 pass forks.  The
     # environment's value wins over run()'s one-thread default, so the
     # command holds a 2-thread OpenBLAS pool when it forks, and its dots
@@ -1080,11 +1023,9 @@ def test_a_forked_worker_dots_under_a_multi_thread_blas_pool():
     argv = ["sweep", "--H", "1000,2000,4000", "--delta=2993,-5928,-7908,3787", "--fit",
             "--no-timing"]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
 
     def sweep(**threads):
-        return subprocess.run([sys.executable, "-m", "matcount.cli", *argv],
-                              capture_output=True, text=True, timeout=60, env={**env, **threads})
+        return spawn("-m", "matcount.cli", *argv, env={**env, **threads}, timeout=60)
 
     default = sweep()
     assert default.returncode == 0
@@ -1106,10 +1047,10 @@ def _children(pid: int) -> list[int]:
 
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
                     reason="reads a process's children from /proc")
-def test_ctrl_c_exits_130_with_one_line_and_leaves_no_worker():
+def test_ctrl_c_exits_130_with_one_line_and_leaves_no_worker(spawn):
     if tau_tables.cpu_count() < 2:
         pytest.skip("a pass forks no worker on one CPU")
-    proc = _process("-m", "matcount.cli", "count", "--H", "30000", "--delta", "6")
+    proc = spawn("-m", "matcount.cli", "count", "--H", "30000", "--delta", "6")
     try:
         deadline = time.monotonic() + 30
         while not _children(proc.pid) and time.monotonic() < deadline:
@@ -1324,14 +1265,6 @@ def test_a_bad_config_names_its_file(body, message, tmp_path, capsys):
     assert err == f"error: {cfg}: {message}\n"
 
 
-def test_readme_cli_lines_parse():
-    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
-    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("matcount ")]
-    assert len(lines) >= 8
-    for line in lines:
-        build_parser().parse_args(shlex.split(line)[1:])
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1345,30 +1278,6 @@ def test_factorization_budget_exits_2(argv, capsys):
     assert time.perf_counter() - t0 < 5
     assert (code, out) == (2, "")
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
-
-
-# sha256 of stdout, frozen from the Fraction-endpoint implementation (the
-# first two) and from the per-u hyperbola, per-divisor lemma and per-(a, c)
-# sign-class loops (the last three), so float main terms are pinned.
-GOLDEN = {
-    ("hyperbola", "--N", "40", "--seed", "7", "--epsilon", "0.25"):
-        "3ae2c4a88833a16062941cd29e0f0ef63e8306c459e7f3a854f51dd7740232e4",
-    ("casework", "--H", "40", "--delta", "60"):
-        "b2dfd1d2cd82a086ba3f4fec9c86f42a6b1074daf1b146382581653f85e0c789",
-    ("lemmas",):
-        "7c2ed16c415be3870e8b726ce9c9949947e47c7d76539fa0394daf017d3a98c0",
-    ("hyperbola", "--N", "150", "--seed", "12345"):
-        "cf5f7efc6df4dc685553ea514a11cd4ede9e03651b634389328053390de4594a",
-    ("casework", "--H", "120", "--delta", "777"):
-        "5751fdfc407fb2c030fdd75093c0893a83bbd675062226846319105835ee258a",
-}
-
-
-def test_golden_stdout(capsys):
-    for argv, digest in GOLDEN.items():
-        code, out, _ = run(list(argv), capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 # A valid argv per subcommand; the fuzz swaps its values and appends flags.

@@ -2,11 +2,8 @@
 sums, the signed product counter, and the table's memory contract."""
 
 import os
-import subprocess
-import sys
 import tracemalloc
 from math import isqrt
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,12 +384,9 @@ print(code, before, loaded)
 """
 
 
-def test_a_pass_loads_numpy_before_it_forks():
+def test_a_pass_loads_numpy_before_it_forks(spawn):
     # each child would otherwise import numpy itself
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_AT_FORK], capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(Path(tau_tables.__file__).parent.parent)),
-    )
+    proc = spawn("-c", _NUMPY_AT_FORK, timeout=60)
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "0 False [True]"
 
@@ -485,16 +479,14 @@ print(tau_tables._DOT_BLOCK, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 @pytest.mark.parametrize("threads, block", [("1", 1 << 15), ("2", 1 << 13), (None, 1 << 13)])
-def test_a_forked_worker_starts_no_blas_thread(threads, block):
+def test_a_forked_worker_starts_no_blas_thread(threads, block, spawn):
     # OpenBLAS splits a ddot of more than 10,000 cells over its pool; a
     # pool of two or more threads in every process of a forked pass
     # contends for the same cores
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(tau_tables.__file__).resolve().parents[1])
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    proc = subprocess.run([sys.executable, "-c", _FORKED_DOTS], capture_output=True, text=True,
-                          timeout=60, env=env)
+    proc = spawn("-c", _FORKED_DOTS, env=env, timeout=60)
     assert (proc.stdout, proc.stderr) == (f"{block} 1\n", "")
 
 

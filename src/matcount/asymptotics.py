@@ -66,8 +66,6 @@ def report(
     (exact.delta_pass), so an H outside its domain or budget is refused
     before H meets a float.
     """
-    if H < 1:
-        raise ValueError(f"report() requires H >= 1, got {H}")
     exact = fast_count(H, delta, table=table)
     D = abs(delta)
     if D == 0:
@@ -171,8 +169,9 @@ def shifted_verdict(delta: int, values: dict[int, int]) -> ShiftedDiscrimination
 
 
 def discriminate_shifted(
-    N_list: list[int], delta: int, tables: dict[int, TauTable]
+    N_list: list[int], delta: int, tables: dict[int, TauTable | TauWindows]
 ) -> ShiftedDiscrimination:
     """shifted_verdict over shifted_sum(tables[N], delta) for every N in
-    N_list; tables holds the tau_N table of each."""
+    N_list; tables holds a source of each tau_N, TauWindows(N) or, while
+    all of tau_N fits one window, the whole table."""
     return shifted_verdict(delta, {N: shifted_sum(tables[N], delta) for N in set(N_list)})

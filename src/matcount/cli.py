@@ -30,16 +30,6 @@ writes rows prints its stderr summary after them, so an --output that
 cannot be written leaves one error line.
 Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 3 internal invariant violation, 130 interrupted (Ctrl-C).
-
-run() is the one process entry, for `python -m matcount.cli` and the
-`matcount` script.  It sets OPENBLAS_NUM_THREADS=1 unless the
-environment names it (the only BLAS calls are the tau_N dots, whose
-blocks are longest under a one-thread pool, and a pool's helper thread
-spins and takes address space that ulimit -v counts), calls
-main(), catches Ctrl-C, and then gc.freeze()s, so teardown's collections
-skip what numpy and the library leave alive, which the OS reclaims
-anyway.  main() sets nothing and never freezes: tests and library
-callers run it many times in one process.
 """
 
 from __future__ import annotations
@@ -565,10 +555,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """main(argv) as a whole process: a one-thread BLAS pool unless the
-    environment names one, Ctrl-C exits 130 with one line, and the
-    collector is frozen before the interpreter tears down, whose atexit
-    handlers, stream flushes and module teardown still run."""
+    """main(argv) as a whole process, the one entry of `python -m
+    matcount.cli` and the `matcount` script.
+
+    It sets OPENBLAS_NUM_THREADS=1 unless the environment names it: the
+    only BLAS calls are the tau_N dots, whose blocks are longest under a
+    one-thread pool, and a pool's helper thread spins and takes address
+    space that ulimit -v counts.  Ctrl-C exits 130 with one line.  The
+    collector is then frozen, so teardown's collections skip what numpy
+    and the library leave alive, which the OS reclaims anyway; atexit
+    handlers, stream flushes and module teardown still run.  main() sets
+    nothing and never freezes: tests and library callers run it many
+    times in one process.  The module docstring is `matcount --help`'s
+    description, so notes like these stay here."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads
     try:
         code = main(argv)

@@ -129,7 +129,7 @@ def naive_count(H: int, delta: int) -> int:
 def _tau_table(H: int, table: TauTable | TauWindows | DeltaSums | None):
     """The given source of tau_H, refused unless it is for N = H; when
     none is given, tau_H streamed: TauWindows(H), or the whole table when
-    all of it fits one window, read when called."""
+    all of it fits one window, the only tables build_tau_table builds."""
     if table is None:
         # The whole-table branch stays only because the bench counts tau
         # cells through build_tau_table and pins fast_count(5, 3) building

@@ -4,14 +4,15 @@ tau_N(n) counts ordered factorizations n = a*b with 1 <= a, b <= N;
 equivalently, divisors d of n with n/N <= d <= N.  One private O(N^2)
 sieve over a window (lo, hi] of [1, N^2] is the only source of tau_N's
 cells, and it reaches the reductions through two sources:
-``build_tau_table(N)``, the whole read-only uint16 table, and
 ``TauWindows(N)``, which sieves windows of _WINDOW_CELLS cells as a
-reduction reads them, so its memory does not grow with N.  Every
-reduction (the moments, the shifted sums, the self-convolution and the
-signed product counter c2) reads either source one window at a time, a
-whole table being one window, without a table-sized copy, and adds up
-exact Python-int partial sums, one per window; no other module reads
-tau_N's cells.  Every dot is ``_dots``, a BLAS ddot over float64 blocks
+reduction reads them, so its memory does not grow with N, and
+``build_tau_table(N)``, the whole read-only uint16 table, which exists
+only while all of tau_N fits one such window.  Every reduction (the
+moments, the shifted sums, the self-convolution and the signed product
+counter c2) reads either source one window at a time, a whole table
+being one window, without a table-sized copy, and adds up exact
+Python-int partial sums, one per window; no other module reads tau_N's
+cells.  Every dot is ``_dots``, a BLAS ddot over float64 blocks
 whose sums are exact integers below 2^53, each cast once for all its
 deltas.
 
@@ -87,12 +88,6 @@ np = lazy_import("numpy")
 pickle = lazy_import("pickle")  # only a pass that forks sends results
 signal = lazy_import("signal")  # only a pass that must kill a child
 
-# Cells allowed in a whole table (not bytes).  It guards only library
-# callers of build_tau_table: no command builds a table past one window.
-# TauWindows needs no budget: a pass holds at most 3 * _WINDOW_CELLS of
-# its cells at once.
-CELL_BUDGET = 200_000_000
-
 # tau_N(n) <= tau(n) <= 1600 < 2^16 for every n < 2^31 (the maximum, 1600,
 # is reached at n = 2095133040), so uint16 cells cannot overflow while
 # N^2 < 2^31.
@@ -102,8 +97,9 @@ _MAX_LIMIT = 1 << 31
 # intp, so a block costs 8 bytes per cell of scratch.
 _MOMENT_BLOCK = 1 << 16
 
-# Cells per window when a reduction reads tau_N without a kept table:
-# 4 MB of uint16 cells, and at most three windows' worth alive at once.
+# Cells per window of TauWindows, and the bound on a whole table
+# (build_tau_table): 4 MB of uint16 cells, and at most three windows'
+# worth alive at once in a pass.
 _WINDOW_CELLS = 1 << 21
 
 # Cells per float64 block of _dots, whose scratch holds two: 512 KB.
@@ -183,13 +179,16 @@ def _check_limit(N: int) -> None:
 
 
 def build_tau_table(N: int) -> TauTable:
-    """The whole tau_N table, for reductions that share it; refused past
-    CELL_BUDGET cells, then outside _check_limit's domain."""
-    if N >= 1 and N * N + 1 > CELL_BUDGET:  # any N < 1 is _check_limit's refusal
-        raise BudgetError(
-            f"build_tau_table(N={N}) needs {N * N + 1} cells, budget is {CELL_BUDGET}"
-        )
+    """The whole tau_N table, for reductions that share it: refused outside
+    _check_limit's domain, then, before it allocates, unless all of tau_N
+    fits one window (N^2 < _WINDOW_CELLS); past that, TauWindows(N) gives
+    the same values."""
     _check_limit(N)
+    if N * N >= _WINDOW_CELLS:
+        raise BudgetError(
+            f"build_tau_table(N={N}) needs {N * N} cells, past one window of "
+            f"{_WINDOW_CELLS}; read TauWindows({N})"
+        )
     return TauTable(N=N, counts=_sieve(N, 0, N * N))
 
 

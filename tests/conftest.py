@@ -1,7 +1,6 @@
-"""Shared fixtures: cached restricted-divisor tables for the expensive
-sweep sizes, built once per session, a record of the hyperbola
-module's residue-table builds, and the one way a test starts a python
-process."""
+"""Shared fixtures: the streamed source of tau_N that every command
+reads past one window, a record of the hyperbola module's residue-table
+builds, and the one way a test starts a python process."""
 
 import os
 import subprocess
@@ -12,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from matcount import hyperbola
-from matcount.tau_tables import TauTable, build_tau_table
+from matcount.tau_tables import TauWindows
 
 
 @pytest.fixture(scope="session")
@@ -49,15 +48,10 @@ def spawn():
 
 @pytest.fixture(scope="session")
 def tau_cache():
-    """Memoized TauTable factory; large tables are built at most once."""
-    cache: dict[int, TauTable] = {}
-
-    def get(N: int) -> TauTable:
-        if N not in cache:
-            cache[N] = build_tau_table(N)
-        return cache[N]
-
-    return get
+    """TauWindows, the source of tau_N that every command reads past one
+    window: each reduction streams its windows through the forked pass,
+    at the production window size.  It holds only N, so nothing is kept."""
+    return TauWindows
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from matcount.asymptotics import (
     report,
     shifted_verdict,
 )
-from matcount.tau_tables import build_tau_table
 
 
 def test_main_term_values():
@@ -77,6 +76,10 @@ def test_report_small_and_support():
     H = 6
     assert report(H, 2 * H * H + 1).exact == 0
     assert report(H, 5).exact == report(H, -5).exact
+    # H < 1 is fast_count's refusal, before H meets a float
+    for H in (0, -3):
+        with pytest.raises(ValueError, match=f"^fast_count\\(\\) requires H >= 1, got {H}$"):
+            report(H, 1)
 
 
 def test_error_envelope():

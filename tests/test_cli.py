@@ -125,8 +125,8 @@ def test_sweep_rows_equal_the_per_delta_counts(monkeypatch, capsys):
 def test_count_prints_the_sweep_row(window, monkeypatch, capsys):
     # with 64-cell windows, H = 1, 2 and 7 read tau_H as one whole table
     # and H = 40 streams it; with 1-cell windows every H streams
-    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
     sources = {H: (build_tau_table(H), TauWindows(H)) for H in _PASS_H}
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
     for H in _PASS_H:
         deltas = {0, 1, -1, _PASS_WINDOW - 1, _PASS_WINDOW, _PASS_WINDOW + 1,
                   H * H, 2 * H * H, 2 * H * H + 1}
@@ -143,6 +143,7 @@ def test_count_prints_the_sweep_row(window, monkeypatch, capsys):
 
 
 def test_tau_shifted_sums_equal_the_whole_table(monkeypatch, capsys):
+    tables = {N: build_tau_table(N) for N in _PASS_H}
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", _PASS_WINDOW)
     deltas = [D for D in _PASS_D if D >= 1]
     argv = ["tau", "--N", ",".join(map(str, _PASS_H)), f"--delta={','.join(map(str, deltas))}"]
@@ -152,7 +153,7 @@ def test_tau_shifted_sums_equal_the_whole_table(monkeypatch, capsys):
     assert len(rows) == len(_PASS_H) * len(deltas)
     for r in rows:
         N, delta = int(r["N"]), int(r["delta"])
-        assert int(r["value"]) == shifted_sum(build_tau_table(N), delta), (N, delta)
+        assert int(r["value"]) == shifted_sum(tables[N], delta), (N, delta)
 
 
 # Commands that read passes over tau_N; with _WINDOW_CELLS = 64, N = 40
@@ -1002,16 +1003,43 @@ def test_main_in_process_freezes_nothing(capsys):
     assert gc.get_freeze_count() == before
 
 
+# A valid argv per subcommand; the fuzz swaps its values and appends flags.
+_FUZZ_BASE = {
+    "count": ["--H", "5", "--delta", "3"],
+    "sweep": ["--H", "5,10", "--delta", "1", "--no-timing"],
+    "tau": ["--N", "5,10", "--k", "2"],
+    "hyperbola": ["--N", "5"],
+    "lemmas": [],
+    "casework": ["--H", "5", "--delta", "3"],
+    "fixtures": [],
+    "fit": ["missing.csv"],
+}
+_LINUX = sys.platform.startswith("linux")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["casework", "--H", "40", "--delta", "60"], 0),
     (["count", "--H", "5"], 1),
     (["casework", "--H", "317", "--delta", "1"], 2),
+    # each valid argv of the fuzz, whose fit names a missing file
+    *(pytest.param([cmd, *tokens], 1 if cmd == "fit" else 0, id=cmd,
+                   marks=pytest.mark.skipif(not _LINUX, reason="needs Linux RLIMIT_AS"))
+      for cmd, tokens in _FUZZ_BASE.items()),
 ])
 def test_a_process_prints_what_main_prints(argv, code, capsys, spawn):
-    proc = spawn("-m", "matcount.cli", *argv)
+    # on Linux under the 300 MiB address space of the pinned commands
+    proc = spawn("-m", "matcount.cli", *argv, mib=300 if _LINUX else None)
     out, err = proc.communicate(timeout=60)
     assert (proc.returncode, out, err) == run(argv, capsys)
     assert proc.returncode == code
+
+
+def test_help_prints_the_user_notes_only(spawn):
+    # the developer notes on the process entry live in run()'s docstring
+    proc = spawn("-m", "matcount.cli", "--help", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "Exit codes:" in proc.stdout
+    assert "gc.freeze" not in proc.stdout
 
 
 @pytest.mark.skipif(tau_tables.cpu_count() < 2, reason="a pass forks no worker on one CPU")
@@ -1280,17 +1308,6 @@ def test_factorization_budget_exits_2(argv, capsys):
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
 
 
-# A valid argv per subcommand; the fuzz swaps its values and appends flags.
-_FUZZ_BASE = {
-    "count": ["--H", "5", "--delta", "3"],
-    "sweep": ["--H", "5,10", "--delta", "1", "--no-timing"],
-    "tau": ["--N", "5,10", "--k", "2"],
-    "hyperbola": ["--N", "5"],
-    "lemmas": [],
-    "casework": ["--H", "5", "--delta", "3"],
-    "fixtures": [],
-    "fit": ["missing.csv"],
-}
 _FUZZ_FLAGS = ["--H", "--delta", "--N", "--k", "--epsilon", "--jobs", "--seed",
                "--format", "--no-timing", "--fit", "--config"]
 _FUZZ_VALUES = st.one_of(

@@ -102,7 +102,7 @@ def test_square_sum_equals_the_table_routes():
 @given(st.integers(1, 3000))
 @settings(max_examples=15, deadline=None)
 def test_square_sum_equals_the_table_routes_sampled(N):
-    t = build_tau_table(N)
+    t = TauWindows(N)  # past N = 1448 the one source of tau_N
     assert square_sum(N) == shifted_sum(t, 0) == tau_moment(t, 2)
 
 
@@ -247,13 +247,12 @@ def test_window_kernel_at_the_largest_N():
         assert window.tolist() == tau_by_factorization(N, hi - cells, hi), hi
 
 
-def test_uint16_cells_and_overflow_guard(monkeypatch):
+def test_uint16_cells_and_overflow_guard():
     t = build_tau_table(40)
     assert t.counts.dtype == np.uint16
     assert not t.counts.flags.writeable
-    # 46341^2 >= 2^31: refused before the 4 GB table is allocated, even
-    # under a cell budget that admits it, and before any window
-    monkeypatch.setattr(tau_tables, "CELL_BUDGET", 1 << 40)
+    # 46341^2 >= 2^31: refused before the 4 GB table is allocated, and
+    # before any window
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="2\\^31"):
@@ -311,11 +310,13 @@ def test_window_is_a_slice_of_the_whole_table(data):
 
 @pytest.mark.parametrize("cells", [1, 7, 64])
 def test_windowed_moments_equal_the_whole_table(cells, monkeypatch):
+    # the whole tables are built at the real window, which admits them
+    tables = [build_tau_table(N) for N in (1, 2, 3, 4, 7, 12, 25, 39, 40)]
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", cells)
-    for N in (1, 2, 3, 4, 7, 12, 25, 39, 40):
-        t, windows = build_tau_table(N), TauWindows(N)
+    for t in tables:
+        windows = TauWindows(t.N)
         for k in range(1, 5):
-            assert tau_moment(windows, k) == tau_moment(t, k), (cells, N, k)
+            assert tau_moment(windows, k) == tau_moment(t, k), (cells, t.N, k)
 
 
 @pytest.mark.parametrize("cells", [1, 7, 64])
@@ -328,8 +329,8 @@ def test_windowed_fast_count_equals_naive(cells, monkeypatch):
 
 def test_windowed_fast_count_equals_whole_table(monkeypatch):
     H, window = 300, 1 << 10
-    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
     t = build_tau_table(H)
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
     limit = H * H
     # D = 0, 1, inside one window, past it, past H^2 and the support edge
     for D in (0, 1, 17, window - 1, window, window + 1, 5 * window + 3,
@@ -341,11 +342,11 @@ def test_windowed_fast_count_equals_whole_table(monkeypatch):
 @pytest.mark.parametrize("source", [build_tau_table, TauWindows])
 def test_delta_sums_equal_the_reductions_one_by_one(source, monkeypatch):
     N, window = 20, 64
+    t, table = build_tau_table(N), source(N)
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
-    t = build_tau_table(N)
     # inside one window, its edge, past it, H^2 and the support edge 2H^2
     Ds = [1, window - 1, window, window + 1, N * N, 2 * N * N]
-    assert delta_pass(N, Ds, source(N)).terms == {
+    assert delta_pass(N, Ds, table).terms == {
         D: (c2(t, D), shifted_sum(t, D), self_convolution(t, D)) for D in Ds
     }
 
@@ -550,6 +551,7 @@ def test_small_windows_and_blocks_equal_python_sums(data):
 
 def test_windowed_fast_count_memory_is_bounded(monkeypatch):
     window = 1 << 14
+    whole = build_tau_table(1000).counts.nbytes
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
     # the dot's block scales with the window, as 2^15 does with 2^21 cells
     monkeypatch.setattr(tau_tables, "_DOT_BLOCK", min(1 << 15, window // 4))
@@ -557,7 +559,6 @@ def test_windowed_fast_count_memory_is_bounded(monkeypatch):
     # a cell), plus the dot's float64 scratch of at most two blocks, 16
     # bytes a block cell, which fits in 2 * np.getbufsize() * 8 bytes
     bound = 4 * window * 2 + 2 * np.getbufsize() * 8
-    whole = build_tau_table(1000).counts.nbytes
     assert bound < whole // 4
     for delta in (0, 7, -1_500_000, 1_999_999):
         tracemalloc.start()
@@ -604,10 +605,20 @@ def test_product_count_examples():
 
 
 def test_budget(monkeypatch):
-    monkeypatch.setattr(tau_tables, "CELL_BUDGET", 10)
+    # a whole table is one window at most: N^2 < _WINDOW_CELLS = 2^21
+    assert build_tau_table(1448).counts.size == 1448 * 1448 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"read TauWindows\(1449\)$"):
+            build_tau_table(1449)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", 10)
     with pytest.raises(BudgetError):
         build_tau_table(1000)
-    # the budget counts the N^2 + 1 cells of the table
+    # the limit counts the N^2 cells of tau_N, not index 0
     assert build_tau_table(3).counts.size == 10
     with pytest.raises(BudgetError):
         build_tau_table(4)

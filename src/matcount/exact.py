@@ -7,8 +7,9 @@ convolution sum(m) c2(m) * c2(m - delta) from tau_H.  Its one source of
 the reductions it assembles, ``c2``, ``shifted_sum`` and
 ``self_convolution`` of ``tau_tables`` (the one module that reads
 tau_H's cells), is ``delta_pass``, which reads them for every delta of
-one H, the shifted sums in a single pass, into a ``DeltaSums`` that
-``fast_count`` takes in place of a table.  Given no table, the pass
+one H in one walk over tau_H (``tau_tables.pair_sums``), each mirror
+sum from the windows that hold its m, into a ``DeltaSums`` that
+``fast_count`` takes in place of a table.  Given no table, the walk
 streams tau_H one window at a time, so its memory stays bounded at any
 H whose uint16 cells cannot overflow (H^2 < 2^31).
 At delta = 0 fast_count reads no table at all:
@@ -38,15 +39,7 @@ from typing import NamedTuple
 
 from . import checked, lazy_import
 from .errors import BudgetError
-from .tau_tables import (
-    TauTable,
-    TauWindows,
-    build_tau_table,
-    c2,
-    self_convolution,
-    shifted_sums,
-    square_sum,
-)
+from .tau_tables import TauTable, TauWindows, build_tau_table, c2, pair_sums, square_sum
 
 np = lazy_import("numpy")
 
@@ -145,9 +138,9 @@ def delta_pass(
     H: int, deltas: list[int], table: TauTable | TauWindows | None = None
 ) -> DeltaSums:
     """The reductions of tau_H that fast_count assembles, for every delta
-    in deltas with 0 < |delta| <= 2H^2: their shifted sums from one pass
-    over tau_H (tau_tables.shifted_sums), then c2 and self_convolution of
-    each |delta| read from the same source once no pass window is alive.
+    in deltas with 0 < |delta| <= 2H^2: the shifted sum and the
+    self-convolution of each |delta| from one walk over tau_H
+    (tau_tables.pair_sums, one pass), then its c2 from the same source.
     The source is table, or the one _tau_table chooses; none is read when
     no delta needs it.  fast_count takes the result as its table."""
     if H < 1:
@@ -156,10 +149,8 @@ def delta_pass(
     if not Ds:
         return DeltaSums(H, {})
     source = _tau_table(H, table)
-    shifted = shifted_sums(source, Ds)
-    return DeltaSums(
-        H, {D: (c2(source, D), shifted[D], self_convolution(source, D)) for D in Ds}
-    )
+    shifted, mirror = pair_sums(source, Ds, Ds)
+    return DeltaSums(H, {D: (c2(source, D), shifted[D], mirror[D]) for D in Ds})
 
 
 def fast_count(

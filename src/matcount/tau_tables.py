@@ -7,14 +7,22 @@ cells, and it reaches the reductions through two sources:
 ``TauWindows(N)``, which sieves windows of _WINDOW_CELLS cells as a
 reduction reads them, so its memory does not grow with N, and
 ``build_tau_table(N)``, the whole read-only uint16 table, which exists
-only while all of tau_N fits one such window.  Every reduction (the
-moments, the shifted sums, the self-convolution and the signed product
-counter c2) reads either source one window at a time, a whole table
-being one window, without a table-sized copy, and adds up exact
-Python-int partial sums, one per window; no other module reads tau_N's
-cells.  Every dot is ``_dots``, a BLAS ddot over float64 blocks
-whose sums are exact integers below 2^53, each cast once for all its
-deltas.
+only while all of tau_N fits one such window.  Every read streams
+``TauWindows(N)``, except that a whole table may serve as its one
+window.  Every reduction (the moments, the shifted and mirror sums and
+the signed product counter c2) reads either source one window at a
+time without a table-sized copy, and adds up exact Python-int partial
+sums, one per window; no other module reads tau_N's cells.  Every dot
+is ``_dots``, a BLAS ddot over float64 blocks whose sums are exact
+integers below 2^53, each cast once for all its deltas.
+
+One walk, ``pair_sums``, serves every delta of an N in one pass: it
+sieves each window once, with max(D) extra cells for the deltas D that
+fit a window, dots it with all of them at once and sieves apart only
+the shift of a delta past a window; each mirror sum, sum tau_N(m)
+tau_N(D - m), reads the m that a window holds from its cells, and
+their partners D - m from the same cells where they lie there.
+``shifted_sums`` and ``self_convolution`` are its one-sided cases.
 
 A pass's windows are independent, so ``_pass`` deals them in snake
 order to at most min(windows // 2, CPUs) workers: this process and
@@ -24,14 +32,6 @@ worker's share is at least two windows, and a pass of at most three
 windows, such as any whole table, forks nothing.  A child sends its
 exact partial sums back over a pipe, and the parent adds them up, so
 the integers do not depend on how many CPUs the process may run on.
-
-The rule for choosing a source: every read streams ``TauWindows(N)``,
-except that when all of tau_N fits one window that window may be the
-whole table.  One pass serves every delta of an N: ``shifted_sums``
-sieves each window once, with max(D) extra cells for the deltas D that
-fit a window, and dots it with all of them at once, and a delta past a
-window sieves its own shifted windows in the same pass; a
-self-convolution streams its own mirror windows.
 
 The sum of squares needs no table.  ``square_sum(N)`` counts the
 solutions of ab = cd in [1, N]^4, which is sum_{n <= N^2} tau_N(n)^2,
@@ -78,7 +78,7 @@ import os
 import warnings
 from itertools import accumulate, chain
 from math import isqrt
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import checked, lazy_import
 from .arith import sieve
@@ -262,7 +262,7 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _deal(starts: range, workers: int) -> list[list[int]]:
+def _deal(starts: Sequence[int], workers: int) -> list[list[int]]:
     """starts dealt to workers shares in snake order (0, 1, ..., w - 1,
     w - 1, ..., 0, 0, 1, ...), each start in one: windows get lighter as
     lo grows (at N = 8000 with four deltas, window 0 takes about 20 ms,
@@ -287,7 +287,7 @@ def _window_sums(
     return sums
 
 
-def _pass(starts: range, width: int, window: Callable[[int], list[int]]) -> list[int]:
+def _pass(starts: Sequence[int], width: int, window: Callable[[int], list[int]]) -> list[int]:
     """The width exact sums window(lo)[i] over the window starts lo of one
     pass, the windows dealt to min(windows // 2, CPUs) workers: a fork
     costs about 3,000 page faults, copy-on-write and first touch of a
@@ -519,71 +519,76 @@ def _moment_window(cells: np.ndarray, k: int) -> int:
 
 
 def shifted_sum(table: TauTable | TauWindows, delta: int) -> int:
-    """Exact sum of tau_N(n) * tau_N(n + delta) over 1 <= n <= N^2;
-    delta = 0 gives the sum of tau_N(n)^2.  The one-delta case of
-    shifted_sums."""
+    """Exact sum of tau_N(n) * tau_N(n + delta) over 1 <= n <= N^2 (at 0,
+    the sum of tau_N(n)^2): the one-delta case of shifted_sums."""
     return shifted_sums(table, [delta])[delta]
 
 
 def shifted_sums(table: TauTable | TauWindows, deltas: list[int]) -> dict[int, int]:
     """sum tau_N(n) * tau_N(n + D) over 1 <= n <= N^2 for every D >= 0 in
-    deltas, reading tau_N once for all of them.
-
-    Each window (lo, lo + window] is sieved once with max(D) extra cells,
-    over the D that fit a window, and dotted once per delta; a D past a
-    window sieves its shift (lo + D, lo + window + D] apart.  A window is
-    dropped before its worker sieves the next one, so a worker holds at
-    most three windows' cells.  A whole table is one window.
-    """
-    if not deltas:
-        return {}
-    if min(deltas) < 0:
-        raise ValueError(f"shifted_sum() requires delta >= 0, got {min(deltas)}")
-    deltas = list(dict.fromkeys(deltas))
-    step = table.window
-    near = [D for D in deltas if D <= step]
-    extra = max(near, default=0)
-    top = table.limit - min(deltas)  # no n past top has a term
-
-    def window(lo: int) -> list[int]:
-        cells = table.cells(lo, min(lo + step + extra, table.limit))
-        # terms with n + D > N^2 vanish
-        n = {D: min(step, table.limit - D - lo) for D in deltas}
-        sums = dict(zip(near, _dots(cells, [(D, n[D]) for D in near])))
-        for D in deltas:  # a delta past a window: one shift sieved at a time
-            if D > step and n[D] > 0:
-                (sums[D],) = _dots(cells, [(table.cells(lo + D, lo + D + n[D]), n[D])])
-        return [sums.get(D, 0) for D in deltas]
-
-    return dict(zip(deltas, _pass(range(0, top, step), len(deltas), window)))
+    deltas: the shift-only case of pair_sums."""
+    return pair_sums(table, deltas, [])[0]
 
 
 def self_convolution(table: TauTable | TauWindows, D: int) -> int:
-    """Exact sum of tau_N(m) * tau_N(D - m) over 0 < m < D.
+    """Exact sum of tau_N(m) * tau_N(D - m) over 0 < m < D: the
+    mirror-only case of pair_sums."""
+    return pair_sums(table, [], [D])[1][D]
 
-    The pairs m and D - m give equal terms, so only m < D/2 is read and
-    doubled, and tau_N(D/2)^2 is added when D is even.  One exact partial
-    sum per window of m, each paired with its mirror window of D - m; a
-    whole table is one window.
+
+def pair_sums(
+    table: TauTable | TauWindows, shifts: list[int], mirrors: list[int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The shifted sums sum tau_N(n) * tau_N(n + D) over 1 <= n <= N^2 of
+    the D >= 0 in shifts, and the mirror sums sum tau_N(m) * tau_N(D - m)
+    over 0 < m < D of the D in mirrors, from one walk over the windows
+    (lo, lo + window] of tau_N, one _pass, as the module docstring says.
+
+    A mirror's pairs m and D - m give equal terms, so it reads only
+    m <= D/2, each m < D/2 counted twice, and a window that only mirrors
+    read sieves only their m.  A worker holds at most three windows'
+    cells: a window with its overhang, and one far shift or partner
+    range.
     """
-    hi = min(D - 1, table.limit)
-    lo = D - hi  # mirror index >= 1; both factors need support <= N^2
-    mid = (D - 1) // 2  # the largest m < D/2
-    step = table.window
-    (half,) = _pass(
-        range(lo - 1, mid, step),
-        1,
-        lambda a: [_mirror_window(table, a, min(a + step, mid), D)],
-    )
-    total = 2 * half
-    if D % 2 == 0 and 2 <= D <= 2 * table.limit:
-        total += int(table.cells(D // 2 - 1, D // 2)[0]) ** 2
-    return total
+    if min(shifts, default=0) < 0:
+        raise ValueError(f"shifted_sum() requires delta >= 0, got {min(shifts)}")
+    shifts, mirrors = list(dict.fromkeys(shifts)), list(dict.fromkeys(mirrors))
+    step, limit = table.window, table.limit
+    near = [D for D in shifts if D <= step]
+    extra = max(near, default=0)
+    top = limit - min(shifts, default=limit)  # no n past top has a shifted term
+    # a mirror reads a < m <= b: m <= D/2 and D - m <= N^2
+    halves = {D: (max(0, D - limit - 1), D // 2) for D in mirrors if 1 < D <= 2 * limit}
+    starts = sorted({*range(0, top, step),
+                     *(lo for a, b in halves.values() for lo in range(a - a % step, b, step))})
 
+    def window(lo: int) -> list[int]:
+        reads = [(D, max(a, lo), min(b, lo + step))
+                 for D, (a, b) in halves.items() if a < lo + step and lo < b]
+        shifted, mirror = dict.fromkeys(shifts, 0), dict.fromkeys(mirrors, 0)
+        if lo < top:
+            base, cells = lo, table.cells(lo, min(lo + step + extra, limit))
+            n = {D: min(step, limit - D - lo) for D in shifts}  # n + D > N^2: no term
+            shifted.update(zip(near, _dots(cells, [(D, n[D]) for D in near])))
+            for D in shifts:  # a shift past a window: sieved one at a time
+                if D > step and n[D] > 0:
+                    (shifted[D],) = _dots(cells, [(table.cells(lo + D, lo + D + n[D]), n[D])])
+        else:
+            base = min(a for _, a, _ in reads)
+            cells = table.cells(base, max(b for _, _, b in reads))
+        for D, a, b in reads:
+            # m in (s, b] finds D - m in cells; m in (a, s] past their end
+            s = min(max(D - base - cells.size - 1, a), b)
+            inside = cells[D - b - 1 - base : D - s - 1 - base][::-1]
+            (dot,) = _dots(cells[s - base :], [(inside, b - s)])
+            if a < s:
+                past = table.cells(D - s - 1, D - a - 1)[::-1]
+                dot += _dots(cells[a - base :], [(past, s - a)])[0]
+            mirror[D] = 2 * dot - (int(cells[b - base - 1]) ** 2 if 2 * b == D else 0)
+        return [*shifted.values(), *mirror.values()]
 
-def _mirror_window(table: TauTable | TauWindows, lo: int, hi: int, D: int) -> int:
-    """sum tau_N(m) * tau_N(D - m) over lo < m <= hi."""
-    return _dots(table.cells(lo, hi), [(table.cells(D - hi - 1, D - lo - 1)[::-1], hi - lo)])[0]
+    sums = _pass(starts, len(shifts) + len(mirrors), window)
+    return dict(zip(shifts, sums)), dict(zip(mirrors, sums[len(shifts) :]))
 
 
 def c2(table: TauTable | TauWindows, m: int) -> int:

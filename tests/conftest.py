@@ -47,7 +47,7 @@ def spawn():
 
 
 @pytest.fixture(scope="session")
-def tau_cache():
+def tau_windows():
     """TauWindows, the source of tau_N that every command reads past one
     window: each reduction streams its windows through the forked pass,
     at the production window size.  It holds only N, so nothing is kept."""

@@ -2,7 +2,8 @@
 
 Each test covers one acceptance criterion at its stated tolerance and
 emits a single PASS line on success (pytest -v adds the per-test
-verdict).  Large divisor tables are shared through the session cache.
+verdict).  tau_N is streamed as ``TauWindows`` (the ``tau_windows``
+fixture), as every command reads it past one window; nothing is cached.
 """
 
 import math
@@ -42,14 +43,14 @@ def done(n, text):
     print(f"[PASS] criterion {n}: {text}")
 
 
-def test_criterion_01_oracle_equivalence(tau_cache):
+def test_criterion_01_oracle_equivalence(tau_windows):
     for H in range(1, 9):
-        table = tau_cache(H)
+        table = tau_windows(H)
         for delta in range(-2 * H * H, 2 * H * H + 1):
             assert fast_count(H, delta, table=table) == naive_count(H, delta)
     rng = SplitMix64(2024)
     for H in (12, 16, 20):
-        table = tau_cache(H)
+        table = tau_windows(H)
         for _ in range(200):
             delta = rng.randint(-2 * H * H, 2 * H * H)
             assert fast_count(H, delta, table=table) == naive_count(H, delta)
@@ -67,17 +68,17 @@ def test_criterion_02_fixed_small_values():
     done(2, "frozen small values 20 / 33 / 129 / 52 reproduced by both counters")
 
 
-def test_criterion_03_sign_decomposition(tau_cache):
+def test_criterion_03_sign_decomposition(tau_windows):
     for H in (5, 10, 20, 30):
         for delta in (0, 1, -1, 3, -3, 7, -7, 25, 2 * H * H):
-            rep = decompose(H, delta, table=tau_cache(H))
+            rep = decompose(H, delta, table=tau_windows(H))
             assert rep.assembly_ok, (H, delta, rep.failures)
     done(3, "total = 4(c111 + c11-1) + zero_entry and all 8 class equalities")
 
 
-def test_criterion_04_casework_exactness(tau_cache):
+def test_criterion_04_casework_exactness(tau_windows):
     for H in (10, 20, 40):
-        table = tau_cache(H)
+        table = tau_windows(H)
         for delta in (1, 3, 7, 25, H, 2 * H, H * H // 2):
             g_direct = {r: region_sum_G(H, delta, r) for r in RegionG}
             assert sum(g_direct.values()) == sign_class_count(H, delta, SignClass(1, 1, 1))
@@ -92,11 +93,11 @@ def test_criterion_04_casework_exactness(tau_cache):
     done(4, "G/J region sums = sign-class counts = shifted sum; hyperbola route exact")
 
 
-def test_criterion_05_main_term_convergence(tau_cache):
+def test_criterion_05_main_term_convergence(tau_windows):
     for delta in (1, 2, 6, 12):
         rows = []
         for H in (250, 500, 1000, 2000):
-            rep = report(H, delta, table=tau_cache(H))
+            rep = report(H, delta, table=tau_windows(H))
             rows.append((H, float(rep.exact), rep.main))
         H2000 = rows[-1]
         assert abs(H2000[1] / H2000[2] - 1) <= 0.15, delta
@@ -106,9 +107,9 @@ def test_criterion_05_main_term_convergence(tau_cache):
     done(5, "|exact/main - 1| <= 0.15 at H=2000; fitted error exponent <= 1.9")
 
 
-def test_criterion_06_delta0_log_law(tau_cache):
+def test_criterion_06_delta0_log_law(tau_windows):
     rows = [
-        (H, float(fast_count(H, 0, table=tau_cache(H))))
+        (H, float(fast_count(H, 0, table=tau_windows(H))))
         for H in (500, 1000, 2000, 4000)
     ]
     a, _ = fit_linear_in_logN(rows)
@@ -116,19 +117,19 @@ def test_criterion_06_delta0_log_law(tau_cache):
     done(6, f"determinant-zero fit a={a:.4f} within 5% of 96/pi^2={COEFF_96:.4f}")
 
 
-def test_criterion_07_tau_identities(tau_cache):
+def test_criterion_07_tau_identities(tau_windows):
     for N in (10, 100, 1000, 3000):
-        assert tau_moment(tau_cache(N), 1) == N * N  # k=1 coefficient D_1 = 1
+        assert tau_moment(tau_windows(N), 1) == N * N  # k=1 coefficient D_1 = 1
     rows = [
-        (N, float(tau_moment(tau_cache(N), 2))) for N in (500, 1000, 2000, 4000)
+        (N, float(tau_moment(tau_windows(N), 2))) for N in (500, 1000, 2000, 4000)
     ]
     a, _ = fit_linear_in_logN(rows)
     assert abs(a / COEFF_12 - 1) <= 0.05, a
     done(7, f"sum tau_N = N^2 exactly; second-moment fit a={a:.4f} ~ 12/pi^2")
 
 
-def test_criterion_08_shifted_sum_discrimination(tau_cache):
-    tables = {N: tau_cache(N) for N in (500, 1000, 2000, 4000)}
+def test_criterion_08_shifted_sum_discrimination(tau_windows):
+    tables = {N: tau_windows(N) for N in (500, 1000, 2000, 4000)}
     for delta in (1, 6):
         verdict = discriminate_shifted(list(tables), delta, tables=tables)
         # slope indistinguishable from 0 against the log-candidate scale

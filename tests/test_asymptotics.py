@@ -166,9 +166,9 @@ def test_fit_linear_in_logN_pins_the_exact_slope():
     assert "%.12g" % a == "-3.06572696184e-06"
 
 
-def test_discriminate_shifted_small(tau_cache):
+def test_discriminate_shifted_small(tau_windows):
     sizes = [200, 300, 400, 600]
-    tables = {N: tau_cache(N) for N in sizes}
+    tables = {N: tau_windows(N) for N in sizes}
     verdict = discriminate_shifted(sizes, 1, tables=tables)
     assert verdict.predicted_log_slope == pytest.approx(COEFF_12)
     assert verdict.consistent_with_nolog

@@ -396,17 +396,16 @@ def test_one_pass_sieves_each_window_once(command, monkeypatch, capsys):
     assert run(argv, capsys)[0] == 0
     for H in _PASS_H:
         # every window once with max(D) extra cells, cut at H^2: at most
-        # H^2 + windows * max(D) cells; sweep also reads c2 and the
-        # self-convolution of each distinct |delta| after the pass, at
-        # most |D| + 2 cells each
+        # H^2 + windows * max(D) cells; sweep's mirror sums read their m
+        # and D - m from those cells, and its c2 one cell per distinct
+        # |delta| after the pass
         bound = sum(min(_PASS_WINDOW + max(deltas), H * H - lo) for lo in range(0, H * H, _PASS_WINDOW))
         if command == "sweep":
-            bound += sum(D + 2 for D in {abs(d) for d in deltas if d})
+            bound += len({abs(d) for d in deltas if d})
         assert cells.get(H, 0) <= bound, (H, cells)
     assert cells[40] > 40 * 40  # 25 windows, each with its overhang
-    # each pass window is dropped before the next one is sieved; a mirror
-    # window is alive while its partner is sieved
-    assert alive and max(alive) <= (1 if command == "sweep" else 0)
+    # each pass window is dropped before the next one is sieved
+    assert alive and max(alive) == 0
 
 
 @pytest.mark.parametrize(

@@ -351,6 +351,39 @@ def test_delta_sums_equal_the_reductions_one_by_one(source, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("source", [build_tau_table, TauWindows])
+def test_a_delta_pass_is_one_walk(source, monkeypatch):
+    N, window = 20, 64
+    limit = N * N
+    table = source(N)  # before the patch: a whole table fits only the real window
+    ref = build_tau_table(N).counts.tolist() + [0] * (2 * limit)  # 0 above N^2
+    monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
+    real, passes = tau_tables._pass, []
+
+    def counted(starts, width, read):
+        passes.append(list(starts))
+        return real(starts, width, read)
+
+    monkeypatch.setattr(tau_tables, "_pass", counted)
+    # near, at the window edge, far, past N^2, and at and just below 2N^2
+    Ds = [1, 7, window - 1, window, window + 1, 3 * window + 5, limit + 3,
+          2 * limit - 3, 2 * limit]
+    for deltas in [Ds, *([D] for D in Ds)]:
+        passes.clear()
+        terms = delta_pass(N, deltas, table).terms
+        # one pass, and in it each window once
+        assert len(passes) == 1 and len(set(passes[0])) == len(passes[0]), deltas
+        assert terms == {
+            D: (2 * ref[D], sum(ref[n] * ref[n + D] for n in range(1, limit + 1)),
+                sum(ref[m] * ref[D - m] for m in range(1, D)))
+            for D in deltas
+        }
+    passes.clear()
+    D = 2 * limit - 3
+    assert self_convolution(table, D) == sum(ref[m] * ref[D - m] for m in range(1, D))
+    assert len(passes) == 1
+
+
 def test_forked_passes_equal_the_serial_pass(monkeypatch):
     window = 64
     monkeypatch.setattr(tau_tables, "_WINDOW_CELLS", window)
@@ -535,14 +568,17 @@ def test_small_windows_and_blocks_equal_python_sums(data):
     t = build_tau_table(N)
     ref = t.counts.tolist() + [0] * max(Ds)  # tau_N vanishes above N^2
     want = {D: sum(ref[n] * ref[n + D] for n in range(1, limit + 1)) for D in Ds}
+    mirror = {D: sum(ref[m] * ref[D - m] for m in range(1, D)) for D in Ds}
+    # delta_pass keeps the D with 0 < D <= 2N^2; c2(D) = 2 tau_N(D)
+    terms = {D: (2 * ref[D], want[D], mirror[D]) for D in Ds if 0 < D <= 2 * limit}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tau_tables, "_WINDOW_CELLS", window)
         patch.setattr(tau_tables, "_DOT_BLOCK", block)
         for source in (t, TauWindows(N)):
             assert shifted_sums(source, Ds) == want
+            assert delta_pass(N, Ds, source).terms == terms
             for D in Ds:
-                mirror = sum(ref[m] * ref[D - m] for m in range(1, D))
-                assert self_convolution(source, D) == mirror, D
+                assert self_convolution(source, D) == mirror[D], D
                 for delta in (D, -D):
                     assert fast_count(N, delta, table=source) == count_by_convolution(t, delta)
         for D in Ds:

@@ -561,14 +561,23 @@ def run(argv: list[str] | None = None) -> int:
     It sets OPENBLAS_NUM_THREADS=1 unless the environment names it: the
     only BLAS calls are the tau_N dots, whose blocks are longest under a
     one-thread pool, and a pool's helper thread spins and takes address
-    space that ulimit -v counts.  Ctrl-C exits 130 with one line.  The
+    space that ulimit -v counts.  The cyclic collector is off from
+    entry, and the forked tau_N workers inherit it off.  That is safe
+    because every command, from count --H 100 to a sweep over many H,
+    leaves the same few hundred unreachable objects (the parser's and
+    numpy's import's cycles): its work makes no cyclic garbage, so a
+    collection frees nothing that grows with it, and the 33-50 passes
+    that numpy's import and the command would trigger cost 5-10 ms of
+    each process.  Ctrl-C exits 130 with one line.  The
     collector is then frozen, so teardown's collections skip what numpy
     and the library leave alive, which the OS reclaims anyway; atexit
     handlers, stream flushes and module teardown still run.  main() sets
-    nothing and never freezes: tests and library callers run it many
-    times in one process.  The module docstring is `matcount --help`'s
-    description, so notes like these stay here."""
+    nothing, never freezes and leaves the collector on: tests and
+    library callers run it many times in one process.  The module
+    docstring is `matcount --help`'s description, so notes like these
+    stay here."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads
+    gc.disable()
     try:
         code = main(argv)
     except KeyboardInterrupt:

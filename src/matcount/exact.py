@@ -30,18 +30,35 @@ the decomposition report asserting
     total = 4 * (c_{1,1,1} + c_{1,1,-1}) + zero_entry
 
 together with the eight sign-class equalities.
+
+tau_tables is bound through lazy_import, so it runs at the first read
+of one of its names: a caller of naive_count, SignClass and
+sign_class_count alone, as casework is, runs neither tau_tables nor
+the arith module that it imports.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import checked, lazy_import
 from .errors import BudgetError
-from .tau_tables import TauTable, TauWindows, build_tau_table, c2, pair_sums, square_sum
+
+if TYPE_CHECKING:
+    from .tau_tables import TauTable, TauWindows
 
 np = lazy_import("numpy")
+tau_tables = lazy_import("matcount.tau_tables")
+
+
+def __getattr__(name: str):
+    """exact.build_tau_table, the name the bench's spans wrap, read from
+    tau_tables at each access, so importing exact runs no tau_tables."""
+    if name == "build_tau_table":
+        return tau_tables.build_tau_table
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Hard cap on full enumeration: (2H+1)^4 matrices.
 NAIVE_ENUM_LIMIT = 10**10
@@ -127,8 +144,8 @@ def _tau_table(H: int, table: TauTable | TauWindows | DeltaSums | None):
         # The whole-table branch stays only because the bench counts tau
         # cells through build_tau_table and pins fast_count(5, 3) building
         # one 26-cell table; TauWindows(H) alone gives the same values.
-        windows = TauWindows(H)
-        return build_tau_table(H) if windows.limit < windows.window else windows
+        windows = tau_tables.TauWindows(H)
+        return tau_tables.build_tau_table(H) if windows.limit < windows.window else windows
     if table.N != H:
         raise ValueError(f"tau table is for N={table.N}, expected H={H}")
     return table
@@ -149,8 +166,8 @@ def delta_pass(
     if not Ds:
         return DeltaSums(H, {})
     source = _tau_table(H, table)
-    shifted, mirror = pair_sums(source, Ds, Ds)
-    return DeltaSums(H, {D: (c2(source, D), shifted[D], mirror[D]) for D in Ds})
+    shifted, mirror = tau_tables.pair_sums(source, Ds, Ds)
+    return DeltaSums(H, {D: (tau_tables.c2(source, D), shifted[D], mirror[D]) for D in Ds})
 
 
 def fast_count(
@@ -179,7 +196,7 @@ def fast_count(
     if D > 2 * H * H:
         return 0
     if D == 0:
-        return (4 * H + 1) ** 2 + 8 * square_sum(H)
+        return (4 * H + 1) ** 2 + 8 * tau_tables.square_sum(H)
     if not isinstance(table, DeltaSums):
         table = delta_pass(H, [D], table)
     elif D not in table.terms:
@@ -233,7 +250,7 @@ def zero_entry_count(H: int, delta: int, table: TauTable | TauWindows | None = N
     """
     if H < 1:
         raise ValueError(f"zero_entry_count() requires H >= 1, got {H}")
-    c2d = c2(_tau_table(H, table), delta)  # c2 is even in m
+    c2d = tau_tables.c2(_tau_table(H, table), delta)  # c2 is even in m
     side = 2 * H + 1
     z = 4 * side * c2d - 2 * c2d
     if delta == 0:

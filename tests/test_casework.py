@@ -17,8 +17,8 @@ from matcount.casework import (
     region_sum_J_via_hyperbola,
 )
 from matcount.errors import BudgetError
-from matcount.exact import SignClass, sign_class_count
-from matcount.tau_tables import build_tau_table, shifted_sum
+from matcount.exact import SignClass, fast_count, sign_class_count, zero_entry_count
+from matcount.tau_tables import TauWindows, build_tau_table, self_convolution, shifted_sum
 
 
 def enumerate_cell(a, c, H, delta):
@@ -42,6 +42,24 @@ def test_regions_partition_and_cross_module_totals():
             j_total = sum(region_sum_J(H, delta, r) for r in RegionJ)
             assert j_total == sign_class_count(H, delta, SignClass(1, 1, -1))
             assert j_total == shifted_sum(build_tau_table(H), delta)
+
+
+def test_direct_route_checks_the_tau_pass_at_its_real_window_size(monkeypatch):
+    # J counts ad - bc = D over a, b, c, d in [1, H], the shifted sum S,
+    # and G - J counts ad + bc = D, the self-convolution M, by a route
+    # that shares no code with tau_tables.  At H = 1500, tau_H spans two
+    # 2^21-cell windows, and the deltas put shifts and mirror partners
+    # inside one window, across the first window's edge and at 2H^2.
+    H = 1500
+    monkeypatch.setattr(casework, "CELL_BUDGET", H * H)
+    windows = TauWindows(H)
+    for delta in (720, 2**21 + 1, 2 * H * H - 3):
+        G = sum(region_sum_G(H, delta, r) for r in RegionG)
+        J = sum(region_sum_J(H, delta, r) for r in RegionJ)
+        assert J == shifted_sum(windows, delta), delta
+        assert G - J == self_convolution(windows, delta), delta
+        total = fast_count(H, delta, windows)
+        assert 4 * (G + J) + zero_entry_count(H, delta, windows) == total, delta
 
 
 def test_small_delta_empties_small_c_regions():

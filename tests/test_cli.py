@@ -860,19 +860,21 @@ _LIBRARY = {"arith", "asymptotics", "casework", "exact", "hyperbola", "lemmas", 
 @pytest.mark.parametrize("argv, not_run", [
     ("hyperbola --N 3 --seed 1", {"exact", "tau_tables", "asymptotics", "casework", "lemmas"}),
     ("lemmas", {"exact", "tau_tables", "asymptotics", "casework", "hyperbola", "rng"}),
-    ("casework --H 12 --delta 5", {"asymptotics", "lemmas", "rng"}),
+    # exact's sign-class count reads no tau_tables, which alone runs arith here
+    ("casework --H 12 --delta 5", {"tau_tables", "arith", "asymptotics", "lemmas", "rng"}),
     ("count --H 6000 --delta=0", {"casework", "hyperbola", "lemmas", "rng"}),
     ("count --H 0 --delta 1", _LIBRARY),  # a usage error runs only cli and errors
     ("count --H 30 --delta 7", set()),
     # the region sums refuse past the cell budget before the total check
     ("casework --H 317 --delta 1", {"exact", "tau_tables", "arith", "asymptotics", "lemmas",
                                     "rng"}),
+    ("count --H 100 --delta 6", set()),
 ])
 def test_each_command_runs_only_the_modules_it_calls(argv, not_run, tmp_path, spawn):
     ran = set(_last_line(spawn, _MODULES_RUN, argv, tmp_path).split())
     assert {"cli", "errors"} <= ran and not ran & not_run, ran
-    if not not_run:  # the control: a pass over tau_H
-        assert {"exact", "tau_tables"} <= ran
+    if not not_run:  # the control: a pass over tau_H, whose sieve is arith's
+        assert {"exact", "tau_tables", "arith"} <= ran
 
 
 @pytest.mark.parametrize("argv", [
@@ -979,10 +981,11 @@ def test_numpy_that_cannot_load_exits_2(spawn):
 
 
 # An atexit handler, registered before the command runs as a process,
-# prints the garbage collector's freeze count at teardown.
+# prints the garbage collector's freeze count at teardown and whether
+# the collector is on.
 _FREEZE_PROBE = """
 import atexit, gc, runpy, sys
-atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), gc.isenabled()))
 sys.argv = ["matcount", "count", "--H", "100", "--delta", "6"]
 runpy.run_module("matcount.cli", run_name="__main__")
 """
@@ -993,13 +996,39 @@ def test_a_process_freezes_the_collector_before_teardown(spawn):
     assert err == ""
     *rows, probe = out.splitlines()
     assert rows[0] == "exact = 195184"
-    assert probe.startswith("frozen ") and int(probe.split()[1]) > 0
+    frozen, count, enabled = probe.split()
+    assert (frozen, enabled) == ("frozen", "False") and int(count) > 0
 
 
 def test_main_in_process_freezes_nothing(capsys):
     before = gc.get_freeze_count()
     assert run(["count", "--H", "100", "--delta", "6"], capsys)[0] == 0
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()
+
+
+# run() turns the cyclic collector off, which is safe only while a
+# command's cyclic garbage is a fixed count that does not grow with its
+# work: each command at a small and a large size.
+@pytest.mark.parametrize("small, large", [
+    ("count --H 100 --delta 6", "count --H 3000 --delta 6"),  # the second pass forks
+    ("sweep --H 50 --delta 1,2 --no-timing", "sweep --H 50,60,70,80,90 --delta 1,2 --no-timing"),
+    ("hyperbola --N 5", "hyperbola --N 500"),
+    ("casework --H 20 --delta 7", "casework --H 200 --delta 7"),
+    ("tau --N 50 --k 3", "tau --N 3000 --k 3"),
+])
+def test_a_command_leaves_garbage_that_does_not_grow_with_its_work(small, large, capsys):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage = []
+        for argv in (small, small, large):  # the first run warms imports and caches
+            assert run(argv.split(), capsys)[0] == 0
+            garbage.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert garbage[1] == garbage[2]
 
 
 # A valid argv per subcommand; the fuzz swaps its values and appends flags.

@@ -11,61 +11,57 @@ a = c + delta/H; all comparisons are done in integer arithmetic
 its geometry, read as the member attributes small_a and (for G)
 small_c, so no code branches on which member it is.
 
-The direct route evaluates G and J in closed form over a region's cells
-as int64 arrays: the d = d0 (mod c/g), g = gcd(a, c), with the inverse of
-a/g mod c/g by extended Euclid, in G's d-interval (|b| <= H)
+Each route writes one record of the same shape, its columns: for each
+side of the split a*H <= c*H + delta (small_a) and each c = 1..H, the G
+and the J counts summed over that column's cells.  A region sum adds up
+its own columns of the record it is given, or of a fresh one; the
+casework command builds each route's record once and hands it to that
+route's six region sums.  A record is one pass over the (c, a) grid in
+whole rows of c, CELL_BLOCK cells at a time, as int64 arrays.  delta
+is read as min(delta, 2H^2 + 1): past 2H^2 every d-interval below is
+empty either way (d > (delta - Hc)/a > H), so every value stays below
+3H^2 + H + 1.
+
+The direct route solves each cell's congruence once for G and J:
+d = d0 (mod c/g), g = gcd(a, c), with the inverse of a/g mod c/g by
+extended Euclid (_inverse), counted in G's d-interval (|b| <= H)
 [max(1, ceil((delta - Hc)/a)), min(H, floor((delta + Hc)/a))] less its
-b = 0 point d = delta/a, if any, or in J's, which starts at d > delta/a
+b = 0 point d = delta/a, if any, and in J's, which starts at d > delta/a
 (b >= 1).
 
-The hyperbola route counts every column c with one formula, upper minus
-lower, over the a-range (U, U+X] cut at the integer split
-min((c*H + delta) // H, H).  Upper is the box rows d <= H on the small-a
-side and the curve d <= (delta + Hc)/a on the large-a side.  Lower is
-the curve d <= lower/a, capped at H on the small-a side and skipped when
-lower < 1: lower = delta - Hc - 1 for G (the strict endpoint
+The hyperbola route counts each cell's points of u*v = delta (mod c) at
+u = a, v = d as upper minus lower rows.  Upper is the box rows v <= H on
+the small-a side and the curve v <= (delta + Hc)/a on the large-a side.
+Lower is the curve v <= lower/a, capped at H on the small-a side and
+empty when lower < 1: lower = delta - Hc - 1 for G (the strict endpoint
 d > (delta - Hc)/a, shifted by one over integers) and lower = delta for
-J (b >= 1 is d > delta/a).  The congruence admits G's b = 0 pairs, the
-points (a, delta/a) with a | delta and delta/a <= H, and each column
-subtracts those whose a lies in its a-range, so every column is exact.
+J (b >= 1 is d > delta/a).  Every cell of a column c reads the hyperbola
+module's residue table of (c, delta mod c), built once per c with pow,
+and the points in (lower, upper] are the module's stride count.  The
+congruence admits G's b = 0 pairs, the points (a, delta/a) with a | delta
+and delta/a <= H, and each such cell subtracts its one.
 
-The route is one sweep per (H, delta) over every column c = 1..H on
-both sides: at each (c, side) it counts the upper part once, then G's
-and J's lower curves, all three on the one residue table of
-(c, delta) that the hyperbola module keeps, so no table is built twice.
-hyper_columns returns the sweep as a value, and each region sum, for G
-as for J, adds up its own columns of the sweep it is given, or of a
-fresh one: the casework command sweeps once and hands the record to all
-six sums.
-
-The two routes share no counter; the casework command and the tests
-compare their region sums, which must be equal.
+The two routes share no congruence count, only the grid pass (_record)
+and G's b = 0 points (_b0); the casework command and the tests compare
+their region sums, which must be equal.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 
-from . import lazy_import
+from . import hyperbola, lazy_import
 from .errors import BudgetError
-from .hyperbola import (
-    CurveQuery,
-    HyperbolaQuery,
-    Hyperbolic,
-    count_box,
-    count_under_curve,
-)
 
 np = lazy_import("numpy")
 
 # Every region sum visits H*H (a, c) cells and refuses more; at H = 316
-# the casework command's hyperbola route takes about 0.05 s, its sign-class
-# check 0.11 s and its direct route (array work) 0.05 s on a 2-core host.
+# the casework command's hyperbola route takes about 0.03 s, its sign-class
+# check 0.003 s and its direct route 0.024 s on a 2-core host.
 CELL_BUDGET = 100_000
 
-# Cells per array pass of the direct route, in whole rows of c; 2^14 is a
-# little faster but adds about 0.4 MB of peak RSS at H = 120.
+# Cells per array pass of either route, in whole rows of c; 2^12 was as
+# fast as 2^13 and faster than 2^14 and 2^16 at H = 120 and 300.
 CELL_BLOCK = 1 << 12
 
 
@@ -108,19 +104,29 @@ def _check(H: int, delta: int) -> None:
         raise BudgetError(f"casework(H={H}) visits {H * H} cells, budget is {CELL_BUDGET}")
 
 
-def _cells(H: int, delta: int, cs: range, small_a: bool):
-    """(a, c) int64 arrays of the cells with c in cs and a on the small_a
-    side of a*H <= c*H + delta, CELL_BLOCK cells at a time.  Nothing once
-    delta > 2H^2, where every d-interval is empty (d_lo >= (delta - Hc)/a
-    > H), so every int64 value of a pass stays below 3H^2 + H."""
-    if delta > 2 * H * H:
-        return
+Columns = dict[bool, tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _record(H: int, delta: int, cells) -> Columns:
+    """The columns of a route: cells(a, c, small) gives the int64 (G, J)
+    counts of a block of rows c (a column vector) by a = 1..H, small the
+    cells with a*H <= c*H + delta; each row is summed on each side."""
     a = np.arange(1, H + 1, dtype=np.int64)
     rows = max(1, CELL_BLOCK // H)
-    for lo in range(cs.start, cs.stop, rows):
-        c = np.arange(lo, min(lo + rows, cs.stop), dtype=np.int64)[:, None]
-        keep = (a * H <= c * H + delta) == small_a
-        yield np.broadcast_to(a, keep.shape)[keep], np.broadcast_to(c, keep.shape)[keep]
+    columns = {small_a: ([], []) for small_a in (True, False)}
+    for lo in range(1, H + 1, rows):
+        c = np.arange(lo, min(lo + rows, H + 1), dtype=np.int64)[:, None]
+        small = a * H <= c * H + delta
+        for k, counts in enumerate(cells(a, c, small)):
+            on_small = np.where(small, counts, 0).sum(axis=1)
+            columns[True][k].extend(on_small.tolist())
+            columns[False][k].extend((counts.sum(axis=1) - on_small).tolist())
+    return {small_a: (tuple(G), tuple(J)) for small_a, (G, J) in columns.items()}
+
+
+def _b0(H: int, delta: int, a: np.ndarray) -> np.ndarray:
+    """G's b = 0 points: the a with a | delta and delta/a <= H."""
+    return (delta % a == 0) & (delta <= H * a)
 
 
 def _inverse(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -137,26 +143,61 @@ def _inverse(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return inv % m
 
 
-def _congruent_total(a, c, delta: int, d_lo, d_hi) -> int:
-    """#{d in [d_lo, d_hi]: a*d = delta (mod c)}, summed over int64
-    arrays of cells."""
+def _direct_cells(H: int, delta: int, a, c):
+    """(G, J) of each cell of the block, its congruence solved once: the
+    d = d0 (mod c/g) in G's and in J's d-interval, G less its b = 0 point.
+    Cells with an empty G interval or g not dividing delta count 0."""
+    d_hi = np.minimum(H, (delta + H * c) // a)
+    g_lo = np.maximum(1, -((H * c - delta) // a))
     g = np.gcd(a, c)
-    i = np.flatnonzero((d_lo <= d_hi) & (delta % g == 0))
-    a, g, d_lo, d_hi = a[i], g[i], d_lo[i], d_hi[i]
-    m = c[i] // g
-    d0 = (delta // g) % m * _inverse(a // g, m) % m
-    return int(((d_hi - d0) // m - (d_lo - 1 - d0) // m).sum())
+    i = np.flatnonzero((g_lo <= d_hi) & (delta % g == 0))
+    ai, ci, g, hi, g_lo = i % H + 1, c.ravel()[i // H], g.flat[i], d_hi.flat[i], g_lo.flat[i]
+    m = ci // g
+    d0 = (delta // g) % m * _inverse(ai // g, m) % m
+    j_lo = delta // ai + 1  # inside G's interval, which holds J's
+    G, J = np.zeros(d_hi.shape, np.int64), np.zeros(d_hi.shape, np.int64)
+    G.flat[i] = (hi - d0) // m - (g_lo - 1 - d0) // m
+    J.flat[i] = np.where(j_lo <= hi, (hi - d0) // m - (j_lo - 1 - d0) // m, 0)
+    return G - _b0(H, delta, a), J
 
 
-def region_sum_G(H: int, delta: int, region: RegionG) -> int:
-    """G(a, c) summed over the region's (a, c) lattice points."""
+def direct_columns(H: int, delta: int) -> Columns:
+    """small_a -> (G, J): the direct route's counts per column c = 1..H on
+    that side, each cell's congruence solved once for both problems."""
     _check(H, delta)
-    total = 0
-    for a, c in _cells(H, delta, _c_range_G(H, delta, region), region.small_a):
-        d_lo = np.maximum(1, -((H * c - delta) // a))
-        total += _congruent_total(a, c, delta, d_lo, np.minimum(H, (delta + H * c) // a))
-        total -= int(np.count_nonzero((delta % a == 0) & (delta <= H * a)))  # b = 0
-    return total
+    delta = min(delta, 2 * H * H + 1)
+    return _record(H, delta, lambda a, c, small: _direct_cells(H, delta, a, c))
+
+
+def hyper_columns(H: int, delta: int) -> Columns:
+    """small_a -> (G, J): the points of a*d = delta (mod c) in the column
+    at each c = 1..H on that side, upper minus each problem's lower
+    rows, as the module docstring states.  A block gathers its cells'
+    entries from the residue tables of its rows, one table per c."""
+    _check(H, delta)
+    K, delta = delta, min(delta, 2 * H * H + 1)
+
+    def cells(a, c, small):
+        qs = c.ravel().tolist()
+        tables = [hyperbola.period_table(q, K) for q in qs]
+        cell = np.cumsum([0, *qs[:-1]])[:, None] + a % c  # u = a in its row's table
+        w, m, v0 = (np.concatenate([t[k] for t in tables])[cell] for k in range(3))
+        upper = np.where(small, H, (delta + H * c) // a)  # the box, or the curve
+
+        def points(lower):
+            rows = np.maximum(lower, 0) // a
+            rows = np.where(small, np.minimum(rows, H), rows)
+            return np.where(w > 0, hyperbola.stride_count(v0, m, rows, upper - rows), 0)
+
+        return points(delta - H * c - 1) - _b0(H, delta, a), points(delta)
+
+    return _record(H, delta, cells)
+
+
+def _sum_G(columns: Columns, H: int, delta: int, region: RegionG) -> int:
+    """G's columns of a record on the region's side, over its c-range."""
+    G = columns[region.small_a][0]
+    return sum(G[c - 1] for c in _c_range_G(H, delta, region))
 
 
 def _c_range_G(H: int, delta: int, region: RegionG) -> range:
@@ -165,47 +206,11 @@ def _c_range_G(H: int, delta: int, region: RegionG) -> range:
     return range(delta // H + 1, H + 1)
 
 
-Columns = dict[bool, tuple[tuple[int, ...], tuple[int, ...]]]
-
-
-def hyper_columns(H: int, delta: int) -> Columns:
-    """small_a -> (G, J): the points of a*d = delta (mod c) in the column
-    at each c = 1..H on that side, upper minus each problem's lower
-    curve, as the module docstring states.  G's b = 0 pairs are
-    subtracted per column: two bisections of the sorted a with a | delta
-    and delta/a <= H count those in the column's a-range.  Each (c, side)
-    reads one residue table and counts its upper part once for both
-    problems; both sides of a column run in turn, so a table of all
-    residues mod c serves both."""
+def region_sum_G(H: int, delta: int, region: RegionG, *, columns: Columns | None = None) -> int:
+    """G(a, c) summed over the region's (a, c) lattice points, from
+    columns, which must be direct_columns(H, delta), or a fresh record."""
     _check(H, delta)
-    b0 = [a for a in range(1, H + 1) if delta % a == 0 and delta // a <= H]
-    columns = {small_a: ([], []) for small_a in (True, False)}
-    for c in range(1, H + 1):
-        split = min((c * H + delta) // H, H)
-        for small_a, (G, J) in columns.items():
-            U, X = (0, split) if small_a else (split, H - split)
-            if X <= 0:
-                G.append(0)
-                J.append(0)
-                continue
-            if small_a:
-                upper = count_box(HyperbolaQuery(K=delta, q=c, U=U, V=0, X=X, Y=H))
-            else:
-                upper = count_under_curve(
-                    CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta + H * c))
-                )
-            for column, lower in ((G, delta - H * c - 1), (J, delta)):
-                n = upper
-                if lower >= 1:
-                    # Capped at H on (0, X], the curve is flat wherever
-                    # lower >= H a, so lowering its A to H X changes no row
-                    # and keeps A inside the queries' int64 domain however
-                    # large delta is.
-                    bound = Hyperbolic(min(lower, H * X), cap=H) if small_a else Hyperbolic(lower)
-                    n -= count_under_curve(CurveQuery(K=delta, q=c, U=U, X=X, bound=bound))
-                column.append(n)
-            G[-1] -= bisect_right(b0, U + X) - bisect_right(b0, U)
-    return {small_a: (tuple(G), tuple(J)) for small_a, (G, J) in columns.items()}
+    return _sum_G(columns or direct_columns(H, delta), H, delta, region)
 
 
 def region_sum_G_via_hyperbola(
@@ -214,20 +219,16 @@ def region_sum_G_via_hyperbola(
     """Region sum evaluated through box/curve hyperbola counts; the strict
     lower endpoint d > (delta - Hc)/a is the curve at delta - Hc - 1.
     Sums columns, which must be hyper_columns(H, delta), or a fresh
-    sweep.  Reads no direct count; it must equal region_sum_G exactly."""
+    record.  Reads no direct count; it must equal region_sum_G exactly."""
     _check(H, delta)
-    G = (columns or hyper_columns(H, delta))[region.small_a][0]
-    return sum(G[c - 1] for c in _c_range_G(H, delta, region))
+    return _sum_G(columns or hyper_columns(H, delta), H, delta, region)
 
 
-def region_sum_J(H: int, delta: int, region: RegionJ) -> int:
-    """J(a, c) summed over the region's (a, c) lattice points."""
+def region_sum_J(H: int, delta: int, region: RegionJ, *, columns: Columns | None = None) -> int:
+    """J(a, c) summed over the region's (a, c) lattice points, from
+    columns, which must be direct_columns(H, delta), or a fresh record."""
     _check(H, delta)
-    total = 0
-    for a, c in _cells(H, delta, range(1, H + 1), region.small_a):
-        d_hi = np.minimum(H, (delta + H * c) // a)
-        total += _congruent_total(a, c, delta, delta // a + 1, d_hi)
-    return total
+    return sum((columns or direct_columns(H, delta))[region.small_a][1])
 
 
 def region_sum_J_via_hyperbola(
@@ -236,6 +237,6 @@ def region_sum_J_via_hyperbola(
     """Hyperbola-based J region sum; the strict lower endpoint d > delta/a
     is the weak-inclusion curve (0, delta/a], so no correction term.
     Sums columns, which must be hyper_columns(H, delta), or a fresh
-    sweep.  Reads no direct count; it must equal region_sum_J exactly."""
+    record.  Reads no direct count; it must equal region_sum_J exactly."""
     _check(H, delta)
     return sum((columns or hyper_columns(H, delta))[region.small_a][1])

@@ -34,10 +34,14 @@ Exit codes: 0 success, 1 usage error, 2 resource budget exceeded,
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # before the imports below, as run() would; see its docstring
+
 import argparse
 import csv
 import errno
-import gc
 import io
 import os
 import sys
@@ -372,10 +376,12 @@ def lemma_grid_rows() -> list[dict]:
         rows.append(_lemma_row("phi_ratio", 0, X, 0, 1, lemmas.phi_ratio_report(X)))
         rows.append(_lemma_row("phi_over_square", 0, X, 0, 1, lemmas.phi_over_square_report(X)))
         rows.append(_lemma_row("coprime", 0, X, 360, 1, lemmas.coprime_count_report(X, 360)))
-        for r in (1, 2, 5, 10):
-            for variant, Y in ((1, 0), (2, X // 2), (3, X // 2), (4, X)):
-                rep = lemmas.xy_sum(variant, X, Y, r)
-                rows.append(_lemma_row("xy_sum", variant, X, Y, r, rep))
+        # one Moebius table per X, one coprime-count pass per (X, r)
+        rs, cases = (1, 2, 5, 10), ((1, 0), (2, X // 2), (3, X // 2), (4, X))
+        reports = iter(lemmas.xy_sums(X, rs, cases))
+        for r in rs:
+            for variant, Y in cases:
+                rows.append(_lemma_row("xy_sum", variant, X, Y, r, next(reports)))
     return rows
 
 
@@ -391,7 +397,9 @@ def _cmd_casework(args) -> int:
     H, delta = _single_point(args)
     if delta < 1:
         raise UsageError(f"casework requires --delta >= 1, got {delta}")
-    columns = casework.hyper_columns(H, delta)  # one sweep for all six hyperbola sums
+    # one record per route, read by all six of its region sums
+    direct_columns = casework.direct_columns(H, delta)
+    hyper_columns = casework.hyper_columns(H, delta)
     rows, total_rows = [], []
     for problem, regions, direct_sum, hyper_sum, signs in (
         ("G", casework.RegionG, casework.region_sum_G, casework.region_sum_G_via_hyperbola,
@@ -401,8 +409,8 @@ def _cmd_casework(args) -> int:
     ):
         total = 0
         for region in regions:
-            direct = direct_sum(H, delta, region)
-            hyper = hyper_sum(H, delta, region, columns=columns)
+            direct = direct_sum(H, delta, region, columns=direct_columns)
+            hyper = hyper_sum(H, delta, region, columns=hyper_columns)
             if direct != hyper:
                 raise InvariantError(
                     f"{problem} region {region.name}: direct {direct} != hyperbola {hyper}"
@@ -562,13 +570,14 @@ def run(argv: list[str] | None = None) -> int:
     only BLAS calls are the tau_N dots, whose blocks are longest under a
     one-thread pool, and a pool's helper thread spins and takes address
     space that ulimit -v counts.  The cyclic collector is off from
-    entry, and the forked tau_N workers inherit it off.  That is safe
-    because every command, from count --H 100 to a sweep over many H,
-    leaves the same few hundred unreachable objects (the parser's and
-    numpy's import's cycles): its work makes no cyclic garbage, so a
-    collection frees nothing that grows with it, and the 33-50 passes
-    that numpy's import and the command would trigger cost 5-10 ms of
-    each process.  Ctrl-C exits 130 with one line.  The
+    entry (under `python -m matcount.cli`, from the top of this module,
+    before its imports), and the forked tau_N workers inherit it off.
+    That is safe because every command, from count --H 100 to a sweep
+    over many H, leaves the same few hundred unreachable objects (the
+    parser's and numpy's import's cycles): its work makes no cyclic
+    garbage, so a collection frees nothing that grows with it, and the
+    33-50 passes that numpy's import and the command would trigger cost
+    5-10 ms of each process.  Ctrl-C exits 130 with one line.  The
     collector is then frozen, so teardown's collections skip what numpy
     and the library leave alive, which the OS reclaims anyway; atexit
     handlers, stream flushes and module teardown still run.  main() sets

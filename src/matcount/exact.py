@@ -24,8 +24,9 @@ The two counters must agree exactly; the tests enforce this
 exhaustively at small heights.
 
 Also provides sign-class counts (prescribed signs of a, c, d with all
-four entries nonzero), the zero-entry count via inclusion-exclusion, and
-the decomposition report asserting
+four entries nonzero), read for each c off one histogram of the
+products |a d| in O(H^2) integer work, the zero-entry count via
+inclusion-exclusion, and the decomposition report asserting
 
     total = 4 * (c_{1,1,1} + c_{1,1,-1}) + zero_entry
 
@@ -63,9 +64,9 @@ def __getattr__(name: str):
 # Hard cap on full enumeration: (2H+1)^4 matrices.
 NAIVE_ENUM_LIMIT = 10**10
 
-# Cells per (a, d) block in sign_class_count; each float64 temporary of a
-# block costs 8 bytes per cell.
-_SIGN_CLASS_BLOCK = 1 << 16
+# Bytes that sign_class_count may allocate: its H^2 int64 products and
+# their H^2 + 1 int64 bins, 16 H^2 + 8 bytes in all (H up to 2896).
+SIGN_CLASS_BYTES = 1 << 27
 
 
 @checked
@@ -209,36 +210,39 @@ def sign_class_count(H: int, delta: int, sign_class: SignClass) -> int:
     """Exact count of matrices in D_2(H, delta) with sgn a = alpha,
     sgn c = gamma, sgn d = delta' and b != 0.
 
-    Direct enumeration of (a, c, d) in the prescribed orthant; b is read
-    off from b = (a*d - delta) / c and checked for integrality and range.
-    k = a*d - delta is a float64 block of (a, d) rows of at most
-    _SIGN_CLASS_BLOCK cells (one row when H exceeds it), divided by each
-    c in turn, so memory stays O(H + _SIGN_CLASS_BLOCK).  The division
-    is exact evidence: |k| <= 3H^2 < 2^53, so k and c are exact floats;
-    a multiple of c gives the exact integer b, and any other k a quotient
-    at least 1/c from every integer, which its rounding error (half an
-    ulp of |k/c| < 2^53 / c) cannot close.  k = 0 (b = 0) is set to NaN,
-    which is never integral.  Returns 0 for |delta| > 2H^2, where
-    |ad - bc| <= 2H^2 leaves no matrix.
+    With P = |a d| in [1, H^2] and s = alpha * delta', the entry b solves
+    b * c = a d - delta = s P - delta, so it exists, nonzero and in
+    [-H, H], exactly when s P - delta = j |c| with 0 < |j| <= H, that is
+    at P = e + j |c| for e = s * delta (j runs over a symmetric range, so
+    its sign is free, and gamma only sets the sign of b).  The products
+    P of the H^2 pairs (|a|, |d|) are binned once (np.bincount over
+    [1, H^2]); for each |c| = 1..H the admissible P form one strided
+    slice of the bins, and every slice holds j = 0 (b = 0) at P = e when
+    1 <= e <= H^2, which is taken out once per c.  That is O(H^2)
+    integer work.  The products and bins take 16 H^2 + 8 bytes, refused
+    with BudgetError past SIGN_CLASS_BYTES before anything is allocated.
+    Returns 0 for |delta| > 2H^2, where |ad - bc| <= 2H^2 leaves no
+    matrix.
     """
     if H < 1:
         raise ValueError(f"sign_class_count() requires H >= 1, got {H}")
-    if 3 * H * H >= 1 << 53:
-        raise ValueError(f"sign_class_count() requires 3H^2 < 2^53, got H={H}")
+    planned = 16 * H * H + 8
+    if planned > SIGN_CLASS_BYTES:
+        raise BudgetError(
+            f"sign_class_count(H={H}) needs {planned} bytes, budget is {SIGN_CLASS_BYTES}"
+        )
     if abs(delta) > 2 * H * H:
         return 0
-    al, ga, dp = sign_class.alpha, sign_class.gamma, sign_class.delta_prime
-    d_vals = dp * np.arange(1, H + 1, dtype=np.float64)
-    rows = max(1, _SIGN_CLASS_BLOCK // H)
+    v = np.arange(1, H + 1, dtype=np.int64)
+    bins = np.bincount(np.multiply.outer(v, v).ravel(), minlength=H * H + 1)
+    e = sign_class.alpha * sign_class.delta_prime * delta
     total = 0
-    for lo in range(1, H + 1, rows):
-        a_vals = al * np.arange(lo, min(lo + rows, H + 1), dtype=np.float64)[:, None]
-        k = a_vals * d_vals - delta
-        k[k == 0] = np.nan
-        size = np.abs(k)
-        for c in range(1, H + 1):
-            b = k / (ga * c)
-            total += int(np.count_nonzero((b == np.rint(b)) & (size <= H * c)))  # |b| <= H
+    for c in range(1, H + 1):
+        lo, hi = max(1, e - H * c), min(H * H, e + H * c)
+        if lo <= hi:
+            total += int(bins[lo + (e - lo) % c : hi + 1 : c].sum())
+    if 1 <= e <= H * H:
+        total -= H * int(bins[e])  # b = 0
     return total
 
 

@@ -16,16 +16,19 @@ entry's v0 from one exact Python pow.  A range of a full period or more
 (X >= q) reads the one table over all residues mod q, which depends on
 (q, K mod q) alone, at the offset (U + 1) mod q; a shorter range has a
 table of its own X integers.  The last table built is kept read-only,
-so every query that reads it shares it: a report's count and main
-term, the box and curve of one `hyperbola` query pair (same q, K and
-X), and the upper and both lower counts of a casework column.  A box
-sums the table as int64 arrays: each entry's points in the Y // q full
-periods of v, plus one stride count in the rest of (V, V+Y], weighted
-by how often each residue occurs.  A curve evaluates all u of (U, U+X]
-as int64 arrays, one block of U_BLOCK at a time: the row limit
-min(A // u, cap), the gather from the table and the stride count.  Its
-float main term is still added in u order (np.cumsum adds sequentially,
-np.sum would not), so it does not depend on the blocks or the table.
+so every query that reads it shares it: the box and curve of one
+`hyperbola` query pair (same q, K and X), and every cell of a casework
+column c, which reads period_table(c, delta) and stride_count directly.
+A box sums the table as int64 arrays: each entry's points in the
+Y // q full periods of v, plus one stride count in the rest of
+(V, V+Y], weighted by how often each residue occurs.  A curve evaluates
+all u of (U, U+X] as int64 arrays, one block of U_BLOCK at a time: the
+row limit min(A // u, cap), the gather from the table and the stride
+count.  Its float main term is still added in u order (np.cumsum adds
+sequentially, np.sum would not), so it does not depend on the blocks or
+the table.  A report takes its count and main term from one table read,
+and a curve's from one gather per block, so each equals its separate
+function's bit for bit.
 
 The array path needs int64 room, so both queries refuse q, A or U + X
 at or above INT64_LIMIT = 2^62 with ValueError rather than wrap.  The
@@ -128,6 +131,13 @@ def _classes(u0: int, n: int, q: int, K: int) -> tuple[np.ndarray, np.ndarray, n
     return w, m, v0
 
 
+def period_table(q: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (w, m, v0) tables of u*v = K (mod q) over all
+    residues u mod q, entry u at index u: the table that every range of
+    a full period reads, keyed by (q, K mod q) alone."""
+    return _classes(0, q, q, K % q)
+
+
 def _table(U: int, X: int, q: int, K: int):
     """The residue tables that cover (U, U+X], and the shift s such that
     its j-th integer U + 1 + j has its entries at index (j + s) % q.  A
@@ -136,11 +146,11 @@ def _table(U: int, X: int, q: int, K: int):
     table of its own X integers, at s = 0.  U and K are taken mod q, so
     neither has to fit int64."""
     if X >= q:
-        return _classes(0, q, q, K % q), (U + 1) % q
+        return period_table(q, K), (U + 1) % q
     return _classes((U + 1) % q, X, q, K % q), 0
 
 
-def _count_ap(v0, m, lo, length):
+def stride_count(v0, m, lo, length):
     """Integers v = v0 (mod m) in (lo, lo + length], for ints or arrays."""
     return (lo + length - v0) // m - (lo - v0) // m
 
@@ -162,17 +172,26 @@ def _class_total(table: np.ndarray, s: int, X: int, q: int) -> int:
     return total + _total(table[s : s + extra], q) + _total(table[: max(0, s + extra - q)], q)
 
 
-def count_box(query: HyperbolaQuery) -> int:
-    """Exact number of lattice points of the hyperbola in the box
-    (U, U+X] x (V, V+Y]; O(min(X, q)) array work over the residue table.
-    m divides q, so an entry of weight w counts w points in each of the
-    Y // q full periods of v, and one stride count in (V mod q,
-    V mod q + Y mod q]; V and Y are unbounded, and only Y // q is a
-    Python int."""
+def _box(query: HyperbolaQuery) -> tuple[int, int]:
+    """(count, weight total) of a box from one table read: each entry of
+    weight w counts w points in each of the Y // q full periods of v, and
+    one stride count in (V mod q, V mod q + Y mod q]; m divides q, so V
+    and Y are unbounded, and only Y // q is a Python int."""
     U, X, q, V, Y = query.U, query.X, query.q, query.V, query.Y
     (w, m, v0), s = _table(U, X, q, query.K)
-    counts = np.where(w > 0, _count_ap(v0, m, V % q, Y % q), 0)
-    return Y // q * _class_total(w, s, X, q) + _class_total(counts, s, X, q)
+    weight = _class_total(w, s, X, q)
+    counts = np.where(w > 0, stride_count(v0, m, V % q, Y % q), 0)
+    return Y // q * weight + _class_total(counts, s, X, q), weight
+
+
+def _box_main(query: HyperbolaQuery, weight: int) -> float:
+    return float(query.Y) * weight / query.q
+
+
+def count_box(query: HyperbolaQuery) -> int:
+    """Exact number of lattice points of the hyperbola in the box
+    (U, U+X] x (V, V+Y]; O(min(X, q)) array work over the residue table."""
+    return _box(query)[0]
 
 
 def main_term_box(query: HyperbolaQuery) -> float:
@@ -180,7 +199,7 @@ def main_term_box(query: HyperbolaQuery) -> float:
     evaluated exactly over the per-residue table of gcd weights."""
     U, X, q = query.U, query.X, query.q
     (w, _, _), s = _table(U, X, q, query.K)
-    return float(query.Y) * _class_total(w, s, X, q) / q
+    return _box_main(query, _class_total(w, s, X, q))
 
 
 def error_bound_box(query: HyperbolaQuery, epsilon: float) -> float:
@@ -198,36 +217,43 @@ def _u_blocks(U: int, X: int, q: int, s: int):
         yield offset + (U + 1), (offset + s) % q
 
 
+def _curve(query: CurveQuery, count: bool, main: bool) -> tuple[int, float]:
+    """(count, main term) of a curve, each when asked for, from one gather
+    per block of u: the count is one stride count per u of rows
+    min(A // u, cap); the main term adds w(u) f(u), f(u) = min(A / u, cap),
+    in u order (np.cumsum adds one term at a time), then takes off the
+    boundary correction X * delta_q(K) / 2."""
+    U, X, q = query.U, query.X, query.q
+    A, cap = query.bound.A, query.bound.cap
+    (w, m, v0), shift = _table(U, X, q, query.K)
+    top = A if cap is None else min(cap, A)  # A // u <= A, so a larger cap never binds
+    total, s = 0, 0.0
+    for u, i in _u_blocks(U, X, q, shift):
+        weights = w[i]
+        if count:
+            rows = np.minimum(A // u, top)
+            total += _total(np.where(weights > 0, stride_count(v0[i], m[i], 0, rows), 0), top + 1)
+        if main:
+            f = A / u if cap is None else np.minimum(A / u, top)
+            terms = weights * f
+            terms[0] += s
+            s = float(np.cumsum(terms)[-1])
+    correction = float(query.X) / 2 if query.K % query.q == 0 else 0.0
+    return total, s / query.q - correction
+
+
 def count_under_curve(query: CurveQuery) -> int:
     """Exact number of lattice points with U < u <= U+X, 0 < v <= f(u) on
     the hyperbola, f(u) = min(A // u, cap); one stride count per u, all
     u of a block at once, with the residue classes gathered from the
     per-residue table."""
-    U, X, q = query.U, query.X, query.q
-    A, cap = query.bound.A, query.bound.cap
-    (w, m, v0), s = _table(U, X, q, query.K)
-    cap = A if cap is None else min(cap, A)  # A // u <= A, so a larger cap never binds
-    total = 0
-    for u, i in _u_blocks(U, X, q, s):
-        counts = np.where(w[i] > 0, _count_ap(v0[i], m[i], 0, np.minimum(A // u, cap)), 0)
-        total += _total(counts, cap + 1)
-    return total
+    return _curve(query, count=True, main=False)[0]
 
 
 def main_term_curve(query: CurveQuery) -> float:
     """Main term (1/q) * sum r * f(u) over u with gcd(u, q) = r | K, minus
     the boundary correction X * delta_q(K) / 2, with f(u) = min(A / u, cap)."""
-    U, X, q = query.U, query.X, query.q
-    A, cap = query.bound.A, query.bound.cap
-    (weights, _, _), shift = _table(U, X, q, query.K)
-    s = 0.0
-    for u, i in _u_blocks(U, X, q, shift):
-        f = A / u if cap is None else np.minimum(A / u, min(cap, A))  # A / u <= A
-        terms = weights[i] * f
-        terms[0] += s
-        s = float(np.cumsum(terms)[-1])  # in u order, one addition at a time
-    correction = float(query.X) / 2 if query.K % query.q == 0 else 0.0
-    return s / query.q - correction
+    return _curve(query, count=False, main=True)[1]
 
 
 def curvature_scale(query: CurveQuery) -> float:
@@ -257,12 +283,13 @@ def error_bound_curve(query: CurveQuery, epsilon: float) -> float:
 
 
 def box_report(query: HyperbolaQuery, epsilon: float) -> AsymptoticReport:
-    return AsymptoticReport(
-        count_box(query), main_term_box(query), error_bound_box(query, epsilon)
-    )
+    """count_box, main_term_box and the bound, from one table read."""
+    count, weight = _box(query)
+    return AsymptoticReport(count, _box_main(query, weight), error_bound_box(query, epsilon))
 
 
 def curve_report(query: CurveQuery, epsilon: float) -> AsymptoticReport:
-    return AsymptoticReport(
-        count_under_curve(query), main_term_curve(query), error_bound_curve(query, epsilon)
-    )
+    """count_under_curve, main_term_curve and the bound, from one gather
+    per block of u."""
+    count, main = _curve(query, count=True, main=True)
+    return AsymptoticReport(count, main, error_bound_curve(query, epsilon))

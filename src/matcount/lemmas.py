@@ -9,10 +9,14 @@ sum_{r | delta, r <= H} 1/r against sigma(delta)/delta.
 The one-Y coprime count runs the Moebius sum over the products of prime
 subsets of Y, read off one factorization.  The pair sums need a count
 for every y up to M, so `coprime_counts` gets them all at once from one
-sieved mu table (`arith.mobius_sieve`), in about 2 sqrt(M) numpy calls;
-the sum of r/(x y) reads its mu from the same sieve, and the totient
-ratio sums divide the sieved phi table in numpy.  No evaluator
-factorizes per term.  Each term is one int/int quotient, and while both
+sieved mu table (`arith.mobius_sieve`), in about 2 sqrt(M) numpy calls,
+for one row of bounds or a 2-D stack of rows in the same calls;
+the sum of r/(x y) reads its mu from the same table, and the totient
+ratio sums divide the sieved phi table in numpy.  `xy_sums` evaluates
+many pair sums of one X from one mu table, one coprime_counts pass per
+M for all the sums whose counts run to M (the lemma grid's variants 2,
+3 and 4 at each r); `xy_sum` is one of them.  No evaluator factorizes
+per term.  Each term is one int/int quotient, and while both
 integers are below 2^53 (n^2 in sum phi(n)/n^2 passes it past
 n = 9.4 * 10^7) numpy rounds it as Python does; math.fsum makes the
 order of terms irrelevant, so the values are those of per-term loops.
@@ -30,6 +34,7 @@ the normalized error |error| / envelope is a direct regression statistic.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from . import lazy_import
 from .arith import divisors, factorize, mobius_sieve, phi, sieve, sigma, tau
@@ -129,38 +134,42 @@ def coprime_count_report(X, Y: int) -> AsymptoticReport:
     return AsymptoticReport(exact, main, float(tau(Y)))
 
 
-def coprime_counts(bounds: np.ndarray) -> np.ndarray:
-    """Every count #{0 < x <= bounds[y] integer: gcd(x, y) = 1} for
-    1 <= y <= M = len(bounds) - 1 at once, as an int64 array indexed by y
-    (entry 0 is 0).  The bounds are integers; one <= 0 counts nothing.
+def coprime_counts(bounds: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Every count #{0 < x <= bounds[..., y] integer: gcd(x, y) = 1} for
+    1 <= y <= M = bounds.shape[-1] - 1 at once, as an int64 array of the
+    shape of bounds indexed by y in its last axis (entry 0 is 0).  The
+    bounds are integers, one row or a 2-D stack of rows that share one
+    pass; a bound <= 0 counts nothing.  mu is a Moebius table of at
+    least M + 1 entries (arith.mobius_sieve).
 
     The Moebius sum over d | y splits at s = isqrt(M), as in Dirichlet's
     hyperbola method: a squarefree d <= s reaches all its multiples
     y = d k with one strided slice, and the squarefree d > s meet y = d k
     only at k <= M // (s + 1), so each such k gathers all of them at
-    once.  That is about 2 sqrt(M) numpy calls on O(M) memory.
+    once.  That is about 2 sqrt(M) numpy calls on O(M) memory per row.
     """
     b = np.maximum(np.asarray(bounds, dtype=np.int64), 0)
-    M = b.size - 1
-    mu = mobius_sieve(M)
+    M = b.shape[-1] - 1
+    mu = mu[: M + 1]
     s = math.isqrt(M)
-    counts = np.zeros(M + 1, dtype=np.int64)
+    counts = np.zeros(b.shape, dtype=np.int64)
     for d in np.flatnonzero(mu[: s + 1]).tolist():
-        counts[d::d] += int(mu[d]) * (b[d::d] // d)
+        counts[..., d::d] += int(mu[d]) * (b[..., d::d] // d)
     large = np.flatnonzero(mu[s + 1 :]) + (s + 1)
     sign = mu[large].astype(np.int64)
     for k in range(1, M // (s + 1) + 1):
         n = int(np.searchsorted(large, M // k, side="right"))
         y = large[:n] * k
-        counts[y] += sign[:n] * (b[y] // large[:n])
+        counts[..., y] += sign[:n] * (b[..., y] // large[:n])
     return counts
 
 
-def _reciprocal_pair_sum(Xp: int) -> float:
-    """sum 1/(x y) over 0 < x, y <= Xp with gcd(x, y) = 1, from the sieved
-    mu: mu(d) h(d)^2 over squarefree d, h(d) = sum_{m <= Xp/d} 1/(d m);
-    the d sharing n = Xp // d fill one n-column array of 1/(d m)."""
-    mu = mobius_sieve(Xp)
+def _reciprocal_pair_sum(Xp: int, mu: np.ndarray) -> float:
+    """sum 1/(x y) over 0 < x, y <= Xp with gcd(x, y) = 1, from a Moebius
+    table mu of at least Xp + 1 entries: mu(d) h(d)^2 over squarefree d,
+    h(d) = sum_{m <= Xp/d} 1/(d m); the d sharing n = Xp // d fill one
+    n-column array of 1/(d m).  A row of one or two terms is summed as
+    an array: fsum of two floats is their one rounded sum."""
     terms = []
     d = 1
     while d <= Xp:
@@ -168,26 +177,32 @@ def _reciprocal_pair_sum(Xp: int) -> float:
         last = Xp // n
         ds = np.flatnonzero(mu[d : last + 1]) + d
         recip = 1.0 / np.outer(ds, np.arange(1, n + 1))
-        h = np.array([math.fsum(row) for row in recip.tolist()])
+        if n <= 2:
+            h = recip.sum(axis=1)
+        else:
+            h = np.array([math.fsum(row) for row in recip.tolist()])
         terms += (mu[ds] * h * h).tolist()
         d = last + 1
     return math.fsum(terms)
 
 
-def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
-    """Pair sums over gcd(x, y) = r with their main terms; X, Y and r are
-    integers, so every strict bound is an integer floor.
+class _PairSum(NamedTuple):
+    """One pair sum: its reduced range Xp = X // r, the integer bounds
+    slope * y' + shift of its coprime counts at 0 <= y' <= M (slope None
+    for variant 1, which reads mu up to M = Xp and no count), and its
+    report's main term and envelope."""
 
-    variant 1: sum r/(xy), 0 < x, y <= X;
-               main (6/pi^2)(1/r) log^2(X/r), envelope (1/r) log(X/r).
-    variant 2: sum r/x, 0 < x <= X, 0 < y < x + Y;
-               main (6/pi^2)(X/r + (Y/r) log(X/r)), envelope Y/r + log^2(X/r).
-    variant 3: sum r/y, x + Y < y <= X (upper bound taken weakly, matching
-               the telescoped proof), 0 < x; requires Y <= X;
-               main (6/pi^2)((X-Y)/r + (Y/r) log(X/Y)), envelope as variant 2.
-    variant 4: sum r/y over the box 0 < x <= X, 0 < y <= Y; requires Y >= r;
-               main (6/pi^2)(X/r) log(Y/r), envelope X/r.
-    """
+    r: int
+    Xp: int
+    M: int
+    slope: int | None
+    shift: int
+    main: float
+    envelope: float
+
+
+def _pair_sum(variant: int, X: int, Y: int, r: int) -> _PairSum:
+    """xy_sum's checks, then the terms of its variant."""
     if not all(isinstance(v, int) for v in (X, Y, r)):
         raise ValueError("xy_sum() requires integer X, Y and r")
     if r < 1:
@@ -204,20 +219,17 @@ def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
     logXr = math.log(Xr) if Xr > 0 else 0.0
     if variant == 1:
         # sum r/(x y) over 0 < x, y <= X with gcd(x, y) = r
-        exact = _reciprocal_pair_sum(Xp) / r
-        return AsymptoticReport(exact, SIX_OVER_PI2 * logXr**2 / r, logXr / r)
+        return _PairSum(r, Xp, Xp, None, 0, SIX_OVER_PI2 * logXr**2 / r, logXr / r)
     elif variant == 2:
         # sum r/x over 0 < x <= X, 0 < y < x + Y, gcd(x, y) = r
-        y = np.arange(Xp + 1, dtype=np.int64)
-        bounds = y + (Y - 1) // r  # y' < x' + Y/r
+        M, slope, shift = Xp, 1, (Y - 1) // r  # y' < x' + Y/r
         main = SIX_OVER_PI2 * (Xr + (float(Y) / r) * logXr)
         envelope = float(Y) / r + logXr**2
     elif variant == 3:
         # sum r/y over x + Y < y <= X, 0 < x, gcd(x, y) = r
         if not Y <= X:
             raise ValueError("xy_sum() variant 3 requires Y <= X")
-        y = np.arange(Xp + 1, dtype=np.int64)
-        bounds = y + (-Y - 1) // r  # x' < y' - Y/r
+        M, slope, shift = Xp, 1, (-Y - 1) // r  # x' < y' - Y/r
         ylog = (float(Y) / r) * math.log(float(X) / float(Y)) if Y > 0 else 0.0
         main = SIX_OVER_PI2 * ((float(X) - float(Y)) / r + ylog)
         envelope = float(Y) / r + logXr**2
@@ -225,15 +237,53 @@ def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
         # sum r/y over 0 < x <= X, 0 < y <= Y, gcd(x, y) = r
         if not (X > 0 and Y >= r):
             raise ValueError("xy_sum() variant 4 requires X > 0 and Y >= r")
-        y = np.arange(Y // r + 1, dtype=np.int64)
-        bounds = np.full(y.size, Xp, dtype=np.int64)
+        M, slope, shift = Y // r, 0, Xp
         main = SIX_OVER_PI2 * Xr * math.log(float(Y) / r)
         envelope = Xr
     else:
         raise ValueError(f"xy_sum() variant must be 1..4, got {variant}")
-    # count / y' is one correctly rounded quotient, as in Python
-    exact = math.fsum((coprime_counts(bounds)[1:] / y[1:]).tolist())
-    return AsymptoticReport(exact, main, envelope)
+    return _PairSum(r, Xp, M, slope, shift, main, envelope)
+
+
+def xy_sum(variant: int, X: int, Y: int, r: int) -> AsymptoticReport:
+    """Pair sums over gcd(x, y) = r with their main terms; X, Y and r are
+    integers, so every strict bound is an integer floor.
+
+    variant 1: sum r/(xy), 0 < x, y <= X;
+               main (6/pi^2)(1/r) log^2(X/r), envelope (1/r) log(X/r).
+    variant 2: sum r/x, 0 < x <= X, 0 < y < x + Y;
+               main (6/pi^2)(X/r + (Y/r) log(X/r)), envelope Y/r + log^2(X/r).
+    variant 3: sum r/y, x + Y < y <= X (upper bound taken weakly, matching
+               the telescoped proof), 0 < x; requires Y <= X;
+               main (6/pi^2)((X-Y)/r + (Y/r) log(X/Y)), envelope as variant 2.
+    variant 4: sum r/y over the box 0 < x <= X, 0 < y <= Y; requires Y >= r;
+               main (6/pi^2)(X/r) log(Y/r), envelope X/r.
+    """
+    return xy_sums(X, (r,), ((variant, Y),))[0]
+
+
+def xy_sums(X: int, rs, cases) -> list[AsymptoticReport]:
+    """xy_sum(variant, X, Y, r) for each r of rs and each (variant, Y) of
+    cases, in that order, every argument checked before any work, from
+    one Moebius table: the sums whose coprime counts run to the same M
+    share one coprime_counts pass, their bound rows stacked as a 2-D
+    bounds built for that pass alone."""
+    sums = [_pair_sum(variant, X, Y, r) for r in rs for variant, Y in cases]
+    mu = mobius_sieve(max(p.M for p in sums))
+    exact = {}
+    passes: dict[int, list[int]] = {}
+    for k, p in enumerate(sums):
+        if p.slope is None:
+            exact[k] = _reciprocal_pair_sum(p.Xp, mu) / p.r
+        else:
+            passes.setdefault(p.M, []).append(k)
+    for M, ks in passes.items():
+        y = np.arange(M + 1, dtype=np.int64)
+        slope, shift = (np.array([[getattr(sums[k], f)] for k in ks]) for f in ("slope", "shift"))
+        for k, row in zip(ks, coprime_counts(y * slope + shift, mu)):
+            # count / y' is one correctly rounded quotient, as in Python
+            exact[k] = math.fsum((row[1:] / y[1:]).tolist())
+    return [AsymptoticReport(exact[k], p.main, p.envelope) for k, p in enumerate(sums)]
 
 
 def divisor_tail(delta: int, H: int) -> tuple[fractions.Fraction, fractions.Fraction]:

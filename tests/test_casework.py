@@ -3,6 +3,7 @@ enumeration, and exact agreement between the direct and hyperbola-based
 region sums."""
 
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,13 @@ from matcount.casework import (
     region_sum_J_via_hyperbola,
 )
 from matcount.errors import BudgetError
+from matcount.hyperbola import (
+    CurveQuery,
+    HyperbolaQuery,
+    Hyperbolic,
+    count_box,
+    count_under_curve,
+)
 from matcount.exact import SignClass, fast_count, sign_class_count, zero_entry_count
 from matcount.tau_tables import TauWindows, build_tau_table, self_convolution, shifted_sum
 
@@ -54,8 +62,9 @@ def test_direct_route_checks_the_tau_pass_at_its_real_window_size(monkeypatch):
     monkeypatch.setattr(casework, "CELL_BUDGET", H * H)
     windows = TauWindows(H)
     for delta in (720, 2**21 + 1, 2 * H * H - 3):
-        G = sum(region_sum_G(H, delta, r) for r in RegionG)
-        J = sum(region_sum_J(H, delta, r) for r in RegionJ)
+        columns = casework.direct_columns(H, delta)
+        G = sum(region_sum_G(H, delta, r, columns=columns) for r in RegionG)
+        J = sum(region_sum_J(H, delta, r, columns=columns) for r in RegionJ)
         assert J == shifted_sum(windows, delta), delta
         assert G - J == self_convolution(windows, delta), delta
         total = fast_count(H, delta, windows)
@@ -153,8 +162,8 @@ def test_every_region_sum_refuses_past_the_cell_budget(region_sum, regions, monk
     def visited(*args):
         raise AssertionError("a region sum read its cells past the budget")
 
-    monkeypatch.setattr(casework, "_cells", visited)
-    monkeypatch.setattr(casework, "hyper_columns", visited)
+    for name in ("_record", "direct_columns", "hyper_columns"):
+        monkeypatch.setattr(casework, name, visited)
     for region in regions:
         with pytest.raises(BudgetError, match=(
             r"^casework\(H=317\) visits 100489 cells, budget is 100000$"
@@ -196,18 +205,89 @@ def _sample_deltas(H):
     return sorted({1, top - 1, top, *random.Random(H).sample(range(1, top + 1), min(6, top))})
 
 
-@pytest.mark.parametrize("H", range(1, 13))
-def test_each_hyperbola_column_is_its_per_cell_sum(H):
+def assert_per_cell_sums(record, H):
     # each (c, side) column, G's b = 0 pairs already taken out, is the sum
     # of the per-cell counts over the a on that side of a*H <= c*H + delta
     for delta in _sample_deltas(H):
-        columns = casework.hyper_columns(H, delta)
+        columns = record(H, delta)
         for small_a, (G, J) in columns.items():
+            assert len(G) == len(J) == H
             for c in range(1, H + 1):
                 side = [enumerate_cell(a, c, H, delta) for a in range(1, H + 1)
                         if (a * H <= c * H + delta) == small_a]
                 assert G[c - 1] == sum(g for g, _ in side), (H, delta, c)
                 assert J[c - 1] == sum(j for _, j in side), (H, delta, c)
+
+
+@pytest.mark.parametrize("H", range(1, 13))
+def test_each_hyperbola_column_is_its_per_cell_sum(H):
+    assert_per_cell_sums(casework.hyper_columns, H)
+
+
+@pytest.mark.parametrize("H", range(1, 13))
+def test_each_direct_column_is_its_per_cell_sum(H):
+    assert_per_cell_sums(casework.direct_columns, H)
+
+
+def reference_hyper_columns(H, delta):
+    """The column sweep by one count_box or count_under_curve query per
+    (c, side) and per lower curve, over the column's a-range (U, U+X]
+    cut at the split min((c*H + delta) // H, H)."""
+    b0 = [a for a in range(1, H + 1) if delta % a == 0 and delta // a <= H]
+    columns = {small_a: ([], []) for small_a in (True, False)}
+    for c in range(1, H + 1):
+        split = min((c * H + delta) // H, H)
+        for small_a, (G, J) in columns.items():
+            U, X = (0, split) if small_a else (split, H - split)
+            if X <= 0:
+                G.append(0)
+                J.append(0)
+                continue
+            if small_a:
+                upper = count_box(HyperbolaQuery(K=delta, q=c, U=U, V=0, X=X, Y=H))
+            else:
+                upper = count_under_curve(
+                    CurveQuery(K=delta, q=c, U=U, X=X, bound=Hyperbolic(delta + H * c)))
+            for column, lower in ((G, delta - H * c - 1), (J, delta)):
+                n = upper
+                if lower >= 1:
+                    # capped at H, the curve is flat wherever lower >= H a
+                    bound = Hyperbolic(min(lower, H * X), cap=H) if small_a else Hyperbolic(lower)
+                    n -= count_under_curve(CurveQuery(K=delta, q=c, U=U, X=X, bound=bound))
+                column.append(n)
+            G[-1] -= bisect_right(b0, U + X) - bisect_right(b0, U)
+    return {small_a: (tuple(G), tuple(J)) for small_a, (G, J) in columns.items()}
+
+
+@st.composite
+def column_points(draw):
+    """(H, delta) with H <= 60 and delta from 1 to past 2H^2, often a
+    multiple of H or a multiple a * e of an a <= H with e <= H, which
+    puts a b = 0 point of G in a column."""
+    H = draw(st.integers(1, 60))
+    delta = draw(st.integers(1, 2 * H * H + 2 * H)
+                 | st.integers(1, 2 * H + 1).map(lambda k: k * H)
+                 | st.tuples(st.integers(1, H), st.integers(1, H)).map(lambda ae: ae[0] * ae[1]))
+    return H, delta
+
+
+@given(column_points())
+@example((60, 2 * 60 * 60)).via("delta = 2H^2 at the largest H")
+@example((60, 2 * 60 * 60 + 1)).via("delta = 2H^2 + 1, past every cell")
+@example((60, 60 * 60)).via("delta = H^2, a multiple of H and of a = H with delta/a = H")
+@example((1, 1)).via("one cell")
+@settings(max_examples=60, deadline=None)
+def test_hyper_columns_equal_the_per_query_sweep(point):
+    H, delta = point
+    assert casework.hyper_columns(H, delta) == reference_hyper_columns(H, delta)
+
+
+def test_blocks_do_not_change_the_hyperbola_record(monkeypatch):
+    points = [(13, 200), (30, 77), (40, 60), (7, 2**70)]
+    expected = [casework.hyper_columns(H, delta) for H, delta in points]
+    for block in (1, 7, 50):  # below one row, a few rows, rows that cross a region
+        monkeypatch.setattr(casework, "CELL_BLOCK", block)
+        assert expected == [casework.hyper_columns(H, delta) for H, delta in points]
 
 
 # Region sums at H = 10, frozen from the direct double loop.
@@ -222,7 +302,7 @@ def test_hyperbola_route_reads_no_direct_count(monkeypatch):
     def direct(*args):
         raise AssertionError("direct counter called")
 
-    for name in ("_cells", "_congruent_total"):
+    for name in ("_direct_cells", "_inverse"):
         monkeypatch.setattr(casework, name, direct)
     for delta, (g, j) in FROZEN_H10.items():
         assert {r.name: region_sum_G_via_hyperbola(10, delta, r) for r in RegionG} == g
@@ -233,22 +313,22 @@ def test_direct_route_reads_no_hyperbola_count(monkeypatch):
     def hyperbola(*args):
         raise AssertionError("hyperbola counter called")
 
-    for name in ("count_box", "count_under_curve"):
-        monkeypatch.setattr(casework, name, hyperbola)
+    for name in ("period_table", "stride_count"):
+        monkeypatch.setattr(casework.hyperbola, name, hyperbola)
     for delta, (g, j) in FROZEN_H10.items():
         assert {r.name: region_sum_G(10, delta, r) for r in RegionG} == g
         assert {r.name: region_sum_J(10, delta, r) for r in RegionJ} == j
 
 
 def test_a_casework_sweep_builds_each_table_at_most_once(table_builds):
-    """At H = 120 each (c, side) reads one residue table, built once for
-    the box or curve above and both lower curves of G and of J; a period
-    table of (c, delta) serves both sides of its column.  The six region
-    sums read one sweep, as the casework command hands it to them."""
+    """At H = 120 every cell of a column c reads the one period table of
+    (c, delta), built once for the upper and both lower rows of G and of
+    J on both sides.  The six region sums read one record, as the
+    casework command hands it to them."""
     H, delta = 120, 903
     columns = casework.hyper_columns(H, delta)
     G = [region_sum_G_via_hyperbola(H, delta, r, columns=columns) for r in RegionG]
     J = [region_sum_J_via_hyperbola(H, delta, r, columns=columns) for r in RegionJ]
     assert (sum(G), sum(J)) == (30270, 19198)  # the sign-class totals
     keys = [key for key, _ in table_builds]
-    assert len(set(keys)) == len(keys) <= 2 * H
+    assert keys == [(0, c, c, delta % c) for c in range(1, H + 1)]

@@ -573,8 +573,14 @@ def test_casework_budget(monkeypatch, capsys):
 
 
 def test_invariant_violation_exits_3(monkeypatch, capsys):
-    real = casework.count_box
-    monkeypatch.setattr(casework, "count_box", lambda query: real(query) + 1)
+    real = casework.hyper_columns
+
+    def off_by_one(H, delta):  # one more point in the small-a column at c = 1
+        columns = real(H, delta)
+        G, J = columns[True]
+        return {**columns, True: ((G[0] + 1, *G[1:]), J)}
+
+    monkeypatch.setattr(casework, "hyper_columns", off_by_one)
     assert region_sum_G_via_hyperbola(10, 3, RegionG.SL) != region_sum_G(10, 3, RegionG.SL)
     code, out, err = run(["casework", "--H", "10", "--delta", "3"], capsys)
     assert (code, out) == (3, "")
@@ -585,16 +591,15 @@ def test_invariant_violation_exits_3(monkeypatch, capsys):
 
 
 def test_casework_sweeps_its_columns_once(monkeypatch, capsys):
-    # one box count per small-a column with an a-range: one sweep, read by
-    # all six hyperbola region sums
-    boxes = []
-    real = casework.count_box
-    monkeypatch.setattr(casework, "count_box", lambda query: boxes.append(query) or real(query))
-    casework.hyper_columns(20, 37)
-    sweep = len(boxes)
-    boxes.clear()
+    # one pass over the grid per route, whose record all six of that
+    # route's region sums read
+    records = []
+    for name in ("direct_columns", "hyper_columns"):
+        real = getattr(casework, name)
+        monkeypatch.setattr(casework, name, lambda H, delta, name=name, real=real: (
+            records.append(name) or real(H, delta)))
     assert run(["casework", "--H", "20", "--delta", "37"], capsys)[0] == 0
-    assert len(boxes) == sweep > 0
+    assert records == ["direct_columns", "hyper_columns"]
 
 
 def test_a_wrong_total_names_its_sign_class(monkeypatch, capsys):
@@ -998,6 +1003,35 @@ def test_a_process_freezes_the_collector_before_teardown(spawn):
     assert rows[0] == "exact = 195184"
     frozen, count, enabled = probe.split()
     assert (frozen, enabled) == ("frozen", "False") and int(count) > 0
+
+
+# A gc.callbacks counter, registered before the command runs as a
+# process, counts the collection passes from runpy's read of cli on.  cli
+# is compiled first into a private bytecode cache, as an installed
+# package is, since compiling its source is work done before any line of
+# it runs.
+_PASSES_PROBE = """
+import gc, importlib.util, py_compile, runpy, sys
+sys.dont_write_bytecode, sys.pycache_prefix = False, sys.argv[1]
+cli = importlib.util.find_spec("matcount.cli").origin
+py_compile.compile(cli, importlib.util.cache_from_source(cli), doraise=True)
+passes = []
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info))
+sys.argv = ["matcount", "count", "--H", "100", "--delta", "6"]
+try:
+    runpy.run_module("matcount.cli", run_name="__main__")
+except SystemExit as exit:
+    print("passes", len(passes), "exit", exit.code)
+"""
+
+
+def test_a_process_runs_no_collection_pass(spawn, tmp_path):
+    # cli turns the collector off before its own imports (argparse, csv
+    # and the rest), which ran 2 passes when run() was the first to do it
+    proc = spawn("-c", _PASSES_PROBE, str(tmp_path), timeout=60)
+    assert proc.stderr == ""
+    rows = proc.stdout.splitlines()
+    assert (rows[0], rows[-1]) == ("exact = 195184", "passes 0 exit 0")
 
 
 def test_main_in_process_freezes_nothing(capsys):

@@ -2,6 +2,7 @@
 values, sign classes and the decomposition identities."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -157,8 +158,12 @@ def test_sign_class_small_values(monkeypatch):
                 expect = naive_sign_class(H, delta, sc)
                 assert sign_class_count(H, delta, sc) == expect
                 with monkeypatch.context() as m:
-                    m.setattr(exact, "_SIGN_CLASS_BLOCK", 3)  # one or a few a rows per block
+                    # a budget of exactly the histogram's plan admits it
+                    m.setattr(exact, "SIGN_CLASS_BYTES", 16 * H * H + 8)
                     assert sign_class_count(H, delta, sc) == expect
+                    m.setattr(exact, "SIGN_CLASS_BYTES", 16 * H * H + 7)
+                    with pytest.raises(BudgetError, match=rf"^sign_class_count\(H={H}\) needs"):
+                        sign_class_count(H, delta, sc)
 
 
 def divmod_sign_class(H, delta, sc):
@@ -185,16 +190,26 @@ def divmod_sign_class(H, delta, sc):
 @example((30, -2 * 30 * 30), SignClass(1, -1, -1)).via("delta = -2H^2")
 @example((30, 0), SignClass(-1, 1, 1)).via("delta = 0, where k = 0 is b = 0")
 @settings(max_examples=120, deadline=None)
-def test_sign_class_float_division_matches_divmod(point, sc):
+def test_sign_class_histogram_matches_divmod(point, sc):
     H, delta = point
     assert sign_class_count(H, delta, sc) == divmod_sign_class(H, delta, sc)
 
 
-def test_sign_class_refuses_an_inexact_height():
-    H = math.isqrt((2**53 - 1) // 3)  # the largest H with 3H^2 < 2^53
-    assert 3 * H * H < 2**53 <= 3 * (H + 1) ** 2
-    with pytest.raises(ValueError, match=r"3H\^2 < 2\^53"):
-        sign_class_count(H + 1, 0, SignClass(1, 1, 1))
+def test_sign_class_refuses_past_its_byte_budget():
+    # the products and bins of H = 2896 fit SIGN_CLASS_BYTES, H = 2897's do
+    # not, and a refusal allocates nothing first, however large H is
+    assert 16 * 2896**2 + 8 <= exact.SIGN_CLASS_BYTES < 16 * 2897**2 + 8
+    tracemalloc.start()
+    try:
+        for H, delta in ((2897, 5), (10**9, 0), (10**9, 2 * 10**18 + 1)):
+            with pytest.raises(BudgetError, match=(
+                rf"^sign_class_count\(H={H}\) needs {16 * H * H + 8} bytes, "
+                rf"budget is {exact.SIGN_CLASS_BYTES}$"
+            )):
+                sign_class_count(H, delta, SignClass(1, 1, 1))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_sign_class_rejects_bad_signs():

@@ -419,3 +419,20 @@ def test_queries_sharing_tables_match_enumeration(case):
             assert got == pytest.approx(main, rel=1e-12), queries[j]
         else:
             assert got == main, queries[j]
+
+
+@given(shared_queries(), st.sampled_from([0.0, 0.25]))
+@settings(max_examples=150, deadline=None)
+def test_a_report_is_its_count_main_term_and_bound(queries, epsilon):
+    """A report reads its table once, and a curve's count and main term
+    share one gather per block, yet each of its fields is bit for bit
+    the separate function's, whichever query read the table before."""
+    for query in queries:
+        if isinstance(query, HyperbolaQuery):
+            parts = (count_box(query), main_term_box(query), error_bound_box(query, epsilon))
+            rep = box_report(query, epsilon)
+        else:
+            parts = (count_under_curve(query), main_term_curve(query),
+                     error_bound_curve(query, epsilon))
+            rep = curve_report(query, epsilon)
+        assert (rep.exact, rep.main, rep.bound) == parts, query

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount.arith import mobius, tau
+from matcount.arith import mobius, mobius_sieve, tau
 from matcount.cli import lemma_grid_rows
 from matcount.errors import BudgetError
 from matcount.lemmas import (
@@ -26,6 +26,7 @@ from matcount.lemmas import (
     phi_over_square_sum,
     phi_ratio_sum,
     xy_sum,
+    xy_sums,
 )
 from matcount.rng import SplitMix64
 
@@ -162,15 +163,43 @@ def test_coprime_counts_match_the_scalar_count(case, seed):
     rng = np.random.default_rng(seed)
     y = np.arange(M + 1)
     for bounds in (y + shift, rng.integers(-3, max(spread, 0) + 1, M + 1), np.full(M + 1, spread)):
-        counts = coprime_counts(bounds)
+        counts = coprime_counts(bounds, mobius_sieve(M))
         assert counts[0] == 0
         assert counts[1:].tolist() == [coprime_count(int(bounds[n]), n) for n in range(1, M + 1)]
 
 
+@given(
+    st.integers(1, 2000).flatmap(lambda M: st.tuples(
+        st.just(M), st.integers(1, 4), st.integers(M, 3 * M), st.integers(-M, 2 * M))),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_2d_pass_equals_its_rows_one_at_a_time(case, seed):
+    """Rows stacked as one 2-D bounds count as each row alone, with the
+    Moebius table of M or a longer one."""
+    M, rows, longer, spread = case
+    rng = np.random.default_rng(seed)
+    bounds = rng.integers(-3, max(spread, 0) + 1, (rows, M + 1))
+    bounds[0] = np.arange(M + 1) + spread  # a row that follows y, as in variants 2 and 3
+    mu = mobius_sieve(M)
+    one_by_one = np.array([coprime_counts(row, mu) for row in bounds])
+    assert np.array_equal(coprime_counts(bounds, mu), one_by_one)
+    assert np.array_equal(coprime_counts(bounds, mobius_sieve(longer)), one_by_one)
+
+
+def test_pair_sums_of_one_table_equal_each_sum_alone():
+    """xy_sums at one X, every r and variant of the lemma grid and a
+    variant 4 whose y' run past X // r, is xy_sum of each, bit for bit."""
+    for X in (1, 7, 100, 997):
+        rs = [r for r in (1, 2, 5, 10) if r <= X]
+        cases = ((1, 0), (2, X // 2), (3, X // 2), (4, X), (2, 3 * X), (4, 5 * X))
+        reports = xy_sums(X, rs, cases)
+        assert reports == [xy_sum(variant, X, Y, r) for r in rs for variant, Y in cases]
+
+
 def test_coprime_counts_smallest_tables():
-    assert coprime_counts(np.array([0, 5])).tolist() == [0, 5]
-    assert coprime_counts(np.array([9, 0])).tolist() == [0, 0]
-    assert coprime_counts(np.array([0, -4, 7])).tolist() == [0, 0, 4]
+    for bounds, counts in (([0, 5], [0, 5]), ([9, 0], [0, 0]), ([0, -4, 7], [0, 0, 4])):
+        assert coprime_counts(np.array(bounds), mobius_sieve(len(bounds) - 1)).tolist() == counts
 
 
 def per_x_reference(variant, X, Y, r):

@@ -104,6 +104,11 @@ PINS = [
     # casework at the cell budget's edge
     Pin("casework --H 316 --delta 50000", 300, 60,
         ("stdout", "aa74636a238d4dce6ec288d778e2491824ae916f7aa526914a227cac0b99bdac")),
+    # the largest casework again, under less address space: its sign-class
+    # histogram and both routes' grids are O(H^2); 27720 has 96 divisors,
+    # and its a >= 88 carry a b = 0 point of G
+    Pin("casework --H 316 --delta 27720", 128, 60,
+        ("stdout", "662f391fa63840b5737706f58c3681bbf7885fb04db289458e96521523f15a5e")),
     # 777 = 3*7*37: six values of a carry a b = 0 point of G
     Pin("casework --H 300 --delta 777", 300, 60,
         ("stdout", "fed8657d1450a9834ecf5fa9d0ad201fda6fabc01227cb97161f4d0af9de5dce")),

@@ -3,7 +3,7 @@
 Provides divisor enumeration, prime factorization, the classical
 arithmetic functions tau (divisor count), sigma (divisor sum), phi
 (Euler totient) and mu (Moebius), and sieved phi and mu tables up to
-a given limit.
+a given limit, refused past errors.BYTE_BUDGET before they allocate.
 
 All scalar arithmetic is plain Python integers, so intermediate products
 never wrap; the phi table is an int64 numpy array whose entries are at
@@ -18,12 +18,9 @@ import math
 from itertools import accumulate, chain, cycle
 
 from . import lazy_import
-from .errors import BudgetError
+from .errors import BudgetError, check_bytes
 
 np = lazy_import("numpy")
-
-# Sieve cells allowed in the phi table (not bytes).
-CELL_BUDGET = 200_000_000
 
 # Largest n that factorize() accepts: trial division up to sqrt(10**14)
 # takes under a second.
@@ -90,13 +87,12 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def _sieve_start(name: str, limit: int) -> tuple[list[int], np.ndarray]:
-    """The refusal that sieve and mobius_sieve share, then the primes
-    p <= sqrt(limit) and the int32 cofactor table rest[n] = n."""
+def _sieve_start(name: str, limit: int, cell_bytes: int) -> tuple[list[int], np.ndarray]:
+    """The refusal that sieve and mobius_sieve share, at cell_bytes a cell,
+    then the primes p <= sqrt(limit) and the int32 cofactor rest[n] = n."""
     if limit < 1:
         raise ValueError(f"{name}() requires limit >= 1, got {limit}")
-    if limit + 1 > CELL_BUDGET:
-        raise BudgetError(f"{name}(limit={limit}) needs {limit + 1} cells, budget is {CELL_BUDGET}")
+    check_bytes(f"{name}(limit={limit})", cell_bytes * (limit + 1))
     root = math.isqrt(limit)
     is_prime = np.ones(root + 1, dtype=bool)
     is_prime[:2] = False
@@ -115,9 +111,10 @@ def sieve(limit: int) -> np.ndarray:
     cofactor.  What is left of n's cofactor is 1 or n's one prime factor
     q above sqrt(limit) (two would exceed the limit), and n is scaled by
     1 - 1/q last.  Agrees with the pointwise phi for every n <= limit.
-    Rejects limits whose table would exceed CELL_BUDGET cells.
+    Its peak is 16 bytes a cell: the int64 table, the int32 cofactor and
+    the int64 quotient of p = 2's multiples.
     """
-    primes, rest = _sieve_start("sieve", limit)
+    primes, rest = _sieve_start("sieve", limit, 16)
     table = np.arange(limit + 1, dtype=np.int64)
     for p in primes:
         table[p::p] -= table[p::p] // p
@@ -142,9 +139,10 @@ def mobius_sieve(limit: int) -> np.ndarray:
     int32 cofactor once (a square factor has already zeroed mu).  An n
     whose cofactor stays above 1 has one more prime factor, above
     sqrt(limit) (two would exceed the limit), and gets one more sign flip.
-    Rejects limits whose table would exceed CELL_BUDGET cells.
+    Its peak is 7 bytes a cell: the int8 table, the int32 cofactor, the
+    bool mask of large cofactors and the int8 entries it selects.
     """
-    primes, rest = _sieve_start("mobius_sieve", limit)
+    primes, rest = _sieve_start("mobius_sieve", limit, 7)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     for p in primes:

@@ -15,19 +15,26 @@ order.  Neither is hard-coded as truth; ``shifted_verdict`` fits the
 exact sums and reports which candidate survives.
 
 Both fits are closed-form least-squares lines over exact Python int sums
-(``_line``), so no fit imports numpy.
+(``_line``), so no fit imports numpy, and, as arith, exact and
+tau_tables are bound through lazy_import, no fit runs them either.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import sigma
+from . import lazy_import
 from .reports import AsymptoticReport
-from .tau_tables import TauTable, TauWindows, shifted_sum
-from .exact import DeltaSums, fast_count
+
+if TYPE_CHECKING:
+    from .exact import DeltaSums
+    from .tau_tables import TauTable, TauWindows
+
+arith = lazy_import("matcount.arith")
+exact = lazy_import("matcount.exact")
+tau_tables = lazy_import("matcount.tau_tables")
 
 COEFF_96 = 96.0 / math.pi**2
 COEFF_12 = 12.0 / math.pi**2
@@ -66,13 +73,13 @@ def report(
     (exact.delta_pass), so an H outside its domain or budget is refused
     before H meets a float.
     """
-    exact = fast_count(H, delta, table=table)
+    count = exact.fast_count(H, delta, table=table)
     D = abs(delta)
     if D == 0:
         main = COEFF_96 * H * H * (math.log(H) + DELTA0_K)
     else:
-        main = COEFF_96 * (sigma(D) / D) * H * H
-    return AsymptoticReport(exact, main, error_envelope(H, delta, epsilon))
+        main = COEFF_96 * (arith.sigma(D) / D) * H * H
+    return AsymptoticReport(count, main, error_envelope(H, delta, epsilon))
 
 
 class ErrorFit(NamedTuple):
@@ -153,7 +160,7 @@ def shifted_verdict(delta: int, values: dict[int, int]) -> ShiftedDiscrimination
         raise ValueError(f"shifted_verdict() requires delta >= 1, got {delta}")
     values = dict(sorted(values.items()))
     a, _ = fit_linear_in_logN([(N, float(v)) for N, v in values.items()])
-    predicted = COEFF_12 * sigma(delta) / delta
+    predicted = COEFF_12 * arith.sigma(delta) / delta
     selected = (
         MainTermKind.SHIFTED_NOLOG_CANDIDATE
         if abs(a) < abs(a - predicted)
@@ -174,4 +181,5 @@ def discriminate_shifted(
     """shifted_verdict over shifted_sum(tables[N], delta) for every N in
     N_list; tables holds a source of each tau_N, TauWindows(N) or, while
     all of tau_N fits one window, the whole table."""
-    return shifted_verdict(delta, {N: shifted_sum(tables[N], delta) for N in set(N_list)})
+    sums = {N: tau_tables.shifted_sum(tables[N], delta) for N in set(N_list)}
+    return shifted_verdict(delta, sums)

@@ -1,5 +1,5 @@
-"""Exceptions shared across the library and mapped to CLI exit codes,
-and the one-line message of an import that fails."""
+"""Exceptions mapped to CLI exit codes, the one memory budget and its
+check, and the one-line message of an import that fails."""
 
 
 class UsageError(ValueError):
@@ -8,6 +8,18 @@ class UsageError(ValueError):
 
 class BudgetError(MemoryError):
     """An operation would exceed the configured memory/size budget (exit code 2)."""
+
+
+# The one memory budget: the bytes one call may hold at its peak,
+# transient copies included.
+BYTE_BUDGET = 1 << 27
+
+
+def check_bytes(call: str, planned: int) -> None:
+    """Refuse call, before it allocates anything, when its planned peak
+    of bytes exceeds BYTE_BUDGET, read when the check runs."""
+    if planned > BYTE_BUDGET:
+        raise BudgetError(f"{call} needs {planned} bytes, budget is {BYTE_BUDGET}")
 
 
 class InvariantError(AssertionError):

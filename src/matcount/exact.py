@@ -34,8 +34,7 @@ together with the eight sign-class equalities.
 
 tau_tables is bound through lazy_import, so it runs at the first read
 of one of its names: a caller of naive_count, SignClass and
-sign_class_count alone, as casework is, runs neither tau_tables nor
-the arith module that it imports.
+sign_class_count alone, as casework is, runs no tau_tables.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import checked, lazy_import
-from .errors import BudgetError
+from .errors import check_bytes
 
 if TYPE_CHECKING:
     from .tau_tables import TauTable, TauWindows
@@ -59,14 +58,6 @@ def __getattr__(name: str):
     if name == "build_tau_table":
         return tau_tables.build_tau_table
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# Hard cap on full enumeration: (2H+1)^4 matrices.
-NAIVE_ENUM_LIMIT = 10**10
-
-# Bytes that sign_class_count may allocate: its H^2 int64 products and
-# their H^2 + 1 int64 bins, 16 H^2 + 8 bytes in all (H up to 2896).
-SIGN_CLASS_BYTES = 1 << 27
 
 
 @checked
@@ -110,26 +101,32 @@ def _det_histogram_2x2(H: int) -> np.ndarray:
     """Histogram of ad - bc over all (2H+1)^4 matrices; index m + 2H^2.
 
     Full enumeration: every (a, d) row is crossed with every (b, c) pair,
-    chunked by a to bound memory.  A pure function of H, read-only, so
-    the cache may keep it: no caller can see whether it was built again.
+    one a at a time in one reused block, each d's row written in place (a
+    broadcast subtraction adds numpy's buffers at small H).  A pure
+    function of H, read-only, so the cache may keep it: no caller can see
+    whether it was built again.
     """
     v = np.arange(-H, H + 1, dtype=np.int64)
     bc = np.multiply.outer(v, v).ravel()
     off = 2 * H * H
     hist = np.zeros(4 * H * H + 1, dtype=np.int64)
-    for a in v:
-        dets = (a * v)[:, None] - bc[None, :]
-        hist += np.bincount((dets + off).ravel(), minlength=hist.size)
+    dets = np.empty((v.size, bc.size), dtype=np.int64)  # ad - bc + off for one a
+    for a in range(-H, H + 1):
+        for row, d in zip(dets, range(-H, H + 1)):
+            np.subtract(a * d + off, bc, out=row)
+        hist += np.bincount(dets.ravel(), minlength=hist.size)
     hist.flags.writeable = False  # shared by every caller through the cache
     return hist
 
 
 def naive_count(H: int, delta: int) -> int:
-    """Exact #D_2(H, delta) by full enumeration of the box."""
+    """Exact #D_2(H, delta) by full enumeration of the box.  Its peak, in
+    int64 cells, is one a's (2H+1)^3 determinants, the histogram and one
+    bincount of 4H^2 + 1 bins each and the (2H+1)^2 products bc and 2H + 1
+    entries: refused past errors.BYTE_BUDGET (H > 127) before it allocates."""
     if H < 1:
         raise ValueError(f"naive_count() requires H >= 1, got {H}")
-    if (2 * H + 1) ** 4 > NAIVE_ENUM_LIMIT:
-        raise BudgetError(f"naive_count(H={H}) would enumerate (2H+1)^4 matrices")
+    check_bytes(f"naive_count(H={H})", 8 * ((2 * H + 1) ** 3 + 12 * H * H + 6 * H + 4))
     hist = _det_histogram_2x2(H)
     idx = delta + 2 * H * H
     if idx < 0 or idx >= hist.size:
@@ -219,18 +216,15 @@ def sign_class_count(H: int, delta: int, sign_class: SignClass) -> int:
     [1, H^2]); for each |c| = 1..H the admissible P form one strided
     slice of the bins, and every slice holds j = 0 (b = 0) at P = e when
     1 <= e <= H^2, which is taken out once per c.  That is O(H^2)
-    integer work.  The products and bins take 16 H^2 + 8 bytes, refused
-    with BudgetError past SIGN_CLASS_BYTES before anything is allocated.
+    integer work.  The products, their bins and the entries 1..H take
+    16 H^2 + 8 H + 8 bytes, refused past errors.BYTE_BUDGET (H > 2896)
+    before anything is allocated.
     Returns 0 for |delta| > 2H^2, where |ad - bc| <= 2H^2 leaves no
     matrix.
     """
     if H < 1:
         raise ValueError(f"sign_class_count() requires H >= 1, got {H}")
-    planned = 16 * H * H + 8
-    if planned > SIGN_CLASS_BYTES:
-        raise BudgetError(
-            f"sign_class_count(H={H}) needs {planned} bytes, budget is {SIGN_CLASS_BYTES}"
-        )
+    check_bytes(f"sign_class_count(H={H})", 16 * H * H + 8 * H + 8)
     if abs(delta) > 2 * H * H:
         return 0
     v = np.arange(1, H + 1, dtype=np.int64)

@@ -4,10 +4,10 @@ error bounds.
 
 Interval convention: every range is half-open on the left and closed on
 the right, (U, U+X] x (V, V+Y], with integer endpoints.  A curve bound is
-always u -> A/u with integer A >= 0, optionally capped at an integer, so
-the rows under it are the integer floor min(A // u, cap) and the whole
-count runs in integers.  This module owns that convention; the casework
-module passes it integer endpoints only.
+always u -> A/u with integer A >= 0, so the rows under it are the
+integer floor A // u and the whole count runs in integers.  This module
+owns that convention; the casework module passes it integer endpoints
+only.
 
 The solutions v of u*v = K (mod q), and the gcd weight of u, depend on
 u only through u mod q, so every query reads them from an int64 table
@@ -23,11 +23,11 @@ A box sums the table as int64 arrays: each entry's points in the
 Y // q full periods of v, plus one stride count in the rest of
 (V, V+Y], weighted by how often each residue occurs.  A curve evaluates
 all u of (U, U+X] as int64 arrays, one block of U_BLOCK at a time: the
-row limit min(A // u, cap), the gather from the table and the stride
-count.  Its float main term is still added in u order (np.cumsum adds
-sequentially, np.sum would not), so it does not depend on the blocks or
-the table.  A report takes its count and main term from one table read,
-and a curve's from one gather per block, so each equals its separate
+row limit A // u, the gather from the table and the stride count.  Its
+float main term is still added in u order (np.cumsum adds sequentially,
+np.sum would not), so it does not depend on the blocks or the table.
+A report takes its count and main term from one table read, and a
+curve's from one gather per block, so each equals its separate
 function's bit for bit.
 
 The array path needs int64 room, so both queries refuse q, A or U + X
@@ -62,11 +62,9 @@ U_BLOCK = 1 << 16
 
 
 class Hyperbolic(NamedTuple):
-    """Curve bound u -> A / u (A >= 0), capped at min(A / u, cap) when a
-    cap is given."""
+    """Curve bound u -> A / u (A >= 0)."""
 
     A: int
-    cap: int | None = None
 
 
 @checked
@@ -100,8 +98,8 @@ class CurveQuery(NamedTuple):
             raise ValueError(f"modulus must be >= 1, got {self.q}")
         if self.X < 0:
             raise ValueError("interval length must be non-negative")
-        if self.bound.A < 0 or (self.bound.cap is not None and self.bound.cap < 0):
-            raise ValueError("hyperbolic bound needs A >= 0 and cap >= 0")
+        if self.bound.A < 0:
+            raise ValueError("hyperbolic bound needs A >= 0")
         if self.U < 0:
             raise ValueError("curve interval needs U >= 0")
         if max(self.q, self.bound.A, self.U + self.X) >= INT64_LIMIT:
@@ -219,23 +217,18 @@ def _u_blocks(U: int, X: int, q: int, s: int):
 
 def _curve(query: CurveQuery, count: bool, main: bool) -> tuple[int, float]:
     """(count, main term) of a curve, each when asked for, from one gather
-    per block of u: the count is one stride count per u of rows
-    min(A // u, cap); the main term adds w(u) f(u), f(u) = min(A / u, cap),
-    in u order (np.cumsum adds one term at a time), then takes off the
-    boundary correction X * delta_q(K) / 2."""
-    U, X, q = query.U, query.X, query.q
-    A, cap = query.bound.A, query.bound.cap
+    per block of u: the count is one stride count per u of rows A // u;
+    the main term adds w(u) A / u in u order (np.cumsum adds one term at
+    a time), then takes off the boundary correction X * delta_q(K) / 2."""
+    U, X, q, A = query.U, query.X, query.q, query.bound.A
     (w, m, v0), shift = _table(U, X, q, query.K)
-    top = A if cap is None else min(cap, A)  # A // u <= A, so a larger cap never binds
     total, s = 0, 0.0
     for u, i in _u_blocks(U, X, q, shift):
         weights = w[i]
         if count:
-            rows = np.minimum(A // u, top)
-            total += _total(np.where(weights > 0, stride_count(v0[i], m[i], 0, rows), 0), top + 1)
+            total += _total(np.where(weights > 0, stride_count(v0[i], m[i], 0, A // u), 0), A + 1)
         if main:
-            f = A / u if cap is None else np.minimum(A / u, top)
-            terms = weights * f
+            terms = weights * (A / u)
             terms[0] += s
             s = float(np.cumsum(terms)[-1])
     correction = float(query.X) / 2 if query.K % query.q == 0 else 0.0
@@ -243,16 +236,15 @@ def _curve(query: CurveQuery, count: bool, main: bool) -> tuple[int, float]:
 
 
 def count_under_curve(query: CurveQuery) -> int:
-    """Exact number of lattice points with U < u <= U+X, 0 < v <= f(u) on
-    the hyperbola, f(u) = min(A // u, cap); one stride count per u, all
-    u of a block at once, with the residue classes gathered from the
-    per-residue table."""
+    """Exact number of lattice points with U < u <= U+X, 0 < v <= A // u
+    on the hyperbola; one stride count per u, all u of a block at once,
+    with the residue classes gathered from the per-residue table."""
     return _curve(query, count=True, main=False)[0]
 
 
 def main_term_curve(query: CurveQuery) -> float:
     """Main term (1/q) * sum r * f(u) over u with gcd(u, q) = r | K, minus
-    the boundary correction X * delta_q(K) / 2, with f(u) = min(A / u, cap)."""
+    the boundary correction X * delta_q(K) / 2, with f(u) = A / u."""
     return _curve(query, count=False, main=True)[1]
 
 
@@ -260,7 +252,6 @@ def curvature_scale(query: CurveQuery) -> float:
     """Second-derivative scale L for a hyperbolic bound A/u: |f''| = 2A/u^3,
     so L is of order U^3/A, taken at the left endpoint (clamped to u >= 1).
 
-    Only the order matters for the nominal bound, so a cap is ignored;
     A = 0 gives a flat curve and is reported as infinite L.
     """
     A = float(query.bound.A)

@@ -81,9 +81,9 @@ from math import isqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import checked, lazy_import
-from .arith import sieve
-from .errors import BudgetError
+from .errors import BudgetError, check_bytes
 
+arith = lazy_import("matcount.arith")  # only square_sum's numpy route sieves phi
 np = lazy_import("numpy")
 pickle = lazy_import("pickle")  # only a pass that forks sends results
 signal = lazy_import("signal")  # only a pass that must kill a child
@@ -109,13 +109,6 @@ _WINDOW_CELLS = 1 << 21
 # only a one-thread pool, which cli.run sets, gets 2^15-cell blocks; any
 # other gets 2^13 cells (128 KB), whose ddots run on the calling thread.
 _DOT_BLOCK = 1 << 15 if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 1 << 13
-
-# Bytes square_sum may hold: while the prefix sum is taken, its phi sieve
-# and the summatory totient are two int64 arrays of L + 1 cells, about
-# 8 N^(2/3) bytes; the memo above L adds a Python int and its list slot
-# per entry.  128 MiB admits N up to 62,389,816,424.
-SQUARE_SUM_BUDGET = 1 << 27
-_MEMO_ENTRY_BYTES = 48
 
 # The largest phi sieve square_sum builds in Python lists rather than
 # numpy (its L, N up to about 7 * 10^5): below it the list route costs a
@@ -409,11 +402,16 @@ def _square_sum_plan(N: int) -> tuple[int, int, int]:
     N^(2/3) / 2 and never below sqrt(N), where the tail of the Phi
     recursion reads; Phi(N // k) is memoised for the k <= K with
     N // k > L; bytes is the most that the sieve, its prefix sum, the
-    memo and the recursion's int64 scratch, at most four arrays of
-    sqrt(N) cells, hold at once."""
+    memo (48 bytes an entry: a Python int and its list slot) and the
+    recursion's int64 scratch, at most four arrays of sqrt(N) cells, hold
+    at once.  The phi sieve and its prefix sums are two int64 arrays of
+    L + 1 cells, or, up to _LIST_SIEVE_LIMIT, two lists of Python ints of
+    at most 80 bytes a cell (74 measured).  errors.BYTE_BUDGET = 128 MiB
+    admits N up to 62,389,816,424."""
     L = max(isqrt(N), _icbrt(N * N) // 2)
     K = N // (L + 1)
-    return L, K, 16 * (L + 1) + _MEMO_ENTRY_BYTES * (K + 1) + 32 * (isqrt(N) + 1)
+    cell = 80 if L <= _LIST_SIEVE_LIMIT else 16
+    return L, K, cell * (L + 1) + 48 * (K + 1) + 32 * (isqrt(N) + 1)
 
 
 def square_sum(N: int) -> int:
@@ -421,23 +419,20 @@ def square_sum(N: int) -> int:
     the module docstring, in O(N^(2/3)); it builds no tau table, so the
     uint16 limit of the tables does not apply.
 
-    It refuses, before it allocates, an N whose phi sieve and Phi memo
-    would exceed SQUARE_SUM_BUDGET bytes.  The budget keeps N below
-    2^36, where every int64 sum of Phi values stays under N^(5/3) < 2^63;
-    the blocks are summed in Python ints.
+    It refuses, before it allocates, an N whose plan (_square_sum_plan)
+    passes errors.BYTE_BUDGET.  That budget keeps N below 2^36, where
+    every int64 sum of Phi values stays under N^(5/3) < 2^63; the blocks
+    are summed in Python ints.
     """
     if N < 1:
         raise ValueError(f"square_sum() requires N >= 1, got {N}")
     L, K, need = _square_sum_plan(N)
-    if need > SQUARE_SUM_BUDGET:
-        raise BudgetError(
-            f"square_sum(N={N}) needs {need} bytes, budget is {SQUARE_SUM_BUDGET}"
-        )
+    check_bytes(f"square_sum(N={N})", need)
     # small[x] = Phi(x) for x <= L
     if L <= _LIST_SIEVE_LIMIT:
         small = list(accumulate(_phi_list(L)))
     else:
-        small = np.cumsum(sieve(L))
+        small = np.cumsum(arith.sieve(L))
     big = _large_totient_sums(N, small, K)
     # m runs over the blocks [m, top] of constant q = floor(N/m); the
     # weight 2 phi(m) - [m = 1] sums to 2 Phi(top) - 2 Phi(m - 1), and the

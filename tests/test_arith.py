@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from matcount import arith
+from matcount import arith, errors
 from matcount.arith import (
     FACTORIZE_LIMIT,
     divisors,
@@ -158,12 +158,13 @@ def test_sieve_prime_rows():
 
 
 def test_sieve_budget(monkeypatch):
-    monkeypatch.setattr(arith, "CELL_BUDGET", 100)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 1600)
     with pytest.raises(BudgetError):
         sieve(10**6)
-    # the budget counts the limit + 1 cells of the phi table
+    # the plan is 16 bytes for each of the limit + 1 cells of the phi table
     assert sieve(99).size == 100
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError,
+                       match=r"^sieve\(limit=100\) needs 1616 bytes, budget is 1600$"):
         sieve(100)
 
 
@@ -197,7 +198,7 @@ def test_mobius_sieve_matches_pointwise():
 def test_mobius_sieve_domain(monkeypatch):
     with pytest.raises(ValueError):
         mobius_sieve(0)
-    monkeypatch.setattr(arith, "CELL_BUDGET", 100)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 700)  # 7 bytes a cell
     assert mobius_sieve(99).size == 100
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"^mobius_sieve\(limit=100\) needs 707 bytes"):
         mobius_sieve(100)

@@ -231,8 +231,9 @@ def test_each_direct_column_is_its_per_cell_sum(H):
 
 def reference_hyper_columns(H, delta):
     """The column sweep by one count_box or count_under_curve query per
-    (c, side) and per lower curve, over the column's a-range (U, U+X]
-    cut at the split min((c*H + delta) // H, H)."""
+    (c, side) for the upper rows and a box and a curve for each lower
+    rows, over the column's a-range (U, U+X] cut at the split
+    min((c*H + delta) // H, H)."""
     b0 = [a for a in range(1, H + 1) if delta % a == 0 and delta // a <= H]
     columns = {small_a: ([], []) for small_a in (True, False)}
     for c in range(1, H + 1):
@@ -251,9 +252,12 @@ def reference_hyper_columns(H, delta):
             for column, lower in ((G, delta - H * c - 1), (J, delta)):
                 n = upper
                 if lower >= 1:
-                    # capped at H, the curve is flat wherever lower >= H a
-                    bound = Hyperbolic(min(lower, H * X), cap=H) if small_a else Hyperbolic(lower)
-                    n -= count_under_curve(CurveQuery(K=delta, q=c, U=U, X=X, bound=bound))
+                    # on the small-a side the rows min(lower // a, H) are a
+                    # box of H rows up to a = lower // H, the curve past it
+                    cut = min(lower // H, X) if small_a else 0
+                    n -= count_box(HyperbolaQuery(K=delta, q=c, U=U, V=0, X=cut, Y=H))
+                    n -= count_under_curve(
+                        CurveQuery(K=delta, q=c, U=U + cut, X=X - cut, bound=Hyperbolic(lower)))
                 column.append(n)
             G[-1] -= bisect_right(b0, U + X) - bisect_right(b0, U)
     return {small_a: (tuple(G), tuple(J)) for small_a, (G, J) in columns.items()}

@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import asymptotics, casework, cli, exact, tau_tables
+from matcount import arith, asymptotics, casework, cli, exact, tau_tables
 from matcount.casework import RegionG, region_sum_G, region_sum_G_via_hyperbola
 from matcount.cli import main
 from matcount.errors import BudgetError
@@ -861,25 +861,59 @@ print(*sorted(name.split(".")[1] for name, module in sys.modules.items()
 _LIBRARY = {"arith", "asymptotics", "casework", "exact", "hyperbola", "lemmas", "reports",
             "rng", "tau_tables"}
 
-
-@pytest.mark.parametrize("argv, not_run", [
-    ("hyperbola --N 3 --seed 1", {"exact", "tau_tables", "asymptotics", "casework", "lemmas"}),
+# A command, and every library module that it does not run: it runs all
+# the others, besides cli and errors.  Every README CLI line has an entry,
+# its fit reading {csv}.
+_NOT_RUN = [
+    ("hyperbola --N 3 --seed 1",
+     {"arith", "exact", "tau_tables", "asymptotics", "casework", "lemmas"}),
     ("lemmas", {"exact", "tau_tables", "asymptotics", "casework", "hyperbola", "rng"}),
-    # exact's sign-class count reads no tau_tables, which alone runs arith here
+    # exact's sign-class count reads no tau_tables
     ("casework --H 12 --delta 5", {"tau_tables", "arith", "asymptotics", "lemmas", "rng"}),
-    ("count --H 6000 --delta=0", {"casework", "hyperbola", "lemmas", "rng"}),
+    # square_sum's phi sieve fits a list here, and the main term needs no sigma
+    ("count --H 6000 --delta=0", {"arith", "casework", "hyperbola", "lemmas", "rng"}),
     ("count --H 0 --delta 1", _LIBRARY),  # a usage error runs only cli and errors
-    ("count --H 30 --delta 7", set()),
+    ("count --H 30 --delta 7", {"casework", "hyperbola", "lemmas", "rng"}),
     # the region sums refuse past the cell budget before the total check
     ("casework --H 317 --delta 1", {"exact", "tau_tables", "arith", "asymptotics", "lemmas",
                                     "rng"}),
-    ("count --H 100 --delta 6", set()),
-])
+    ("count --H 100 --delta 6", {"casework", "hyperbola", "lemmas", "rng"}),
+    ("count --H 2000 --delta 6", {"casework", "hyperbola", "lemmas", "rng"}),
+    ("sweep --H 250,500,1000,2000 --delta 1 --fit --no-timing",
+     {"casework", "hyperbola", "lemmas", "rng"}),
+    # moments 2 and 3 and their line fit read neither exact nor arith
+    ("tau --N 500,1000,2000,4000 --k 2", {"arith", "exact", "casework", "hyperbola", "lemmas",
+                                          "rng"}),
+    ("tau --N 30,40 --k 2", {"arith", "exact", "casework", "hyperbola", "lemmas", "rng"}),
+    ("tau --N 30,40 --k 3", {"arith", "exact", "casework", "hyperbola", "lemmas", "rng"}),
+    # the shifted-sum verdict reads sigma(delta)
+    ("tau --N 500,1000,2000 --delta 1", {"exact", "casework", "hyperbola", "lemmas", "rng"}),
+    ("hyperbola --N 500 --seed 7 --epsilon 0.25",
+     {"arith", "exact", "tau_tables", "asymptotics", "casework", "lemmas"}),
+    ("lemmas --output lemmas.csv",
+     {"exact", "tau_tables", "asymptotics", "casework", "hyperbola", "rng"}),
+    ("casework --H 40 --delta 60", {"tau_tables", "arith", "asymptotics", "lemmas", "rng"}),
+    ("fixtures", _LIBRARY - {"exact"}),
+    ("fit {csv}", _LIBRARY - {"asymptotics", "reports"}),
+]
+
+
+@pytest.mark.parametrize("argv, not_run", _NOT_RUN)
 def test_each_command_runs_only_the_modules_it_calls(argv, not_run, tmp_path, spawn):
     ran = set(_last_line(spawn, _MODULES_RUN, argv, tmp_path).split())
-    assert {"cli", "errors"} <= ran and not ran & not_run, ran
-    if not not_run:  # the control: a pass over tau_H, whose sieve is arith's
-        assert {"exact", "tau_tables", "arith"} <= ran
+    assert ran == {"cli", "errors"} | (_LIBRARY - not_run)
+
+
+def test_every_readme_cli_line_has_a_module_entry():
+    readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+             if line.startswith("matcount ")]
+    assert len(lines) >= 8
+    entries = {argv for argv, _ in _NOT_RUN}
+    for argv in lines:
+        argv = ["fit", "{csv}"] if argv[0] == "fit" else argv
+        assert " ".join(argv) in entries, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -1311,7 +1345,7 @@ def test_delta0_and_first_moments_run_past_the_table_limits(capsys):
 )
 def test_delta0_budget_exits_2_with_one_line(argv, longest, monkeypatch, capsys):
     # refused before the phi sieve, and before H meets a float
-    monkeypatch.setattr(tau_tables, "sieve", None)
+    monkeypatch.setattr(arith, "sieve", None)
     tracemalloc.start()
     try:
         code, out, err = run(argv, capsys)

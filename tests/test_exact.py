@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matcount import exact
+from matcount import errors, exact
 from matcount.asymptotics import report
 from matcount.errors import BudgetError
 from matcount.exact import (
@@ -66,8 +66,11 @@ def test_cached_histogram_is_read_only():
 def test_naive_rejects():
     with pytest.raises(ValueError):
         naive_count(0, 1)
-    with pytest.raises(BudgetError):
-        naive_count(400, 1)
+    # one a's (2H+1)^3 determinants, the bins and the products of H = 127
+    # fit errors.BYTE_BUDGET, H = 128's do not
+    with pytest.raises(BudgetError, match=r"^naive_count\(H=128\) needs 137375784 bytes, "
+                       rf"budget is {errors.BYTE_BUDGET}$"):
+        naive_count(128, 1)
 
 
 def test_fast_equals_naive_exhaustive():
@@ -159,9 +162,9 @@ def test_sign_class_small_values(monkeypatch):
                 assert sign_class_count(H, delta, sc) == expect
                 with monkeypatch.context() as m:
                     # a budget of exactly the histogram's plan admits it
-                    m.setattr(exact, "SIGN_CLASS_BYTES", 16 * H * H + 8)
+                    m.setattr(errors, "BYTE_BUDGET", 16 * H * H + 8 * H + 8)
                     assert sign_class_count(H, delta, sc) == expect
-                    m.setattr(exact, "SIGN_CLASS_BYTES", 16 * H * H + 7)
+                    m.setattr(errors, "BYTE_BUDGET", 16 * H * H + 8 * H + 7)
                     with pytest.raises(BudgetError, match=rf"^sign_class_count\(H={H}\) needs"):
                         sign_class_count(H, delta, sc)
 
@@ -196,15 +199,19 @@ def test_sign_class_histogram_matches_divmod(point, sc):
 
 
 def test_sign_class_refuses_past_its_byte_budget():
-    # the products and bins of H = 2896 fit SIGN_CLASS_BYTES, H = 2897's do
-    # not, and a refusal allocates nothing first, however large H is
-    assert 16 * 2896**2 + 8 <= exact.SIGN_CLASS_BYTES < 16 * 2897**2 + 8
+    # the products, bins and entries of H = 2896 fit errors.BYTE_BUDGET,
+    # H = 2897's do not, and a refusal allocates nothing first, however
+    # large H is
+    def plan(H):
+        return 16 * H * H + 8 * H + 8
+
+    assert plan(2896) <= errors.BYTE_BUDGET < plan(2897)
     tracemalloc.start()
     try:
         for H, delta in ((2897, 5), (10**9, 0), (10**9, 2 * 10**18 + 1)):
             with pytest.raises(BudgetError, match=(
-                rf"^sign_class_count\(H={H}\) needs {16 * H * H + 8} bytes, "
-                rf"budget is {exact.SIGN_CLASS_BYTES}$"
+                rf"^sign_class_count\(H={H}\) needs {plan(H)} bytes, "
+                rf"budget is {errors.BYTE_BUDGET}$"
             )):
                 sign_class_count(H, delta, SignClass(1, 1, 1))
         assert tracemalloc.get_traced_memory()[1] < 1 << 20

@@ -148,20 +148,6 @@ def test_curvature_scale_edges():
     ) == pytest.approx(0.5)
 
 
-@given(
-    st.integers(-15, 15),
-    st.integers(1, 9),
-    st.integers(0, 8),
-    st.integers(0, 8),
-    st.integers(0, 40),
-    st.integers(0, 12),
-)
-@settings(max_examples=120, deadline=None)
-def test_capped_curve_matches_enumeration(K, q, U, X, A, cap):
-    query = CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A, cap=cap))
-    assert count_under_curve(query) == naive_curve(K, q, U, X, lambda u: min(A / u, cap))
-
-
 def test_reports():
     rep = box_report(HyperbolaQuery(K=6, q=4, U=0, V=0, X=4, Y=4), 0.0)
     assert rep.exact - rep.main == rep.error
@@ -208,7 +194,7 @@ def test_reports_that_share_a_table_are_unchanged_by_it():
     # box and curve of one (U, X, q, K): the second call of each, and the
     # other's calls in between, read the table the first one built
     box = HyperbolaQuery(K=8, q=12, U=3, V=5, X=40, Y=17)
-    curve = CurveQuery(K=8, q=12, U=3, X=40, bound=Hyperbolic(300, cap=30))
+    curve = CurveQuery(K=8, q=12, U=3, X=40, bound=Hyperbolic(300))
     fresh = []
     for report, query in ((box_report, box), (curve_report, curve)):
         hyperbola._classes.cache_clear()
@@ -225,8 +211,6 @@ def test_query_validation():
         HyperbolaQuery(K=1, q=2, X=-1, Y=1)
     with pytest.raises(ValueError):
         CurveQuery(K=1, q=2, U=0, X=3, bound=Hyperbolic(-1))
-    with pytest.raises(ValueError):
-        CurveQuery(K=1, q=2, U=0, X=3, bound=Hyperbolic(1, cap=-1))
     # _replace builds through the same checks
     with pytest.raises(ValueError):
         HyperbolaQuery(K=1, q=5)._replace(q=0)
@@ -245,12 +229,12 @@ def reference_main_box(query):
 
 def reference_main_curve(query):
     """The per-u main term under a curve, summed in u order."""
-    A, cap = query.bound.A, query.bound.cap
+    A = query.bound.A
     s = 0.0
     for u in range(query.U + 1, query.U + query.X + 1):
         g = math.gcd(u, query.q)
         if query.K % g == 0:
-            s += g * (A / u if cap is None else min(A / u, cap))
+            s += g * (A / u)
     correction = float(query.X) / 2 if query.K % query.q == 0 else 0.0
     return s / query.q - correction
 
@@ -263,21 +247,20 @@ def reference_main_curve(query):
     st.integers(0, 30),
     st.integers(0, 20),
     st.integers(0, 200),
-    st.none() | st.integers(0, 50),
 )
 @settings(max_examples=300, deadline=None)
-def test_residue_tables_match_per_u(qX, K, U, V, Y, rows, extra, cap):
+def test_residue_tables_match_per_u(qX, K, U, V, Y, rows, extra):
     q, X = qX
     A = rows * (U + 1) + extra  # up to about 20 rows at the left endpoint, for any U
     box = HyperbolaQuery(K=K, q=q, U=U, V=V, X=X, Y=Y)
     assert count_box(box) == naive_box(K, q, U, V, X, Y)
     assert main_term_box(box) == reference_main_box(box)
-    curve = CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A, cap=cap))
+    curve = CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A))
     expect = sum(
         1
         for u in range(U + 1, U + X + 1)
         for v in range(1, A // u + 1)
-        if (cap is None or v <= cap) and (u * v - K) % q == 0
+        if (u * v - K) % q == 0
     )
     assert count_under_curve(curve) == expect
     assert main_term_curve(curve) == reference_main_curve(curve)
@@ -292,19 +275,9 @@ def test_curve_blocks_match_per_u(monkeypatch):
         q, X, U = (int(v) for v in rng.integers(1, 40, 3))
         K = int(rng.integers(-50, 51))
         A = int(rng.integers(0, 30 * (U + 1)))
-        cap = None if rng.integers(2) else int(rng.integers(0, 40))
-        curve = CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A, cap=cap))
-        assert count_under_curve(curve) == naive_curve(
-            K, q, U, X, lambda u: A / u if cap is None else min(A / u, cap))
+        curve = CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A))
+        assert count_under_curve(curve) == naive_curve(K, q, U, X, lambda u: A / u)
         assert main_term_curve(curve) == reference_main_curve(curve)
-
-
-def test_huge_cap_is_no_cap():
-    for cap in (2**62, 2**80):
-        capped = CurveQuery(K=3, q=7, U=2, X=30, bound=Hyperbolic(500, cap=cap))
-        free = CurveQuery(K=3, q=7, U=2, X=30, bound=Hyperbolic(500))
-        assert count_under_curve(capped) == count_under_curve(free)
-        assert main_term_curve(capped) == main_term_curve(free)
 
 
 LIMIT = 2**62
@@ -351,9 +324,9 @@ def expected(query):
     if isinstance(query, HyperbolaQuery):
         args = (query.K, query.q, query.U, query.V, query.X, query.Y)
         return naive_box_any(*args), reference_main_box(query)
-    A, cap = query.bound.A, query.bound.cap
-    f = (lambda u: A // u) if cap is None else (lambda u: min(A // u, cap))
-    return naive_curve(query.K, query.q, query.U, query.X, f), reference_main_curve(query)
+    A = query.bound.A
+    return (naive_curve(query.K, query.q, query.U, query.X, lambda u: A // u),
+            reference_main_curve(query))
 
 
 def evaluate(query, what):
@@ -381,15 +354,14 @@ def shared_queries(draw):
             queries.append(HyperbolaQuery(K=K, q=q, U=U, V=V, X=X, Y=Y))
         else:
             A = min(draw(st.integers(0, 20)) * (U + 1) + draw(st.integers(0, 50)), LIMIT - 1)
-            cap = draw(st.none() | st.integers(0, 40))
-            queries.append(CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A, cap=cap)))
+            queries.append(CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(A)))
     return queries
 
 
 def _queries(q, K, U_X_kinds):
     return [
         HyperbolaQuery(K=K, q=q, U=U, V=-3, X=X, Y=10**25 + 4) if kind == "box"
-        else CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(min(9 * (U + 1), LIMIT - 1), cap=6))
+        else CurveQuery(K=K, q=q, U=U, X=X, bound=Hyperbolic(min(9 * (U + 1), LIMIT - 1)))
         for U, X, kind in U_X_kinds
     ]
 

@@ -44,9 +44,9 @@ def test_reprs_are_unchanged():
         "SignClass(alpha=1, gamma=-1, delta_prime=1)",
         "DecompositionReport(total=8, per_class={(1, 1, 1): 1}, zero_entry=4, "
         "assembly_ok=False, failures=['x'])",
-        "Hyperbolic(A=10, cap=None)",
+        "Hyperbolic(A=10)",
         "HyperbolaQuery(K=1, q=5, U=0, V=0, X=0, Y=0)",
-        "CurveQuery(K=1, q=5, U=0, X=3, bound=Hyperbolic(A=10, cap=None))",
+        "CurveQuery(K=1, q=5, U=0, X=3, bound=Hyperbolic(A=10))",
         "AsymptoticReport(exact=7, main=6.5, bound=1.0)",
         "ErrorFit(exponent=1.5, log_constant=-0.25, r_squared=0.75, degenerate=False)",
         "ShiftedDiscrimination(delta=6, slope=0.0, predicted_log_slope=1.5, "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcount import tau_tables
+from matcount import arith, errors, tau_tables
 from matcount.arith import divisors, sieve, tau
 from matcount.errors import BudgetError
 from matcount.exact import delta_pass, fast_count, naive_count
@@ -136,7 +136,7 @@ def test_square_sum_routes_meet_at_the_list_limit(monkeypatch):
     assert tau_tables._square_sum_plan(edge)[0] == limit
     assert tau_tables._square_sum_plan(edge + 1)[0] == limit + 1
     sieved = []
-    monkeypatch.setattr(tau_tables, "sieve", lambda L: sieved.append(L) or sieve(L))
+    monkeypatch.setattr(arith, "sieve", lambda L: sieved.append(L) or sieve(L))
     assert square_sum(edge) == square_sum_by_totients(edge)
     assert sieved == []  # the list route
     assert square_sum(edge + 1) == square_sum_by_totients(edge + 1)
@@ -150,13 +150,13 @@ def test_square_sum_domain():
     assert square_sum(46341) == square_sum_by_totients(46341)
 
 
-# The largest N whose phi sieve and Phi memo fit SQUARE_SUM_BUDGET; the
+# The largest N whose phi sieve and Phi memo fit errors.BYTE_BUDGET; the
 # README and the CI job quote it.
 LARGEST_SQUARE_SUM_N = 62_389_816_424
 
 
 def test_square_sum_budget(monkeypatch):
-    budget = tau_tables.SQUARE_SUM_BUDGET
+    budget = errors.BYTE_BUDGET
     assert tau_tables._square_sum_plan(LARGEST_SQUARE_SUM_N)[2] <= budget
     assert tau_tables._square_sum_plan(LARGEST_SQUARE_SUM_N + 1)[2] > budget
     # below it every int64 sum of Phi values is under N^(5/3) < 2^63
@@ -169,7 +169,7 @@ def test_square_sum_budget(monkeypatch):
     def sieve_stub(limit):
         raise Sieved
 
-    monkeypatch.setattr(tau_tables, "sieve", sieve_stub)
+    monkeypatch.setattr(arith, "sieve", sieve_stub)
     with pytest.raises(Sieved):
         square_sum(LARGEST_SQUARE_SUM_N)
     for N in (LARGEST_SQUARE_SUM_N + 1, 10**30, 10**400):
@@ -183,7 +183,7 @@ def test_square_sum_budget(monkeypatch):
             tracemalloc.stop()
         assert peak < 1 << 20
     # the function reads the module constant when it runs
-    monkeypatch.setattr(tau_tables, "SQUARE_SUM_BUDGET", 1000)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 1000)
     with pytest.raises(BudgetError):
         square_sum(10**6)
 
@@ -501,7 +501,7 @@ def test_dots_add_block_sums_past_float64_precision(monkeypatch):
 _FORKED_DOTS = """
 import os
 import numpy as np
-from matcount import tau_tables
+from matcount import arith, errors, tau_tables
 x = np.ones(1 << 17, dtype=np.uint16)
 pid = os.fork()
 if pid == 0:
